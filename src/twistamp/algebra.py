@@ -3,8 +3,9 @@ pfaffians/determinants of small alternating matrices.
 
 Coefficients are pairs of `fractions.Fraction`, so every symbolic result in
 this module is exact. The only floating-point code paths are the numeric
-pfaffian (Parlett-Reid) and the SVD rank, which exist to cross-check the
-exact routines and to serve the Monte Carlo integrators.
+pfaffian (one batched, cache-blocked Parlett-Reid kernel; a single matrix is
+a batch of one) and the SVD rank, which exist to cross-check the exact
+routines and to serve the Monte Carlo integrators.
 """
 
 from __future__ import annotations
@@ -586,12 +587,79 @@ def det_symbolic(matrix, nvars=None) -> MultiPoly:
     return total
 
 
+# Working set of one Parlett-Reid chunk, chunk * d * d complex128 entries,
+# so that the chunk and the temporaries of its rank-2 updates stay near the
+# L2 cache. On a 2-vCPU Xeon with 2 MiB of L2 per core, 65 536 matrices at
+# d = 4..10 ran fastest with 0.5-2 MiB (1 MiB within 2% of the best); 256 KiB
+# was up to 30% slower, 6 MiB up to 50% and 16 MiB up to 95%.
+_PF_CHUNK_BYTES = 1 << 20
+
+
+def _parlett_reid(A: np.ndarray) -> np.ndarray:
+    """Pfaffians of the batch-last stack A (d, d, b); A is overwritten.
+
+    Step k swaps the largest |A[i, k]|, i > k, into row and column k+1
+    (flipping the sign), multiplies the pivot A[k, k+1] into the product
+    and clears row and column k from the trailing block by a rank-2
+    congruence update. A matrix whose pivot column is exactly zero has
+    Pf = 0.
+    """
+    dim, _, b = A.shape
+    pf = np.ones(b, dtype=complex)
+    dead = np.zeros(b, dtype=bool)
+    for k in range(0, dim - 1, 2):
+        pivot = k + 1 + np.abs(A[k + 1 :, k]).argmax(axis=0)
+        swap = np.flatnonzero(pivot != k + 1)
+        if swap.size:
+            # rows and columns before k are never read again
+            tgt = pivot[swap]
+            rows = A[k + 1, k:, swap]
+            A[k + 1, k:, swap] = A[tgt, k:, swap]
+            A[tgt, k:, swap] = rows
+            cols = A[k:, k + 1, swap]
+            A[k:, k + 1, swap] = A[k:, tgt, swap]
+            A[k:, tgt, swap] = cols
+            pf[swap] = -pf[swap]
+        piv = A[k, k + 1]
+        zero = piv == 0
+        dead |= zero
+        pf *= piv
+        if k + 2 < dim:
+            tau = A[k, k + 2 :] / np.where(zero, 1.0, piv)
+            col = A[k + 2 :, k + 1]
+            outer = tau[:, None] * col[None]
+            A[k + 2 :, k + 2 :] += outer - outer.swapaxes(0, 1)
+    pf[dead] = 0.0
+    return pf
+
+
+def _pfaffian_batch(mats) -> np.ndarray:
+    """Pfaffians of a batch of antisymmetric matrices (B, d, d).
+
+    Partially pivoted Parlett-Reid elimination (Wimmer, arXiv:1102.3440),
+    run batch-last so that every step acts on contiguous length-b vectors,
+    over chunks of b = _PF_CHUNK_BYTES // (16 d^2) matrices so that the
+    trailing updates stay in cache. The input is never written.
+    """
+    mats = np.asarray(mats)
+    batch, dim, _ = mats.shape
+    out = np.empty(batch, dtype=complex)
+    chunk = max(1, _PF_CHUNK_BYTES // (16 * dim * dim))
+    for start in range(0, batch, chunk):
+        # astype always copies: for a chunk of one matrix moveaxis returns a
+        # view that already counts as C-contiguous
+        A = np.moveaxis(mats[start : start + chunk], 0, -1).astype(complex, order="C")
+        out[start : start + A.shape[2]] = _parlett_reid(A)
+    return out
+
+
 def pfaffian_numeric(form, *, asym_tol: float = 1e-12) -> complex:
     """Pfaffian of an antisymmetric matrix by Parlett-Reid elimination.
 
     Partial pivoting keeps the congruence transforms bounded; the running
     product of the 2x2 block pivots times the permutation sign is Pf(A),
-    with Pf([[0, a], [-a, 0]]) = a and Pf(A)^2 = det(A).
+    with Pf([[0, a], [-a, 0]]) = a and Pf(A)^2 = det(A). This is the batch
+    kernel `_pfaffian_batch` on a batch of one.
     """
     if isinstance(form, AlternatingForm):
         A = form.to_numpy()
@@ -608,21 +676,7 @@ def pfaffian_numeric(form, *, asym_tol: float = 1e-12) -> complex:
     if float(np.abs(A + A.T).max()) > asym_tol * max(1.0, scale):
         raise ValidationError("matrix is not antisymmetric within tolerance")
     A = (A - A.T) / 2.0
-    pf = 1.0 + 0j
-    for k in range(0, dim - 1, 2):
-        pivot_row = k + 1 + int(np.abs(A[k + 1 :, k]).argmax())
-        if A[pivot_row, k] == 0:
-            return 0j
-        if pivot_row != k + 1:
-            A[[k + 1, pivot_row], :] = A[[pivot_row, k + 1], :]
-            A[:, [k + 1, pivot_row]] = A[:, [pivot_row, k + 1]]
-            pf = -pf
-        pf *= A[k, k + 1]
-        if k + 2 < dim:
-            tau = A[k, k + 2 :] / A[k, k + 1]
-            col = A[k + 2 :, k + 1].copy()
-            A[k + 2 :, k + 2 :] += np.outer(tau, col) - np.outer(col, tau)
-    return complex(pf)
+    return complex(_pfaffian_batch(A[None])[0])
 
 
 def _is_exact_scalar(x) -> bool:

@@ -4,6 +4,9 @@ direct      integral over R^(4n) of 1 / prod_e P_e(x), importance-sampled
             with one heavy-tailed 4-dimensional Cauchy proposal per loop;
 parametric  integral over the unit simplex of 1 / S2(a)^2;
 pfaffian    integral over the unit simplex of 1 / |Pf(sum_e a_e Q_e)|^2.
+            Each batch of forms is assembled by one matmul with the
+            flattened (E, d*d) stack and goes through the one Parlett-Reid
+            kernel, `algebra._pfaffian_batch` (batch-last, cache-blocked).
 
 All samplers derive their random stream deterministically from
 (seed, method, batch index), and batch results are merged in batch order
@@ -23,6 +26,7 @@ from scipy import integrate as _scipy_integrate
 from scipy.special import gammaln
 from scipy.stats import qmc
 
+from .algebra import _pfaffian_batch
 from .errors import (
     InvariantViolation,
     PrecisionError,
@@ -58,6 +62,11 @@ _TAIL_DOF = 1.0
 _METHOD_CODE = {"direct": 1, "parametric": 2, "pfaffian": 3, "feynman": 4}
 
 
+def _is_int(value) -> bool:
+    # bool is a subclass of int, but batch_size=True is not a batch size
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class IntegrationConfig:
     """Sampler settings; everything that affects the random stream is here."""
@@ -69,11 +78,11 @@ class IntegrationConfig:
     qmc: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.n_samples, int) or self.n_samples < 1000:
+        if not _is_int(self.n_samples) or self.n_samples < 1000:
             raise ValidationError("sample count must be an integer >= 1000")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
-        if not isinstance(self.batch_size, int) or self.batch_size <= 0:
+        if not _is_int(self.batch_size) or self.batch_size <= 0:
             raise ValidationError("batch size must be a positive integer")
         if self.scale is not None and not self.scale > 0:
             raise ValidationError("proposal scale must be positive")
@@ -276,43 +285,6 @@ def parametric_amplitude(
     )
 
 
-def _pfaffian_batch(mats: np.ndarray) -> np.ndarray:
-    """Parlett-Reid pfaffians of a batch of antisymmetric matrices (B, d, d)."""
-    A = np.array(mats, dtype=complex, copy=True)
-    batch, dim, _ = A.shape
-    pf = np.ones(batch, dtype=complex)
-    dead = np.zeros(batch, dtype=bool)
-    idx = np.arange(batch)
-    for k in range(0, dim - 1, 2):
-        pivot = k + 1 + np.abs(A[:, k + 1 :, k]).argmax(axis=1)
-        need = pivot != k + 1
-        if need.any():
-            rows = idx[need]
-            tgt = pivot[need]
-            A[rows, k + 1, :], A[rows, tgt, :] = (
-                A[rows, tgt, :].copy(),
-                A[rows, k + 1, :].copy(),
-            )
-            A[rows, :, k + 1], A[rows, :, tgt] = (
-                A[rows, :, tgt].copy(),
-                A[rows, :, k + 1].copy(),
-            )
-            pf[rows] = -pf[rows]
-        piv = A[:, k, k + 1]
-        zero = piv == 0
-        dead |= zero
-        pf = pf * np.where(zero, 0.0, piv)
-        if k + 2 < dim:
-            safe = np.where(zero, 1.0, piv)
-            tau = A[:, k, k + 2 :] / safe[:, None]
-            col = A[:, k + 2 :, k + 1]
-            A[:, k + 2 :, k + 2 :] += tau[:, :, None] * col[:, None, :] - col[
-                :, :, None
-            ] * tau[:, None, :]
-    pf[dead] = 0.0
-    return pf
-
-
 def pfaffian_amplitude(
     g: Graph, cfg: IntegrationConfig, basis=None, routing=None, forms=None
 ) -> IntegrationResult:
@@ -323,10 +295,12 @@ def pfaffian_amplitude(
     routing = routing or route_momenta(g)
     forms = forms or propagator_forms(g, basis, routing)
     stack = np.stack([f.to_numpy() for f in forms])  # (E, d, d)
+    dim = stack.shape[1]
+    flat = stack.reshape(n_edges, dim * dim)
 
     acc = _Accumulator()
     for batch in _simplex_batches(cfg, n_edges, "pfaffian"):
-        mats = np.einsum("be,eij->bij", batch, stack)
+        mats = (batch @ flat).reshape(len(batch), dim, dim)
         pf = _pfaffian_batch(mats)
         mag = np.abs(pf) ** 2
         if np.any(mag == 0.0) or not np.all(np.isfinite(mag)):

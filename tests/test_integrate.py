@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from twistamp import (
     CycleBasis,
+    Graph,
     IntegrationConfig,
     InvariantViolation,
     PrecisionError,
@@ -24,6 +25,7 @@ from twistamp import (
     log_divergent_integrand,
     parametric_amplitude,
     pfaffian_amplitude,
+    pfaffian_symbolic,
     propagator_forms,
     second_symanzik,
     triangle,
@@ -44,6 +46,13 @@ def test_config_validation():
         IntegrationConfig(n_samples=10_000, batch_size=0)
     with pytest.raises(ValidationError):
         IntegrationConfig(n_samples=10_000, scale=0.0)
+
+
+def test_config_rejects_bool_counts():
+    # bool is an int subclass: batch_size=True would run one sample per batch
+    for field in ("n_samples", "seed", "batch_size"):
+        with pytest.raises(ValidationError):
+            IntegrationConfig(**{"n_samples": 10_000, field: True})
 
 
 def test_direct_box_matches_radial_quadrature():
@@ -142,6 +151,88 @@ def test_pfaffian_integrand_matches_symbolic_pipeline():
     for a, pf in zip(points, pf_vals):
         s2 = sym.s2.eval_complex(a)
         assert abs(pf) ** 2 == pytest.approx(abs(s2) ** 2, rel=1e-10)
+
+
+def _three_loop_graph(rnd: random.Random) -> Graph:
+    """K4 with edges 1-2 and 3-4 subdivided: n = 3, N = 8, forms of size 8."""
+    edges = [(1, 1, 5), (2, 5, 2), (3, 1, 3), (4, 1, 4), (5, 2, 3), (6, 2, 4), (7, 3, 6), (8, 6, 4)]
+    return Graph.build(
+        range(1, 7),
+        [(i, u, v, random_positive_fraction(rnd)) for i, u, v in edges],
+        random_momenta(rnd, [1, 2, 3, 4]),
+    )
+
+
+def test_pfaffian_kernel_against_exact_and_determinant_oracles():
+    from twistamp.algebra import _PF_CHUNK_BYTES
+    from twistamp.integrate import _pfaffian_batch
+
+    # exact oracle: the matching expansion of Pf(sum_e a_e Q_e), signs included
+    rnd = random.Random(71)
+    graphs = (
+        with_random_kinematics(box, rnd),
+        with_random_kinematics(bowtie, rnd),
+        _three_loop_graph(rnd),
+    )
+    for g in graphs:
+        forms = [f.form for f in propagator_forms(g)]
+        pf_exact = pfaffian_symbolic(forms)
+        stack = np.stack([f.to_numpy() for f in forms])
+        points = []
+        for _ in range(3):
+            weights = [random_positive_fraction(rnd) for _ in forms]
+            points.append([w / sum(weights) for w in weights])
+        mats = np.einsum("be,eij->bij", np.array(points, dtype=float), stack)
+        for point, value in zip(points, _pfaffian_batch(mats)):
+            exact = complex(pf_exact.evaluate(point))
+            assert abs(value - exact) <= 1e-12 * abs(exact)
+
+    # |Pf|^2 = |det| on random batches that end mid-chunk
+    rng = np.random.default_rng(72)
+    for dim in (4, 6, 8, 10):
+        chunk = _PF_CHUNK_BYTES // (16 * dim * dim)
+        size = 2 * chunk + 3
+        m = rng.standard_normal((size, dim, dim)) + 1j * rng.standard_normal((size, dim, dim))
+        mats = m - np.swapaxes(m, 1, 2)
+        mats[1::5, 0, 1] = mats[1::5, 1, 0] = 0.0  # forces a pivot swap at step 0
+        singular = chunk + 1
+        mats[singular, 3, :] = mats[singular, :, 3] = 0.0  # dies mid-elimination
+        before = mats.copy()
+        pf = _pfaffian_batch(mats)
+        assert np.array_equal(mats, before)
+        assert pf[singular] == 0
+        others = np.arange(size) != singular
+        np.testing.assert_allclose(
+            np.abs(pf[others]) ** 2, np.abs(np.linalg.det(mats[others])), rtol=1e-10
+        )
+        if dim == 4:
+            a = mats
+            formula = a[:, 0, 1] * a[:, 2, 3] - a[:, 0, 2] * a[:, 1, 3] + a[:, 0, 3] * a[:, 1, 2]
+            np.testing.assert_allclose(pf, formula, rtol=1e-12, atol=0)
+        # the dead lane leaves its neighbours bit-for-bit alone
+        mats[singular] = before[singular - 1]
+        assert np.array_equal(_pfaffian_batch(mats)[others], pf[others])
+
+    # a batch of one must not write through to the caller's matrix
+    single = before[:1].copy()
+    _pfaffian_batch(single)
+    assert np.array_equal(single, before[:1])
+
+
+def test_pfaffian_estimate_equals_mean_of_inverse_s2_squared_on_same_draws():
+    from twistamp.integrate import _poly_evaluator, _simplex_batches
+
+    rnd = random.Random(73)
+    g = with_random_kinematics(bowtie, rnd)
+    # 10_000 is not a multiple of the kernel chunk
+    cfg = IntegrationConfig(n_samples=25_000, seed=5, batch_size=10_000)
+    result = pfaffian_amplitude(g, cfg)
+    s2_at = _poly_evaluator(second_symanzik(g).s2)
+    draws = _simplex_batches(cfg, g.n_edges, "pfaffian")
+    weights = np.concatenate([1.0 / np.square(s2_at(batch).real) for batch in draws])
+    # lambda^2 = 1: |Pf|^2 = S2^2 point by point
+    expect = math.fsum(weights) / weights.size / math.factorial(g.n_edges - 1)
+    assert result.estimate == pytest.approx(expect, rel=1e-12)
 
 
 def test_reproducibility_bitwise():
