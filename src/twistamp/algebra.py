@@ -594,6 +594,11 @@ def det_symbolic(matrix, nvars=None) -> MultiPoly:
 # was up to 30% slower, 6 MiB up to 50% and 16 MiB up to 95%.
 _PF_CHUNK_BYTES = 1 << 20
 
+# pfaffian_numeric rejects a matrix with |A + A^T| above this times max(1, |A|)
+_ASYM_TOL = 1e-12
+# matrix_rank counts the singular values above this times the largest
+_RANK_RTOL = 1e-9
+
 
 def _parlett_reid(A: np.ndarray) -> np.ndarray:
     """Pfaffians of the batch-last stack A (d, d, b); A is overwritten.
@@ -653,7 +658,7 @@ def _pfaffian_batch(mats) -> np.ndarray:
     return out
 
 
-def pfaffian_numeric(form, *, asym_tol: float = 1e-12) -> complex:
+def pfaffian_numeric(form) -> complex:
     """Pfaffian of an antisymmetric matrix by Parlett-Reid elimination.
 
     Partial pivoting keeps the congruence transforms bounded; the running
@@ -673,7 +678,7 @@ def pfaffian_numeric(form, *, asym_tol: float = 1e-12) -> complex:
     if dim == 0:
         return 1.0 + 0j
     scale = float(np.abs(A).max())
-    if float(np.abs(A + A.T).max()) > asym_tol * max(1.0, scale):
+    if float(np.abs(A + A.T).max()) > _ASYM_TOL * max(1.0, scale):
         raise ValidationError("matrix is not antisymmetric within tolerance")
     A = (A - A.T) / 2.0
     return complex(_pfaffian_batch(A[None])[0])
@@ -712,11 +717,11 @@ def _exact_rank(rows) -> int:
     return rank
 
 
-def matrix_rank(matrix, *, rtol: float = 1e-9) -> int:
+def matrix_rank(matrix) -> int:
     """Rank of a matrix.
 
     Exact fraction elimination when all entries are exact scalars, SVD with
-    threshold rtol * s_max otherwise.
+    threshold _RANK_RTOL * s_max otherwise.
     """
     if isinstance(matrix, AlternatingForm):
         return _exact_rank(matrix.rows())
@@ -733,4 +738,4 @@ def matrix_rank(matrix, *, rtol: float = 1e-9) -> int:
     s = np.linalg.svd(A, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int((s > rtol * s[0]).sum())
+    return int((s > _RANK_RTOL * s[0]).sum())

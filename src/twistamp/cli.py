@@ -31,6 +31,7 @@ from .errors import (
 from .graphs import Graph, cycle_basis, loop_number, route_momenta
 from .integrate import (
     IntegrationConfig,
+    _is_int,
     direct_amplitude,
     extract_constants,
     feynman_trick_check,
@@ -52,7 +53,11 @@ def _read_document(path: str):
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -65,12 +70,19 @@ def _expect(condition: bool, where: str, message: str) -> None:
         raise ValidationError(f"{where}: {message}")
 
 
+def _is_label(value) -> bool:
+    # vertex labels must be hashable and compare by value, and JSON true is no vertex
+    return _is_int(value) or isinstance(value, str)
+
+
 def graph_from_document(doc) -> Graph:
     """Validate the JSON document shape and build the Graph from it."""
     _expect(isinstance(doc, dict), "document", "top level must be an object")
     _expect(isinstance(doc.get("vertices"), list), "vertices", "must be a list")
     _expect(isinstance(doc.get("edges"), list), "edges", "must be a list")
     vertices = doc["vertices"]
+    for pos, v in enumerate(vertices):
+        _expect(_is_label(v), f"vertices[{pos}]", "must be an integer or a string")
 
     edges = []
     for pos, entry in enumerate(doc["edges"]):
@@ -78,7 +90,9 @@ def graph_from_document(doc) -> Graph:
         _expect(isinstance(entry, dict), where, "must be an object")
         for key in ("id", "source", "target", "mass"):
             _expect(key in entry, where, f"missing field {key!r}")
-        _expect(isinstance(entry["id"], int), f"{where}.id", "must be an integer")
+        _expect(_is_int(entry["id"]), f"{where}.id", "must be an integer")
+        for key in ("source", "target"):
+            _expect(_is_label(entry[key]), f"{where}.{key}", "must be an integer or a string")
         _expect(
             isinstance(entry["mass"], (int, float, str)),
             f"{where}.mass",
@@ -114,7 +128,7 @@ def _symbolic_checks(g: Graph) -> dict:
     routing = route_momenta(g)
     checks: dict = {}
 
-    sym = second_symanzik(g, basis, routing)
+    sym = second_symanzik(g, basis)
     checks["first_symanzik_match"] = bool(sym.s1 == first_symanzik_trees(g))
 
     forms = propagator_forms(g, basis, routing)
@@ -144,7 +158,7 @@ def _symbolic_checks(g: Graph) -> dict:
 
 def cmd_symanzik(args) -> int:
     g, _ = load_graph(args.graph)
-    sym = second_symanzik(g, cycle_basis(g), route_momenta(g))
+    sym = second_symanzik(g)
     print(f"S1 = {sym.s1.text()}")
     print(f"S2 = {sym.s2.text()}")
     return EXIT_OK

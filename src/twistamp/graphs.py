@@ -207,16 +207,37 @@ def _find(parent, v):
     return v
 
 
-def _spanning_tree_indices(g: Graph) -> list:
-    """Greedy lowest-id spanning tree; deterministic for a given graph."""
+def _union(parent, a, b) -> bool:
+    """Merge the components of a and b; False if they were already one."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return False
+    parent[ra] = rb
+    return True
+
+
+def _rooted_tree(g: Graph):
+    """Greedy lowest-id spanning tree, rooted at the first vertex.
+
+    Returns (up, order): up[v] = (parent, edge position, +1 if the edge
+    points v -> parent else -1) for every non-root vertex, and the vertices
+    in parents-first order.
+    """
     parent = {v: v for v in g.vertices}
-    tree = []
+    adjacency = {v: [] for v in g.vertices}
     for idx, e in enumerate(g.edges):
-        rs, rt = _find(parent, e.source), _find(parent, e.target)
-        if rs != rt:
-            parent[rs] = rt
-            tree.append(idx)
-    return tree
+        if _union(parent, e.source, e.target):
+            adjacency[e.source].append((e.target, idx, -1))
+            adjacency[e.target].append((e.source, idx, 1))
+    root = g.vertices[0]
+    up = {}
+    order = [root]
+    for v in order:
+        for w, idx, direction in adjacency[v]:
+            if w != root and w not in up:
+                up[w] = (v, idx, direction)
+                order.append(w)
+    return up, order
 
 
 @dataclass(frozen=True)
@@ -245,34 +266,16 @@ def cycle_basis(g: Graph) -> CycleBasis:
     Each non-tree edge e closes exactly one cycle: coefficient +1 on e, and
     +/-1 on the tree path from target(e) back to source(e) according to
     whether the path traverses a tree edge along or against its direction.
+    That path is the climb from target(e) to the root minus the climb from
+    source(e); the edges above their common ancestor cancel.
     """
-    tree = set(_spanning_tree_indices(g))
-    adjacency = {v: [] for v in g.vertices}
-    for idx in tree:
-        e = g.edges[idx]
-        adjacency[e.source].append((e.target, idx, 1))
-        adjacency[e.target].append((e.source, idx, -1))
+    up, _ = _rooted_tree(g)
+    tree = {idx for _, idx, _ in up.values()}
 
-    def tree_path(a, b):
-        # edge steps (index, direction) walking a -> b inside the tree
-        prev = {a: None}
-        queue = [a]
-        while queue:
-            v = queue.pop(0)
-            if v == b:
-                break
-            for w, idx, direction in adjacency[v]:
-                if w not in prev:
-                    prev[w] = (v, idx, direction)
-                    queue.append(w)
-        steps = []
-        v = b
-        while prev[v] is not None:
-            pv, idx, direction = prev[v]
-            steps.append((idx, direction))
-            v = pv
-        steps.reverse()
-        return steps
+    def climb(row, v, sign):
+        while v in up:
+            v, idx, direction = up[v]
+            row[idx] += sign * direction
 
     rows = []
     for idx, e in enumerate(g.edges):
@@ -280,8 +283,8 @@ def cycle_basis(g: Graph) -> CycleBasis:
             continue
         row = [0] * g.n_edges
         row[idx] = 1
-        for step_idx, direction in tree_path(e.target, e.source):
-            row[step_idx] += direction
+        climb(row, e.target, 1)
+        climb(row, e.source, -1)
         rows.append(tuple(row))
     return CycleBasis(tuple(rows))
 
@@ -301,31 +304,17 @@ def route_momenta(g: Graph) -> MomentumRouting:
 
     Removing a tree edge splits the tree in two; the edge carries the total
     external momentum entering its source-side component, flowing
-    source -> target. Per-vertex balance is re-checked exactly.
+    source -> target. With the tree rooted, that is +/- the momentum summed
+    over the subtree below the edge (conservation gives the other side).
+    Per-vertex balance is re-checked exactly.
     """
-    tree = _spanning_tree_indices(g)
-    tree_set = set(tree)
-    adjacency = {v: [] for v in g.vertices}
-    for idx in tree:
-        e = g.edges[idx]
-        adjacency[e.source].append((e.target, idx))
-        adjacency[e.target].append((e.source, idx))
-
-    shifts = {}
-    for idx, e in enumerate(g.edges):
-        if idx not in tree_set:
-            shifts[e.id] = FourVector.zero()
-            continue
-        seen = {e.source}
-        stack = [e.source]
-        while stack:
-            v = stack.pop()
-            for w, j in adjacency[v]:
-                if j == idx or w in seen:
-                    continue
-                seen.add(w)
-                stack.append(w)
-        shifts[e.id] = sum((g.momentum(v) for v in seen), FourVector.zero())
+    up, order = _rooted_tree(g)
+    below = {v: g.momentum(v) for v in g.vertices}
+    shifts = {e.id: FourVector.zero() for e in g.edges}
+    for v in reversed(order[1:]):
+        parent, idx, direction = up[v]
+        shifts[g.edges[idx].id] = below[v] if direction > 0 else -below[v]
+        below[parent] = below[parent] + below[v]
 
     routing = MomentumRouting(shifts)
     _check_flow(g, routing)

@@ -17,6 +17,7 @@ estimates.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -84,8 +85,13 @@ class IntegrationConfig:
             raise ValidationError("seed must be a nonnegative integer")
         if not _is_int(self.batch_size) or self.batch_size <= 0:
             raise ValidationError("batch size must be a positive integer")
-        if self.scale is not None and not self.scale > 0:
-            raise ValidationError("proposal scale must be positive")
+        if self.scale is not None and not (
+            isinstance(self.scale, numbers.Real)
+            and not isinstance(self.scale, bool)
+            and math.isfinite(self.scale)
+            and self.scale > 0
+        ):
+            raise ValidationError("proposal scale must be a finite positive number")
 
 
 @dataclass
@@ -161,6 +167,15 @@ def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str):
             yield _rng(cfg.seed, method, index).dirichlet(alpha, size=count)
 
 
+def _simplex_mean(cfg: IntegrationConfig, dim: int, method: str, weights, factor: float = 1.0):
+    """factor * mean of weights(batch) over the simplex batches, with its
+    standard error."""
+    acc = _Accumulator()
+    for batch in _simplex_batches(cfg, dim, method):
+        acc.add(weights(batch))
+    return acc.finalize(factor)
+
+
 def _poly_evaluator(poly):
     """Vectorized evaluation of a MultiPoly on batches of points (B, N)."""
     exps, coeffs = poly.compiled()
@@ -193,7 +208,7 @@ def _require_even_split(g: Graph) -> tuple:
     return n, n_edges
 
 
-def direct_amplitude(g: Graph, cfg: IntegrationConfig, basis=None, routing=None) -> IntegrationResult:
+def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     """Monte Carlo estimate of the momentum-space integral
     int d^{4n}x / prod_e [(sum_k alpha_k(e) x_k + s_e)^2 + m_e^2].
 
@@ -208,8 +223,8 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig, basis=None, routing=None)
         raise ValidationError("qmc sampling is only wired up for the simplex methods")
     if any(e.mass <= 0 for e in g.edges):
         raise ValidationError("direct integral needs all masses > 0 to converge")
-    basis = basis or cycle_basis(g)
-    routing = routing or route_momenta(g)
+    basis = cycle_basis(g)
+    routing = route_momenta(g)
 
     loops = basis.to_numpy()  # (n, E)
     shifts = np.array([routing.of(e.id).floats() for e in g.edges])  # (E, 4)
@@ -254,21 +269,13 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig, basis=None, routing=None)
     )
 
 
-def parametric_amplitude(
-    g: Graph, cfg: IntegrationConfig, basis=None, routing=None, symanzik=None
-) -> IntegrationResult:
+def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     """Monte Carlo estimate of int_simplex delta(1 - sum a) da / S2(a)^2."""
     start = time.perf_counter()
-    n, n_edges = _require_even_split(g)
-    basis = basis or cycle_basis(g)
-    sym = symanzik or second_symanzik(g, basis, routing)
-    if sym.s2.homogeneous_degree() != n + 1:
-        # degree-0 homogeneity of Omega / S2^2 on projective space
-        raise InvariantViolation("S2 is not homogeneous of degree n+1")
-    s2_at = _poly_evaluator(sym.s2)
+    _, n_edges = _require_even_split(g)
+    s2_at = _poly_evaluator(second_symanzik(g).s2)
 
-    acc = _Accumulator()
-    for batch in _simplex_batches(cfg, n_edges, "parametric"):
+    def weights(batch):
         values = s2_at(batch)
         if np.abs(values.imag).max(initial=0.0) > 1e-9 * max(np.abs(values).max(initial=0.0), 1.0):
             raise InvariantViolation("S2 evaluated to a complex value")
@@ -277,39 +284,36 @@ def parametric_amplitude(
             raise InvariantViolation(
                 "S2 <= 0 at an interior simplex sample; sign convention broken"
             )
-        acc.add(1.0 / np.square(real))
+        return 1.0 / np.square(real)
 
-    estimate, err = acc.finalize(1.0 / math.factorial(n_edges - 1))
+    estimate, err = _simplex_mean(
+        cfg, n_edges, "parametric", weights, 1.0 / math.factorial(n_edges - 1)
+    )
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "parametric", time.perf_counter() - start
     )
 
 
-def pfaffian_amplitude(
-    g: Graph, cfg: IntegrationConfig, basis=None, routing=None, forms=None
-) -> IntegrationResult:
+def pfaffian_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     """Monte Carlo estimate of int_simplex delta(1 - sum a) da / |Pf(sum a Q)|^2."""
     start = time.perf_counter()
     n, n_edges = _require_even_split(g)
-    basis = basis or cycle_basis(g)
-    routing = routing or route_momenta(g)
-    forms = forms or propagator_forms(g, basis, routing)
-    stack = np.stack([f.to_numpy() for f in forms])  # (E, d, d)
+    stack = np.stack([f.to_numpy() for f in propagator_forms(g)])  # (E, d, d)
     dim = stack.shape[1]
     flat = stack.reshape(n_edges, dim * dim)
 
-    acc = _Accumulator()
-    for batch in _simplex_batches(cfg, n_edges, "pfaffian"):
-        mats = (batch @ flat).reshape(len(batch), dim, dim)
-        pf = _pfaffian_batch(mats)
+    def weights(batch):
+        pf = _pfaffian_batch((batch @ flat).reshape(len(batch), dim, dim))
         mag = np.abs(pf) ** 2
         if np.any(mag == 0.0) or not np.all(np.isfinite(mag)):
             raise InvariantViolation(
                 "pfaffian vanished (or overflowed) at an interior simplex sample"
             )
-        acc.add(1.0 / mag)
+        return 1.0 / mag
 
-    estimate, err = acc.finalize(1.0 / math.factorial(n_edges - 1))
+    estimate, err = _simplex_mean(
+        cfg, n_edges, "pfaffian", weights, 1.0 / math.factorial(n_edges - 1)
+    )
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "pfaffian", time.perf_counter() - start
     )
@@ -340,25 +344,29 @@ def feynman_trick_check(values, cfg: IntegrationConfig | None = None) -> Feynman
     A = [float(v) for v in values]
     if len(A) < 2:
         raise ValidationError("need at least two values")
+    if any(not math.isfinite(v) for v in A):
+        raise ValidationError("all values must be finite")
     if any(not v > 0 for v in A):
         raise ValidationError("all values must be strictly positive")
     lhs = 1.0 / math.prod(A)
+    if not 0.0 < lhs < math.inf:
+        raise PrecisionError("1 / prod A is not a positive finite double")
     n_vals = len(A)
 
     if n_vals == 2:
         a, b = A
-        rhs, abserr = _scipy_integrate.quad(
-            lambda t: 1.0 / (t * a + (1.0 - t) * b) ** 2, 0.0, 1.0,
-            epsabs=1e-14, epsrel=1e-13,
-        )
+        try:
+            rhs, abserr = _scipy_integrate.quad(
+                lambda t: 1.0 / (t * a + (1.0 - t) * b) ** 2, 0.0, 1.0,
+                epsabs=1e-14, epsrel=1e-13,
+            )
+        except OverflowError as exc:
+            raise PrecisionError(f"simplex integrand overflowed: {exc}") from exc
         return FeynmanTrickResult(lhs, rhs, abs(rhs - lhs) / lhs, abserr, "quadrature", 0)
 
     cfg = cfg or IntegrationConfig(n_samples=200_000, seed=0)
     arr = np.array(A)
-    acc = _Accumulator()
-    for batch in _simplex_batches(cfg, n_vals, "feynman"):
-        acc.add((batch @ arr) ** (-n_vals))
-    rhs, err = acc.finalize()
+    rhs, err = _simplex_mean(cfg, n_vals, "feynman", lambda batch: (batch @ arr) ** (-n_vals))
     return FeynmanTrickResult(lhs, rhs, abs(rhs - lhs) / lhs, err, "mc", cfg.n_samples)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .algebra import MultiPoly, det_symbolic
 from .errors import StructuralError
-from .graphs import CycleBasis, FourVector, Graph, cycle_basis, loop_number
+from .graphs import CycleBasis, FourVector, Graph, _find, _union, cycle_basis, loop_number
 
 __all__ = [
     "SymanzikPair",
@@ -59,22 +59,13 @@ def first_symanzik_det(g: Graph, basis: CycleBasis | None = None) -> MultiPoly:
     return det_symbolic(rows)
 
 
-def _acyclic(g: Graph, edge_indices) -> bool:
-    parent = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i in edge_indices:
-        e = g.edges[i]
-        rs, rt = find(e.source), find(e.target)
-        if rs == rt:
-            return False
-        parent[rs] = rt
-    return True
+def _forests(g: Graph, size: int):
+    """Acyclic subsets of `size` edges, as (sorted edge positions, union-find
+    parent map over the vertices), in lexicographic order."""
+    for idxs in itertools.combinations(range(g.n_edges), size):
+        parent = {v: v for v in g.vertices}
+        if all(_union(parent, g.edges[i].source, g.edges[i].target) for i in idxs):
+            yield idxs, parent
 
 
 def spanning_trees(g: Graph):
@@ -82,9 +73,8 @@ def spanning_trees(g: Graph):
 
     Explicit enumeration: the graphs here have at most ~10 edges.
     """
-    for idxs in itertools.combinations(range(g.n_edges), g.n_vertices - 1):
-        if _acyclic(g, idxs):
-            yield idxs
+    for idxs, _ in _forests(g, g.n_vertices - 1):
+        yield idxs
 
 
 def first_symanzik_trees(g: Graph) -> MultiPoly:
@@ -104,31 +94,9 @@ def two_forests(g: Graph):
     Yields (edge positions, vertices of the component containing the first
     vertex); the other component is the complement.
     """
-    n_verts = g.n_vertices
-    if n_verts < 2:
-        return
-    for idxs in itertools.combinations(range(g.n_edges), n_verts - 2):
-        parent = {v: v for v in g.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        ok = True
-        for i in idxs:
-            e = g.edges[i]
-            rs, rt = find(e.source), find(e.target)
-            if rs == rt:
-                ok = False
-                break
-            parent[rs] = rt
-        if not ok:
-            continue
-        root0 = find(g.vertices[0])
-        side = frozenset(v for v in g.vertices if find(v) == root0)
-        yield idxs, side
+    for idxs, parent in _forests(g, g.n_vertices - 2):
+        root0 = _find(parent, g.vertices[0])
+        yield idxs, frozenset(v for v in g.vertices if _find(parent, v) == root0)
 
 
 def two_forest_polynomial(g: Graph) -> MultiPoly:
@@ -153,8 +121,8 @@ def two_forest_polynomial(g: Graph) -> MultiPoly:
 def second_symanzik(g: Graph, basis: CycleBasis | None = None, routing=None) -> SymanzikPair:
     """S2 = (2-forest momentum sum) + (sum_e m_e^2 a_e) * S1.
 
-    `routing` is accepted for interface symmetry with the twistor layer; the
-    2-forest sum reads the vertex momenta directly. Homogeneity in the edge
+    `routing` is unused (the 2-forest sum reads the vertex momenta directly);
+    it stays for callers that pass it positionally. Homogeneity in the edge
     variables (degrees n and n+1) is re-checked on the results.
     """
     basis = basis or cycle_basis(g)

@@ -43,6 +43,11 @@ from .graphs import (
 )
 from .symanzik import SymanzikPair, second_symanzik
 
+# absolute tolerance of TwistorPoint.is_real_slice on w = (-conj z2, conj z1)
+_REAL_SLICE_TOL = 1e-12
+# random rational points probed for the residual when Pf^2 != lambda^2 S2^2
+_N_PROBE = 100
+
 __all__ = [
     "TwistorBlock",
     "TwistorPoint",
@@ -130,9 +135,10 @@ class TwistorPoint:
             rows[1, 2 * k + 3] = w2
         return rows
 
-    def is_real_slice(self, tol: float = 1e-12) -> bool:
+    def is_real_slice(self) -> bool:
         return all(
-            abs(w1 + z2.conjugate()) <= tol and abs(w2 - z1.conjugate()) <= tol
+            abs(w1 + z2.conjugate()) <= _REAL_SLICE_TOL
+            and abs(w2 - z1.conjugate()) <= _REAL_SLICE_TOL
             for z1, z2, w1, w2 in self.blocks
         )
 
@@ -296,14 +302,13 @@ def pfaffian_symanzik_ratio(
     g: Graph,
     basis: CycleBasis | None = None,
     routing: MomentumRouting | None = None,
-    n_probe: int = 100,
 ) -> PfaffianSymanzikRatio:
     """lambda^2 := Pf^2 / S2^2 at a reference interior point, plus the residual
     of the polynomial Pf^2 - lambda^2 S2^2.
 
     When the identity holds the difference is the zero polynomial and the
     residual is exactly 0; otherwise the residual is the worst relative value
-    of the difference over `n_probe` random rational points.
+    of the difference over _N_PROBE random rational points.
     """
     n = loop_number(g)
     n_edges = g.n_edges
@@ -315,7 +320,7 @@ def pfaffian_symanzik_ratio(
     routing = routing or route_momenta(g)
     forms = propagator_forms(g, basis, routing)
     pf = pfaffian_symbolic([f.form for f in forms])
-    sym = second_symanzik(g, basis, routing)
+    sym = second_symanzik(g, basis)
 
     reference = [1] * n_edges  # interior up to overall scale; the ratio is scale-free
     s2_ref = sym.s2.evaluate(reference)
@@ -332,7 +337,7 @@ def pfaffian_symanzik_ratio(
         exact = False
         rnd = random.Random(2012)
         worst = 0.0
-        for _ in range(n_probe):
+        for _ in range(_N_PROBE):
             pt = [Fraction(rnd.randint(1, 60), rnd.randint(1, 60)) for _ in range(n_edges)]
             dv = abs(complex(difference.evaluate(pt)))
             pv = abs(complex(pf.evaluate(pt))) ** 2

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +82,22 @@ def test_schema_violation_names_the_field(tmp_path, capsys):
     assert "edges[1]" in capsys.readouterr().err
 
 
+def test_bad_graph_files_are_validation_errors(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes('{"vertices": ["\u00e9"]}'.encode("latin-1"))
+    bad_docs = [dict(TRIANGLE, vertices=[[1], 2, 3])]
+    for key, value in (("source", {"a": 1}), ("target", [2]), ("id", True)):
+        doc = json.loads(json.dumps(TRIANGLE))
+        doc["edges"][0][key] = value
+        bad_docs.append(doc)
+    paths = [str(not_utf8)] + [
+        _write(tmp_path, f"bad{k}.json", doc) for k, doc in enumerate(bad_docs)
+    ]
+    for path in paths:
+        assert main(["symanzik", path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_twistor_check_box_passes(tmp_path, capsys):
     path = _write(tmp_path, "box.json", BOX)
     assert main(["twistor-check", path]) == EXIT_OK
@@ -138,8 +155,8 @@ def test_integrate_reports_reproducible(tmp_path):
     args = ["integrate", path, "--samples", "20000", "--seed", "42", "--exact"]
     assert main(args + ["--output", out1]) == EXIT_OK
     assert main(args + ["--output", out2]) == EXIT_OK
-    r1 = _strip_timing(json.loads(open(out1).read()))
-    r2 = _strip_timing(json.loads(open(out2).read()))
+    r1 = _strip_timing(json.loads(Path(out1).read_text()))
+    r2 = _strip_timing(json.loads(Path(out2).read_text()))
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
@@ -196,3 +213,7 @@ def test_feynman_check_command(capsys):
 
 def test_feynman_check_rejects_nonpositive(capsys):
     assert main(["feynman-check", "1", "-1", "2", "3"]) == EXIT_VALIDATION
+    assert main(["feynman-check", "1", "inf"]) == EXIT_VALIDATION
+    assert main(["feynman-check", "1e200", "1e200"]) == EXIT_NUMERIC
+    assert main(["feynman-check", "1e200", "1e200", "1e200", "1e200"]) == EXIT_NUMERIC
+    assert main(["feynman-check", "1e160", "1e-160"]) == EXIT_NUMERIC

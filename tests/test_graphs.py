@@ -15,6 +15,7 @@ from twistamp import (
     incidence_matrix,
     loop_number,
     route_momenta,
+    spanning_trees,
     triangle,
 )
 from conftest import random_connected_graph, random_momenta
@@ -93,6 +94,12 @@ def test_cycle_rows_are_circulations():
             assert set(row) <= {-1, 0, 1}
         if basis.n:
             assert np.linalg.matrix_rank(basis.to_numpy()) == basis.n
+        # independent oracle: the lexicographically first spanning tree is the
+        # greedy lowest-id tree, and a fundamental basis is the identity on
+        # the edges outside it
+        tree = next(spanning_trees(g))
+        chords = [i for i in range(g.n_edges) if i not in tree]
+        assert basis.to_numpy()[:, chords].tolist() == np.eye(basis.n).tolist()
 
 
 def test_cycle_basis_deterministic():
@@ -128,6 +135,10 @@ def test_routing_conserves_at_every_vertex():
             random_momenta(rnd, g.vertices),
         )
         routing = route_momenta(g)  # route_momenta re-checks balance exactly
+        tree = next(spanning_trees(g))
+        for i, e in enumerate(g.edges):
+            if i not in tree:
+                assert routing.of(e.id).is_zero()
         balance = {v: FourVector.zero() for v in g.vertices}
         for e in g.edges:
             s = routing.of(e.id)

@@ -46,11 +46,13 @@ def test_config_validation():
         IntegrationConfig(n_samples=10_000, batch_size=0)
     with pytest.raises(ValidationError):
         IntegrationConfig(n_samples=10_000, scale=0.0)
+    with pytest.raises(ValidationError):
+        IntegrationConfig(n_samples=10_000, scale=math.inf)
 
 
 def test_config_rejects_bool_counts():
     # bool is an int subclass: batch_size=True would run one sample per batch
-    for field in ("n_samples", "seed", "batch_size"):
+    for field in ("n_samples", "seed", "batch_size", "scale"):
         with pytest.raises(ValidationError):
             IntegrationConfig(**{"n_samples": 10_000, field: True})
 
@@ -105,12 +107,13 @@ def test_parametric_mass_homogeneity():
     assert z < 3
 
 
-def test_parametric_aborts_on_negative_s2():
+def test_parametric_aborts_on_negative_s2(monkeypatch):
     g = box()
     sym = second_symanzik(g)
     flipped = SymanzikPair(sym.s1, -sym.s2)
+    monkeypatch.setattr("twistamp.integrate.second_symanzik", lambda graph: flipped)
     with pytest.raises(InvariantViolation):
-        parametric_amplitude(g, IntegrationConfig(n_samples=1000, seed=0), symanzik=flipped)
+        parametric_amplitude(g, IntegrationConfig(n_samples=1000, seed=0))
 
 
 def test_pfaffian_matches_parametric():
@@ -285,13 +288,14 @@ def test_relabelling_edges_leaves_estimates_alone():
     assert _combined_gap(a.estimate, b.estimate, a.std_error, b.std_error) < 3
 
 
-def test_change_of_cycle_basis_leaves_estimates_alone():
+def test_change_of_cycle_basis_leaves_estimates_alone(monkeypatch):
     rnd = random.Random(61)
     g = with_random_kinematics(bowtie, rnd)
     basis = cycle_basis(g)
     flipped = CycleBasis(tuple(tuple(-v for v in row) for row in basis.loops)[::-1])
-    a = direct_amplitude(g, IntegrationConfig(n_samples=150_000, seed=41), basis=basis)
-    b = direct_amplitude(g, IntegrationConfig(n_samples=150_000, seed=42), basis=flipped)
+    a = direct_amplitude(g, IntegrationConfig(n_samples=150_000, seed=41))
+    monkeypatch.setattr("twistamp.integrate.cycle_basis", lambda graph: flipped)
+    b = direct_amplitude(g, IntegrationConfig(n_samples=150_000, seed=42))
     assert _combined_gap(a.estimate, b.estimate, a.std_error, b.std_error) < 3
 
 
@@ -330,6 +334,13 @@ def test_feynman_trick_validation():
         feynman_trick_check([1.0])
     with pytest.raises(ValidationError):
         feynman_trick_check([1.0, -2.0, 3.0, 4.0])
+    for values in ([1.0, math.inf], [1.0, math.nan, 2.0]):
+        with pytest.raises(ValidationError):
+            feynman_trick_check(values)
+    # 1/prod A underflows to 0, or the N = 2 integrand overflows
+    for values in ([1e200, 1e200], [1e200] * 4, [1e160, 1e-160]):
+        with pytest.raises(PrecisionError):
+            feynman_trick_check(values)
 
 
 def test_extract_constants_box_gives_pi_squared():
