@@ -10,141 +10,22 @@ universal constants relating the representations.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DegenerateInput,
-    InvariantViolation,
-    PrecisionError,
-    StructuralError,
-    TwistampError,
-    UnsupportedTopology,
-    ValidationError,
-)
-from .algebra import (
-    AlternatingForm,
-    GaussianRational,
-    MultiPoly,
-    as_fraction,
-    combine_forms,
-    det_symbolic,
-    matrix_rank,
-    pfaffian_numeric,
-    pfaffian_symbolic,
-)
-from .graphs import (
-    CycleBasis,
-    Edge,
-    FourVector,
-    Graph,
-    MomentumRouting,
-    cycle_basis,
-    incidence_matrix,
-    loop_number,
-    route_momenta,
-)
-from .catalog import bowtie, box, complete4, triangle
-from .symanzik import (
-    SymanzikPair,
-    edge_rank_one_matrix,
-    first_symanzik_det,
-    first_symanzik_trees,
-    second_symanzik,
-    spanning_trees,
-    two_forest_polynomial,
-    two_forests,
-)
-from .twistor import (
-    PfaffianSymanzikRatio,
-    PropagatorForm,
-    TwistorBlock,
-    TwistorPoint,
-    build_propagator_form,
-    embed4,
-    o_block_form,
-    pair,
-    pair_rows,
-    pfaffian_symanzik_ratio,
-    propagator_forms,
-    quadratic_rank_check,
-)
-from .integrate import (
-    ExtractedConstants,
-    FeynmanTrickResult,
-    IntegrationConfig,
-    IntegrationResult,
-    direct_amplitude,
-    extract_constants,
-    feynman_trick_check,
-    log_divergent_integrand,
-    parametric_amplitude,
-    pfaffian_amplitude,
-)
+from . import algebra, catalog, errors, graphs, integrate, symanzik, twistor
+from .errors import *
+from .algebra import *
+from .graphs import *
+from .catalog import *
+from .symanzik import *
+from .twistor import *
+from .integrate import *
 
 __all__ = [
     "__version__",
-    # errors
-    "TwistampError",
-    "StructuralError",
-    "ValidationError",
-    "UnsupportedTopology",
-    "DegenerateInput",
-    "InvariantViolation",
-    "PrecisionError",
-    # algebra
-    "as_fraction",
-    "GaussianRational",
-    "MultiPoly",
-    "AlternatingForm",
-    "combine_forms",
-    "pfaffian_numeric",
-    "pfaffian_symbolic",
-    "det_symbolic",
-    "matrix_rank",
-    # graphs
-    "FourVector",
-    "Edge",
-    "Graph",
-    "CycleBasis",
-    "MomentumRouting",
-    "loop_number",
-    "cycle_basis",
-    "route_momenta",
-    "incidence_matrix",
-    # catalog
-    "triangle",
-    "box",
-    "bowtie",
-    "complete4",
-    # symanzik
-    "SymanzikPair",
-    "edge_rank_one_matrix",
-    "first_symanzik_det",
-    "first_symanzik_trees",
-    "second_symanzik",
-    "spanning_trees",
-    "two_forests",
-    "two_forest_polynomial",
-    # twistor
-    "TwistorBlock",
-    "TwistorPoint",
-    "PropagatorForm",
-    "embed4",
-    "build_propagator_form",
-    "propagator_forms",
-    "pair",
-    "pair_rows",
-    "o_block_form",
-    "quadratic_rank_check",
-    "PfaffianSymanzikRatio",
-    "pfaffian_symanzik_ratio",
-    # integrate
-    "IntegrationConfig",
-    "IntegrationResult",
-    "direct_amplitude",
-    "parametric_amplitude",
-    "pfaffian_amplitude",
-    "FeynmanTrickResult",
-    "feynman_trick_check",
-    "ExtractedConstants",
-    "extract_constants",
-    "log_divergent_integrand",
+    *errors.__all__,
+    *algebra.__all__,
+    *graphs.__all__,
+    *catalog.__all__,
+    *symanzik.__all__,
+    *twistor.__all__,
+    *integrate.__all__,
 ]

@@ -2,15 +2,18 @@
 pfaffians/determinants of small alternating matrices.
 
 Coefficients are pairs of `fractions.Fraction`, so every symbolic result in
-this module is exact. The only floating-point code paths are the numeric
-pfaffian (one batched, cache-blocked Parlett-Reid kernel; a single matrix is
-a batch of one) and the SVD rank, which exist to cross-check the exact
-routines and to serve the Monte Carlo integrators.
+this module is exact. The symbolic pfaffian and determinant share one
+expansion, `_pfaffian_expand`: the perfect-matching sum grouped by the
+partner of the lowest index and memoized on the remaining indices; a
+determinant is the pfaffian of [[0, M], [-M^T, 0]] up to sign. The only
+floating-point code paths are the numeric pfaffian (one batched,
+cache-blocked Parlett-Reid kernel; a single matrix is a batch of one) and
+the SVD rank, which exist to cross-check the exact routines and to serve
+the Monte Carlo integrators.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -252,9 +255,6 @@ class MultiPoly:
     def nterms(self) -> int:
         return len(self._terms)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=0)
-
     def homogeneous_degree(self):
         """Common total degree of every term; None if mixed; 0 for the zero poly."""
         degrees = {sum(e) for e in self._terms}
@@ -406,9 +406,9 @@ class MultiPoly:
 class AlternatingForm:
     """Antisymmetric square matrix with exact GaussianRational entries."""
 
-    __slots__ = ("dim", "_rows", "units")
+    __slots__ = ("dim", "_rows")
 
-    def __init__(self, rows, units: str = ""):
+    def __init__(self, rows):
         rows = tuple(tuple(GaussianRational.coerce(x) for x in row) for row in rows)
         dim = len(rows)
         if any(len(r) != dim for r in rows):
@@ -421,22 +421,21 @@ class AlternatingForm:
                     raise ValidationError("matrix is not exactly antisymmetric")
         self.dim = dim
         self._rows = rows
-        self.units = units
 
     @classmethod
-    def zero(cls, dim, units: str = ""):
+    def zero(cls, dim):
         z = GaussianRational()
-        return cls([[z] * dim for _ in range(dim)], units)
+        return cls([[z] * dim for _ in range(dim)])
 
     @classmethod
-    def from_wedge(cls, u, w, units: str = ""):
+    def from_wedge(cls, u, w):
         """u w^T - w u^T for coefficient vectors u, w (rank <= 2)."""
         u = [GaussianRational.coerce(x) for x in u]
         w = [GaussianRational.coerce(x) for x in w]
         if len(u) != len(w):
             raise StructuralError("wedge factors must have equal length")
         rows = [[u[i] * w[j] - w[i] * u[j] for j in range(len(u))] for i in range(len(u))]
-        return cls(rows, units)
+        return cls(rows)
 
     def __getitem__(self, key):
         i, j = key
@@ -447,7 +446,7 @@ class AlternatingForm:
 
     def scaled(self, c) -> "AlternatingForm":
         c = GaussianRational.coerce(c)
-        return AlternatingForm([[x * c for x in row] for row in self._rows], self.units)
+        return AlternatingForm([[x * c for x in row] for row in self._rows])
 
     def __add__(self, other):
         if not isinstance(other, AlternatingForm):
@@ -455,8 +454,7 @@ class AlternatingForm:
         if other.dim != self.dim:
             raise StructuralError("dimension mismatch")
         return AlternatingForm(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)],
-            self.units,
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)]
         )
 
     def __neg__(self):
@@ -491,51 +489,51 @@ def combine_forms(forms, coeffs) -> AlternatingForm:
         raise StructuralError("need one coefficient per form")
     if not forms:
         raise StructuralError("need at least one form")
-    out = AlternatingForm.zero(forms[0].dim, forms[0].units)
+    out = AlternatingForm.zero(forms[0].dim)
     for f, c in zip(forms, coeffs):
         out = out + f.scaled(c)
     return out
 
 
 # ---------------------------------------------------------------------------
-# perfect matchings and permutations
+# the one signed expansion: symbolic pfaffians and determinants
 
 
-def _pairings(items):
-    """Perfect matchings, always pairing the smallest remaining index first."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first = items[0]
-    for k in range(1, len(items)):
-        rest = items[1:k] + items[k + 1 :]
-        for tail in _pairings(rest):
-            yield [(first, items[k])] + tail
+def _pfaffian_expand(entries, dim: int, nvars: int) -> MultiPoly:
+    """Pfaffian of the dim x dim alternating matrix whose nonzero upper
+    entries are entries[(i, j)], i < j (absent pairs are zero).
 
+    Expands along the lowest remaining index,
+    Pf(A) = sum_k (-1)^(k+1) A[r0, rk] Pf(A without r0, rk) for the remaining
+    indices r0 < r1 < ..., memoized on the tuple of remaining indices: the
+    perfect-matching sum grouped by the partner of the lowest index, with
+    O(2^dim) minors instead of (dim-1)!! matchings.
+    """
+    memo = {(): MultiPoly.constant(1, nvars)}
 
-def _matching_sign(pairs) -> int:
-    """(-1)**crossings; pairs come ordered with increasing minima."""
-    sign = 1
-    for (a, b), (c, d) in itertools.combinations(pairs, 2):
-        if a < c < b < d:
-            sign = -sign
-    return sign
+    def minor(rest):
+        out = memo.get(rest)
+        if out is None:
+            out = MultiPoly.zero(nvars)
+            for k in range(1, len(rest)):
+                entry = entries.get((rest[0], rest[k]))
+                if entry is None:
+                    continue
+                sub = minor(rest[1:k] + rest[k + 1 :])
+                if not sub.is_zero():
+                    out = out + entry * sub if k % 2 else out - entry * sub
+            memo[rest] = out
+        return out
 
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i, j in itertools.combinations(range(len(perm)), 2):
-        if perm[i] > perm[j]:
-            sign = -sign
-    return sign
+    return minor(tuple(range(dim)))
 
 
 def pfaffian_symbolic(forms) -> MultiPoly:
     """Pfaffian of sum_e a_e * forms[e] as an exact polynomial in a1..aN.
 
     Homogeneous of degree dim/2. Sign convention: Pf([[0, 1], [-1, 0]]) = 1,
-    extended by the perfect-matching expansion with crossing-number signs.
+    extended by the perfect-matching sum with crossing-number signs, which
+    `_pfaffian_expand` evaluates grouped by the partner of the lowest index.
     """
     forms = list(forms)
     if not forms:
@@ -552,39 +550,33 @@ def pfaffian_symbolic(forms) -> MultiPoly:
         exps[e] = 1
         return tuple(exps)
 
-    entry = {}
+    entries = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            entry[(i, j)] = MultiPoly(
-                nvars, {unit(e): forms[e][i, j] for e in range(nvars)}
-            )
-    total = MultiPoly.zero(nvars)
-    for pairs in _pairings(range(dim)):
-        term = MultiPoly.constant(_matching_sign(pairs), nvars)
-        for i, j in pairs:
-            term = term * entry[(i, j)]
-        total = total + term
-    return total
+            entry = MultiPoly(nvars, {unit(e): forms[e][i, j] for e in range(nvars)})
+            if not entry.is_zero():
+                entries[(i, j)] = entry
+    return _pfaffian_expand(entries, dim, nvars)
 
 
-def det_symbolic(matrix, nvars=None) -> MultiPoly:
-    """Exact determinant of a square matrix of MultiPoly entries (Leibniz)."""
+def det_symbolic(matrix) -> MultiPoly:
+    """Exact determinant of a square matrix M of MultiPoly entries, as
+    (-1)^(n(n-1)/2) Pf([[0, M], [-M^T, 0]]).
+
+    Expanding that pfaffian along its lowest index is the Laplace expansion
+    of det M along its rows, with memoized minors.
+    """
     rows = [list(r) for r in matrix]
     dim = len(rows)
     if any(len(r) != dim for r in rows):
         raise StructuralError("determinant needs a square matrix")
     if dim == 0:
-        if nvars is None:
-            raise StructuralError("empty determinant needs an explicit variable count")
-        return MultiPoly.constant(1, nvars)
-    nv = rows[0][0].nvars
-    total = MultiPoly.zero(nv)
-    for perm in itertools.permutations(range(dim)):
-        term = MultiPoly.constant(_perm_sign(perm), nv)
-        for i, j in enumerate(perm):
-            term = term * rows[i][j]
-        total = total + term
-    return total
+        raise StructuralError("determinant needs a nonempty matrix")
+    entries = {
+        (i, dim + j): x for i, row in enumerate(rows) for j, x in enumerate(row) if not x.is_zero()
+    }
+    pf = _pfaffian_expand(entries, 2 * dim, rows[0][0].nvars)
+    return -pf if dim * (dim - 1) // 2 % 2 else pf
 
 
 # Working set of one Parlett-Reid chunk, chunk * d * d complex128 entries,

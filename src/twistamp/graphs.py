@@ -182,9 +182,6 @@ class Graph:
         except KeyError:
             raise StructuralError(f"no edge with id {edge_id!r}") from None
 
-    def edge(self, edge_id) -> Edge:
-        return self.edges[self.index_of(edge_id)]
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented

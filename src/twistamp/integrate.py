@@ -330,9 +330,6 @@ class FeynmanTrickResult:
     method: str
     n_samples: int
 
-    def as_tuple(self) -> tuple:
-        return self.lhs, self.rhs, self.rel_gap
-
 
 def feynman_trick_check(values, cfg: IntegrationConfig | None = None) -> FeynmanTrickResult:
     """Check the simplex identity for positive A_1..A_N.
@@ -366,7 +363,14 @@ def feynman_trick_check(values, cfg: IntegrationConfig | None = None) -> Feynman
 
     cfg = cfg or IntegrationConfig(n_samples=200_000, seed=0)
     arr = np.array(A)
-    rhs, err = _simplex_mean(cfg, n_vals, "feynman", lambda batch: (batch @ arr) ** (-n_vals))
+
+    def weights(batch):
+        out = (batch @ arr) ** (-n_vals)
+        if not np.all((out > 0.0) & (out < math.inf)):
+            raise PrecisionError("simplex integrand underflowed to 0 or is not finite")
+        return out
+
+    rhs, err = _simplex_mean(cfg, n_vals, "feynman", weights)
     return FeynmanTrickResult(lhs, rhs, abs(rhs - lhs) / lhs, err, "mc", cfg.n_samples)
 
 

@@ -192,7 +192,7 @@ def build_propagator_form(
     for k in range(n):
         u[2 * k + 2] = GaussianRational.coerce(alpha[k])
         w[2 * k + 3] = GaussianRational.coerce(alpha[k])
-    q = AlternatingForm.from_wedge(u, w, units="energy^2")
+    q = AlternatingForm.from_wedge(u, w)
     if m:
         q = q + o_block_form(n).scaled(m * m)
     return PropagatorForm(q, edge.id, tuple(alpha), shift, m)
@@ -303,12 +303,16 @@ def pfaffian_symanzik_ratio(
     basis: CycleBasis | None = None,
     routing: MomentumRouting | None = None,
 ) -> PfaffianSymanzikRatio:
-    """lambda^2 := Pf^2 / S2^2 at a reference interior point, plus the residual
-    of the polynomial Pf^2 - lambda^2 S2^2.
+    """lambda := Pf / S2 at a reference interior point; the identity
+    Pf^2 = lambda^2 S2^2 is exact iff Pf - lambda S2 is the zero polynomial.
 
-    When the identity holds the difference is the zero polynomial and the
-    residual is exactly 0; otherwise the residual is the worst relative value
-    of the difference over _N_PROBE random rational points.
+    That is the same test as for Pf^2 - lambda^2 S2^2: Q(i)[a] is an
+    integral domain and Pf^2 - lambda^2 S2^2 = (Pf - lambda S2)(Pf + lambda S2),
+    so the square difference vanishes iff one factor does, and if
+    Pf + lambda S2 = 0 then Pf(ref) = 0 at the reference point, so lambda = 0
+    and Pf = 0 as well. When the identity holds the residual is exactly 0;
+    otherwise it is the worst relative value of Pf^2 - lambda^2 S2^2 over
+    _N_PROBE random rational points, computed exactly there.
     """
     n = loop_number(g)
     n_edges = g.n_edges
@@ -326,21 +330,18 @@ def pfaffian_symanzik_ratio(
     s2_ref = sym.s2.evaluate(reference)
     if s2_ref.is_zero():
         raise DegenerateInput("S2 vanishes at the reference point")
-    pf_ref = pf.evaluate(reference)
-    lam2 = (pf_ref * pf_ref) / (s2_ref * s2_ref)
+    lam = pf.evaluate(reference) / s2_ref
+    lam2 = lam * lam
 
-    difference = pf * pf - (sym.s2 * sym.s2) * lam2
-    if difference.is_zero():
-        residual = 0.0
-        exact = True
-    else:
-        exact = False
+    exact = (pf - sym.s2 * lam).is_zero()
+    residual = 0.0
+    if not exact:
         rnd = random.Random(2012)
-        worst = 0.0
         for _ in range(_N_PROBE):
             pt = [Fraction(rnd.randint(1, 60), rnd.randint(1, 60)) for _ in range(n_edges)]
-            dv = abs(complex(difference.evaluate(pt)))
-            pv = abs(complex(pf.evaluate(pt))) ** 2
-            worst = max(worst, dv / max(pv, 1e-300))
-        residual = worst
+            pf_pt = pf.evaluate(pt)
+            s2_pt = sym.s2.evaluate(pt)
+            dv = abs(complex(pf_pt * pf_pt - lam2 * (s2_pt * s2_pt)))
+            pv = abs(complex(pf_pt)) ** 2
+            residual = max(residual, dv / max(pv, 1e-300))
     return PfaffianSymanzikRatio(complex(lam2), residual, exact, lam2, pf, sym)

@@ -239,3 +239,63 @@ def test_matrix_rank_exact():
     form = AlternatingForm.from_wedge([1, 0, 0, 0], [0, 1, 0, 0])
     assert matrix_rank(form) == 2
     assert form.rank() == 2
+
+
+
+def _sympy_det(sympy, rows, nvars):
+    """Expanded determinant by sympy of a matrix of linear forms, each given
+    by its coefficient list, as {exponents: Fraction}."""
+    from sympy.polys.matrices import DomainMatrix
+
+    ring, *gens = sympy.ring([f"a{i + 1}" for i in range(nvars)], sympy.QQ)
+    entries = [
+        [sum((sympy.QQ(c.numerator, c.denominator) * g for c, g in zip(x, gens)), ring.zero) for x in row]
+        for row in rows
+    ]
+    det = DomainMatrix(entries, (len(rows), len(rows)), ring.to_domain()).det()
+    return {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in det.items()}
+
+
+def _rational_terms(poly):
+    assert all(not c.im for _, c in poly.terms())
+    return {e: c.re for e, c in poly.terms()}
+
+
+def test_det_symbolic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rnd = random.Random(31)
+    nvars = 3
+    for dim in range(1, 6):
+        for _ in range(4):
+            # about one entry in four is zero, so the expansion skips some
+            coeffs = [
+                [
+                    [random_fraction(rnd) for _ in range(nvars)]
+                    if rnd.random() < 0.75
+                    else [Fraction(0)] * nvars
+                    for _ in range(dim)
+                ]
+                for _ in range(dim)
+            ]
+            det = det_symbolic([[MultiPoly.linear(x) for x in row] for row in coeffs])
+            assert _rational_terms(det) == _sympy_det(sympy, coeffs, nvars)
+
+
+def test_pfaffian_symbolic_squares_to_sympy_determinant():
+    sympy = pytest.importorskip("sympy")
+    rnd = random.Random(32)
+    nvars = 3
+    for dim in range(2, 9, 2):
+        for _ in range(3):
+            forms = []
+            for _ in range(nvars):
+                rows = [[Fraction(0)] * dim for _ in range(dim)]
+                for i in range(dim):
+                    for j in range(i + 1, dim):
+                        if rnd.random() < 0.75:
+                            rows[i][j] = random_fraction(rnd)
+                            rows[j][i] = -rows[i][j]
+                forms.append(AlternatingForm(rows))
+            coeffs = [[[f[i, j].re for f in forms] for j in range(dim)] for i in range(dim)]
+            pf = pfaffian_symbolic(forms)
+            assert _rational_terms(pf * pf) == _sympy_det(sympy, coeffs, nvars)

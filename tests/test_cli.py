@@ -217,3 +217,9 @@ def test_feynman_check_rejects_nonpositive(capsys):
     assert main(["feynman-check", "1e200", "1e200"]) == EXIT_NUMERIC
     assert main(["feynman-check", "1e200", "1e200", "1e200", "1e200"]) == EXIT_NUMERIC
     assert main(["feynman-check", "1e160", "1e-160"]) == EXIT_NUMERIC
+    capsys.readouterr()
+    args = ["feynman-check", "1e100", "1e100", "1e-100", "1e-100", "--samples", "2000"]
+    assert main(args) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert "numerical failure:" in captured.err
+    assert "rhs =" not in captured.out

@@ -337,8 +337,9 @@ def test_feynman_trick_validation():
     for values in ([1.0, math.inf], [1.0, math.nan, 2.0]):
         with pytest.raises(ValidationError):
             feynman_trick_check(values)
-    # 1/prod A underflows to 0, or the N = 2 integrand overflows
-    for values in ([1e200, 1e200], [1e200] * 4, [1e160, 1e-160]):
+    # 1/prod A underflows to 0, the N = 2 integrand overflows, or the Monte
+    # Carlo integrand underflows to 0
+    for values in ([1e200, 1e200], [1e200] * 4, [1e160, 1e-160], [1e100, 1e100, 1e-100, 1e-100]):
         with pytest.raises(PrecisionError):
             feynman_trick_check(values)
 

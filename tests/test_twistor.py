@@ -8,6 +8,8 @@ from twistamp import (
     AlternatingForm,
     DegenerateInput,
     GaussianRational,
+    MultiPoly,
+    SymanzikPair,
     TwistorPoint,
     UnsupportedTopology,
     ValidationError,
@@ -247,3 +249,17 @@ def test_ratio_reports_pf_equals_s2_at_points():
         s2_val = complex(result.symanzik.s2.evaluate(exact_pt))
         assert pf_val == pytest.approx(s2_val, rel=1e-12)
         assert abs(pf_val) > 0
+
+
+def test_ratio_reports_a_broken_identity(monkeypatch):
+    # S2 + a1 a2 a3 is no multiple of Pf, so the non-exact branch reports
+    # lambda^2 at the all-ones point and the worst relative residual
+    def perturbed(g, basis=None, routing=None):
+        sym = second_symanzik(g, basis, routing)
+        return SymanzikPair(sym.s1, sym.s2 + MultiPoly(g.n_edges, {(1, 1, 1, 0, 0, 0): 1}))
+
+    monkeypatch.setattr("twistamp.twistor.second_symanzik", perturbed)
+    result = pfaffian_symanzik_ratio(bowtie())
+    assert result.exact is False
+    assert result.lambda2_exact == Fraction(2916, 3025)
+    assert result.residual.hex() == "0x1.4e0cc85a3c844p-3"
