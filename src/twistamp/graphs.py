@@ -213,6 +213,23 @@ def _union(parent, a, b) -> bool:
     return True
 
 
+def _subset_loop_numbers(g: Graph) -> list:
+    """Loop number L(S) of every edge subset S, indexed by the bitmask
+    sum over i in S of 2^i (i an edge position): the edges of S that close
+    a cycle when S is added in position order."""
+    out = []
+    for mask in range(1 << g.n_edges):
+        parent = {v: v for v in g.vertices}
+        out.append(
+            sum(
+                not _union(parent, e.source, e.target)
+                for i, e in enumerate(g.edges)
+                if mask >> i & 1
+            )
+        )
+    return out
+
+
 def _rooted_tree(g: Graph):
     """Greedy lowest-id spanning tree, rooted at the first vertex.
 

@@ -4,9 +4,19 @@ direct      integral over R^(4n) of 1 / prod_e P_e(x), importance-sampled
             with one heavy-tailed 4-dimensional Cauchy proposal per loop;
 parametric  integral over the unit simplex of 1 / S2(a)^2;
 pfaffian    integral over the unit simplex of 1 / |Pf(sum_e a_e Q_e)|^2.
-            Each batch of forms is assembled by one matmul with the
-            flattened (E, d*d) stack and goes through the one Parlett-Reid
+            Each batch of forms is assembled by one real matmul with the
+            flattened (E, 2*d*d) stack and goes through the one Parlett-Reid
             kernel, `algebra._pfaffian_batch` (batch-last, cache-blocked).
+
+The two simplex integrands blow up like 1/F_tr(a)^2 near the faces where S2
+vanishes, F_tr being the largest monomial of S2, so a uniform proposal gives
+them infinite variance once n >= 2. Each simplex batch is therefore half
+uniform and half drawn from Borinsky's tropical sampler (density
+1/(I_tr F_tr(a)^2), arXiv:2008.12310), and every sample is weighted by the
+balance heuristic f(a)/q(a) against the mixture density q; the weights are
+bounded by I_tr / ((1 - share) c_min^2), c_min the smallest coefficient of
+S2. One-loop graphs, where S2 has no zero on the closed simplex, keep the
+plain uniform proposal. Graphs with a divergent subgraph are refused.
 
 All samplers derive their random stream deterministically from
 (seed, method, batch index), and batch results are merged in batch order
@@ -34,7 +44,7 @@ from .errors import (
     UnsupportedTopology,
     ValidationError,
 )
-from .graphs import Graph, cycle_basis, loop_number, route_momenta
+from .graphs import Graph, _subset_loop_numbers, cycle_basis, loop_number, route_momenta
 from .symanzik import first_symanzik_det, second_symanzik
 from .twistor import propagator_forms
 
@@ -59,6 +69,11 @@ __all__ = [
 # graphs give e >= 3 for s = 1 and e >= 5 for s = 2, so the importance
 # weights stay bounded for every 1- and 2-loop topology.
 _TAIL_DOF = 1.0
+
+# Share of each simplex batch drawn uniformly; the tropical sampler draws the
+# rest. Any share below 1 bounds the weights; the uniform half keeps the
+# weights small where S2 is far from zero.
+_UNIFORM_SHARE = 0.5
 
 _METHOD_CODE = {"direct": 1, "parametric": 2, "pfaffian": 3, "feynman": 4}
 
@@ -151,52 +166,225 @@ def _rng(seed: int, method: str, batch_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, _METHOD_CODE[method], batch_index])
 
 
-def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str):
-    """Uniform (Dirichlet) or scrambled-Sobol batches on the unit simplex."""
+class _TropicalSampler:
+    """Borinsky's tropical sampler for integrands ~ 1/S2^2 on the simplex
+    (arXiv:2008.12310; massive case as in arXiv:2302.08955).
+
+    Built from the vanishing orders m(S) of S2 over the edge subsets S
+    (bitmasks): omega(S) = |S| - 2 m(S), K(0) = 1,
+    K(S) = sum_{e in S} K(S - e) / omega(S), and I_tr = sum_e K(E - e).
+    A draw has density 1 / (I_tr F_tr(a)^2) on the simplex, where
+    F_tr(a) = max over the monomials a^k of S2. Points are held as columns,
+    shape (N, B).
+    """
+
+    def __init__(self, n: int, orders: np.ndarray):
+        self.n = n
+        self.n_edges = n_edges = len(orders).bit_length() - 1
+        self.full = full = len(orders) - 1
+        self.orders = orders
+        bits = 1 << np.arange(n_edges)
+        masks = np.arange(full + 1)
+        member = (masks[:, None] & bits) != 0  # (2^N, N)
+        self.omega = member.sum(axis=1) - 2 * orders
+        k_table = [1.0] * (full + 1)
+        for mask in range(1, full):
+            k_table[mask] = math.fsum(
+                k_table[mask ^ b] for b in bits.tolist() if mask & b
+            ) / float(self.omega[mask])
+        k_table = np.array(k_table)
+        self.i_tr = math.fsum(k_table[full ^ b] for b in bits.tolist())
+        # Walker alias tables for removing e from S with weight K(S - e):
+        # pair the lightest open slot with the heaviest (Robin Hood), all
+        # subsets at once; slot j keeps itself with probability prob[S, j]
+        pick = np.where(member, k_table[masks[:, None] ^ bits], 0.0)
+        total = pick.sum(axis=1, keepdims=True)
+        mass = n_edges * pick / np.where(total > 0.0, total, 1.0)
+        prob = np.ones((full + 1, n_edges))
+        alias = np.tile(np.arange(n_edges), (full + 1, 1))
+        open_slot = np.ones((full + 1, n_edges), dtype=bool)
+        for _ in range(n_edges - 1):
+            light = np.argmin(np.where(open_slot, mass, np.inf), axis=1)
+            open_slot[masks, light] = False
+            heavy = np.argmax(np.where(open_slot, mass, -np.inf), axis=1)
+            prob[masks, light] = mass[masks, light]
+            alias[masks, light] = heavy
+            mass[masks, heavy] -= 1.0 - mass[masks, light]
+        self.prob = prob.ravel()
+        self.alias = alias.ravel()
+
+    def draw(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Tropical points into the columns `out` (N, B) and their log F_tr,
+        from columns of 2N - 2 uniforms in [0, 1), shape (2N - 2, B): the
+        first N - 1 rows pick the edges in the order of decreasing a_e, the
+        rest set the gaps between their logarithms."""
+        n_edges = self.n_edges
+        count = u.shape[1]
+        lanes = np.arange(count)
+        subset = np.full(count, self.full)
+        ell = np.zeros(count)
+        log_f = np.zeros(count)
+        for step in range(n_edges - 1):
+            x = u[step] * n_edges
+            slot = np.minimum(x.astype(np.int64), n_edges - 1)
+            flat = subset * n_edges + slot
+            edge = np.where(x - slot < self.prob[flat], slot, self.alias[flat])
+            out[edge, lanes] = ell  # log a_e until the exp below
+            subset ^= 1 << edge
+            gap = np.log1p(-u[n_edges - 1 + step]) / self.omega[subset]
+            ell += gap
+            log_f += self.orders[subset] * gap
+        out[np.frexp(subset)[1] - 1, lanes] = ell  # the one edge left
+        np.exp(out, out=out)
+        total = out.sum(axis=0)
+        out /= total
+        log_f -= (self.n + 1) * np.log(total)
+        return log_f
+
+    def log_f(self, columns: np.ndarray) -> np.ndarray:
+        """log F_tr at simplex points (N, B): sum_i m(S_i) (log a_(i) -
+        log a_(i-1)) with a_(1) >= a_(2) >= ..., a_(0) = 1 and S_i the
+        N - i + 1 smallest coordinates, i.e. the i-th largest coordinate has
+        exponent m(S_i) - m(S_(i+1)) in the dominant monomial."""
+        order = np.argsort(-columns, axis=0)
+        log_a = np.take_along_axis(columns, order, axis=0)
+        np.log(np.maximum(log_a, np.finfo(float).tiny, out=log_a), out=log_a)
+        subset = np.full(columns.shape[1], self.full)
+        above = self.orders[self.full]
+        out = np.zeros(columns.shape[1])
+        for i in range(self.n_edges):
+            subset ^= 1 << order[i]
+            below = self.orders[subset]
+            out += (above - below) * log_a[i]
+            above = below
+        return out
+
+    def mix(self, uniform: np.ndarray, u: np.ndarray):
+        """(points, log q) for the uniform points (rows) followed by the
+        tropical draws from u, where q = share (N-1)! + (1 - share) /
+        (I_tr F_tr^2) is the density of this mixture, share the uniform part."""
+        n_uniform = len(uniform)
+        count = n_uniform + u.shape[1]
+        columns = np.empty((self.n_edges, count))
+        columns[:, :n_uniform] = uniform.T
+        drawn = self.draw(u, columns[:, n_uniform:])
+        log_f = np.concatenate([self.log_f(columns[:, :n_uniform]), drawn])
+        share = n_uniform / count
+        log_uniform = math.log(share) + math.lgamma(self.n_edges) if share else -math.inf
+        log_q = np.logaddexp(log_uniform, math.log((1.0 - share) / self.i_tr) - 2.0 * log_f)
+        return columns.T, log_q
+
+
+def _tropical_sampler(n: int, orders: np.ndarray):
+    """The sampler, or None when m(S) = 0 for every proper subset: then S2
+    has no zero on the closed simplex (for N = 2n + 2 exactly the one-loop
+    graphs), uniform weights are already bounded and stay unmixed."""
+    return _TropicalSampler(n, orders) if orders[1:-1].any() else None
+
+
+def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical=None):
+    """Uniform (Dirichlet) or scrambled-Sobol batches on the unit simplex.
+
+    With a tropical sampler, each batch is its first `_UNIFORM_SHARE` drawn
+    uniformly and the rest tropically, yielded as (points, log of the
+    mixture density). Under QMC one Sobol point of dimension 2N - 2 feeds
+    each sample: the uniform part maps its first N coordinates, the tropical
+    part uses all of them.
+    """
+    width = dim if tropical is None else 2 * dim - 2
     if cfg.qmc:
-        sobol = qmc.Sobol(d=dim, scramble=True, seed=_rng(cfg.seed, method, 0))
-        for index, count in _batches(cfg.n_samples, cfg.batch_size):
+        sobol = qmc.Sobol(d=width, scramble=True, seed=_rng(cfg.seed, method, 0))
+    alpha = np.ones(dim)
+    for index, count in _batches(cfg.n_samples, cfg.batch_size):
+        n_uniform = count if tropical is None else int(count * _UNIFORM_SHARE)
+        if cfg.qmc:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # non power-of-two draws
                 u = sobol.random(count)
-            e = -np.log(np.clip(1.0 - u, 1e-16, 1.0))
-            yield e / e.sum(axis=1, keepdims=True)
-    else:
-        alpha = np.ones(dim)
-        for index, count in _batches(cfg.n_samples, cfg.batch_size):
-            yield _rng(cfg.seed, method, index).dirichlet(alpha, size=count)
+            e = -np.log(np.clip(1.0 - u[:n_uniform, :dim], 1e-16, 1.0))
+            uniform = e / e.sum(axis=1, keepdims=True)
+            u = u[n_uniform:].T
+        else:
+            rng = _rng(cfg.seed, method, index)
+            uniform = rng.dirichlet(alpha, size=n_uniform)
+            u = rng.random((width, count - n_uniform))
+        if tropical is None:
+            yield uniform
+        else:
+            batch = tropical.mix(uniform, u)
+            del uniform, u  # hold no draws while the caller works on the batch
+            yield batch
 
 
-def _simplex_mean(cfg: IntegrationConfig, dim: int, method: str, weights, factor: float = 1.0):
+def _simplex_mean(
+    cfg: IntegrationConfig, dim: int, method: str, weights, factor: float = 1.0, tropical=None
+):
     """factor * mean of weights(batch) over the simplex batches, with its
     standard error."""
     acc = _Accumulator()
-    for batch in _simplex_batches(cfg, dim, method):
+    for batch in _simplex_batches(cfg, dim, method, tropical):
         acc.add(weights(batch))
     return acc.finalize(factor)
 
 
+def _simplex_integral(cfg: IntegrationConfig, n: int, orders, method: str, denominators):
+    """Integral over the unit simplex of 1 / denominators(a), where the
+    denominator vanishes like S2^2 (so m(S) of `orders` governs it), with
+    its standard error."""
+    n_edges = 2 * n + 2
+    tropical = _tropical_sampler(n, orders)
+    if tropical is None:
+        return _simplex_mean(
+            cfg, n_edges, method, lambda points: 1.0 / denominators(points),
+            1.0 / math.factorial(n_edges - 1),
+        )
+
+    def weights(draw):
+        points, log_q = draw
+        return np.exp(-(np.log(denominators(points)) + log_q))
+
+    return _simplex_mean(cfg, n_edges, method, weights, tropical=tropical)
+
+
 def _poly_evaluator(poly):
-    """Vectorized evaluation of a MultiPoly on batches of points (B, N)."""
+    """Vectorized float64 evaluation of a MultiPoly with real coefficients on
+    batches of points (B, N): each term is its coefficient times x**e per
+    variable in variable order, a running product over contiguous columns."""
+    if any(c.im for _, c in poly.terms()):
+        raise InvariantViolation("polynomial has a complex coefficient")
     exps, coeffs = poly.compiled()
+    terms = [
+        (coeff, [(var, e) for var, e in enumerate(row) if e])
+        for coeff, row in zip(coeffs.real.tolist(), exps)
+    ]
 
     def evaluate(points: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(points), dtype=complex)
-        for term in range(len(coeffs)):
-            v = np.full(len(points), coeffs[term])
-            for var in range(exps.shape[1]):
-                e = exps[term, var]
-                if e == 1:
-                    v = v * points[:, var]
-                elif e:
-                    v = v * points[:, var] ** e
+        columns = np.ascontiguousarray(points.T)
+        out = np.zeros(len(points))
+        v = np.empty(len(points))
+        for coeff, factors in terms:
+            v.fill(coeff)
+            for var, e in factors:
+                np.multiply(v, columns[var] if e == 1 else columns[var] ** e, out=v)
             out += v
         return out
 
     return evaluate
 
 
-def _require_even_split(g: Graph) -> tuple:
+def _vanishing_orders(g: Graph) -> np.ndarray:
+    """m(S) for every edge subset S (bitmask over edge positions): the order
+    at which S2 vanishes as the a_e with e in S go to 0. With every mass
+    positive this is the loop number L(S) for S != E and n + 1 for S = E."""
+    orders = np.array(_subset_loop_numbers(g))
+    orders[-1] = loop_number(g) + 1
+    return orders
+
+
+def _require_convergent(g: Graph) -> tuple:
+    """(n, N, vanishing orders) for an N = 2n+2 graph without divergent
+    subgraphs: a proper edge subset S with omega(S) = |S| - 2 m(S) <= 0 is
+    UV-divergent in momentum space and non-integrable at its simplex face."""
     n = loop_number(g)
     n_edges = g.n_edges
     if n_edges != 2 * n + 2:
@@ -205,7 +393,15 @@ def _require_even_split(g: Graph) -> tuple:
         )
     if n < 1:
         raise UnsupportedTopology("need at least one loop")
-    return n, n_edges
+    orders = _vanishing_orders(g)
+    for mask in range(1, len(orders) - 1):
+        if mask.bit_count() <= 2 * orders[mask]:
+            ids = [e.id for i, e in enumerate(g.edges) if mask >> i & 1]
+            raise UnsupportedTopology(
+                f"edges {ids} form a divergent subgraph ({len(ids)} edges, "
+                f"{orders[mask]} loops); the integrals do not converge"
+            )
+    return n, n_edges, orders
 
 
 def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
@@ -218,7 +414,7 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     tail-matching argument.
     """
     start = time.perf_counter()
-    n, n_edges = _require_even_split(g)
+    n, n_edges, _ = _require_convergent(g)
     if cfg.qmc:
         raise ValidationError("qmc sampling is only wired up for the simplex methods")
     if any(e.mass <= 0 for e in g.edges):
@@ -272,23 +468,18 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
 def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     """Monte Carlo estimate of int_simplex delta(1 - sum a) da / S2(a)^2."""
     start = time.perf_counter()
-    _, n_edges = _require_even_split(g)
+    n, _, orders = _require_convergent(g)
     s2_at = _poly_evaluator(second_symanzik(g).s2)
 
-    def weights(batch):
+    def denominators(batch):
         values = s2_at(batch)
-        if np.abs(values.imag).max(initial=0.0) > 1e-9 * max(np.abs(values).max(initial=0.0), 1.0):
-            raise InvariantViolation("S2 evaluated to a complex value")
-        real = values.real
-        if np.any(real <= 0.0):
+        if np.any(values <= 0.0):
             raise InvariantViolation(
                 "S2 <= 0 at an interior simplex sample; sign convention broken"
             )
-        return 1.0 / np.square(real)
+        return np.square(values)
 
-    estimate, err = _simplex_mean(
-        cfg, n_edges, "parametric", weights, 1.0 / math.factorial(n_edges - 1)
-    )
+    estimate, err = _simplex_integral(cfg, n, orders, "parametric", denominators)
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "parametric", time.perf_counter() - start
     )
@@ -297,23 +488,23 @@ def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
 def pfaffian_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     """Monte Carlo estimate of int_simplex delta(1 - sum a) da / |Pf(sum a Q)|^2."""
     start = time.perf_counter()
-    n, n_edges = _require_even_split(g)
+    n, n_edges, orders = _require_convergent(g)
     stack = np.stack([f.to_numpy() for f in propagator_forms(g)])  # (E, d, d)
     dim = stack.shape[1]
-    flat = stack.reshape(n_edges, dim * dim)
+    # real and imaginary parts interleaved, so the real batch needs no
+    # promotion to complex before the matmul
+    flat = stack.reshape(n_edges, dim * dim).view(float)
 
-    def weights(batch):
-        pf = _pfaffian_batch((batch @ flat).reshape(len(batch), dim, dim))
-        mag = np.abs(pf) ** 2
+    def denominators(batch):
+        forms = (batch @ flat).view(complex).reshape(len(batch), dim, dim)
+        mag = np.abs(_pfaffian_batch(forms)) ** 2
         if np.any(mag == 0.0) or not np.all(np.isfinite(mag)):
             raise InvariantViolation(
                 "pfaffian vanished (or overflowed) at an interior simplex sample"
             )
-        return 1.0 / mag
+        return mag
 
-    estimate, err = _simplex_mean(
-        cfg, n_edges, "pfaffian", weights, 1.0 / math.factorial(n_edges - 1)
-    )
+    estimate, err = _simplex_integral(cfg, n, orders, "pfaffian", denominators)
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "pfaffian", time.perf_counter() - start
     )

@@ -73,3 +73,35 @@ def random_connected_graph(rnd: random.Random, max_edges=8) -> Graph:
 def random_antisymmetric(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return m - m.T
+
+
+# The multi-loop N = 2n+2 shapes of the benchmark: (vertices, edges as
+# (id, source, target)). theta: two vertices joined by three 2-edge paths;
+# loop3: K4 with two opposite edges subdivided; loop4: loop3 plus a path 5-7-6.
+MULTI_LOOP_TOPOLOGIES = {
+    "theta": (
+        [1, 2, 3, 4, 5],
+        [(1, 1, 3), (2, 3, 2), (3, 1, 4), (4, 4, 2), (5, 1, 5), (6, 5, 2)],
+    ),
+    "loop3": (
+        [1, 2, 3, 4, 5, 6],
+        [(1, 1, 5), (2, 5, 2), (3, 1, 3), (4, 1, 4), (5, 2, 3), (6, 2, 4), (7, 3, 6), (8, 6, 4)],
+    ),
+    "loop4": (
+        [1, 2, 3, 4, 5, 6, 7],
+        [
+            (1, 1, 5), (2, 5, 2), (3, 1, 3), (4, 1, 4), (5, 2, 3),
+            (6, 2, 4), (7, 3, 6), (8, 6, 4), (9, 5, 7), (10, 7, 6),
+        ],
+    ),
+}
+
+
+def multi_loop_graph(name: str, rnd: random.Random) -> Graph:
+    """One of MULTI_LOOP_TOPOLOGIES with random masses and conserving momenta."""
+    vertices, edges = MULTI_LOOP_TOPOLOGIES[name]
+    return Graph.build(
+        vertices,
+        [(i, s, t, random_positive_fraction(rnd)) for i, s, t in edges],
+        random_momenta(rnd, vertices[:4]),
+    )

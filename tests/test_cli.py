@@ -180,6 +180,32 @@ def test_integrate_unsupported_topology_in_report(tmp_path, capsys):
     assert report["results"]["direct"]["error"]["type"] == "UnsupportedTopology"
 
 
+# K4 on 1..4 plus the path 1-5-6-7-2: N = 2n+2 with n = 4, but the K4 is a
+# log-divergent subgraph
+K4_WITH_PATH = {
+    "vertices": [1, 2, 3, 4, 5, 6, 7],
+    "edges": [
+        {"id": i, "source": u, "target": v, "mass": "1"}
+        for i, (u, v) in enumerate(
+            [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (1, 5), (5, 6), (6, 7), (7, 2)],
+            start=1,
+        )
+    ],
+}
+
+
+def test_integrate_divergent_subgraph_in_report(tmp_path, capsys):
+    path = _write(tmp_path, "k4path.json", K4_WITH_PATH)
+    code = main(["integrate", path, "--method", "all", "--samples", "1000"])
+    assert code == EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().out)
+    for method in ("direct", "parametric", "pfaffian"):
+        error = report["results"][method]["error"]
+        assert error["type"] == "UnsupportedTopology"
+        assert "divergent subgraph" in error["message"]
+    assert "constants" not in report
+
+
 EQUAL_MASS_BOX = {
     "vertices": [1, 2, 3, 4],
     "edges": [

@@ -30,7 +30,13 @@ from twistamp import (
     second_symanzik,
     triangle,
 )
-from conftest import random_momenta, random_positive_fraction, with_random_kinematics
+from conftest import (
+    multi_loop_graph,
+    random_connected_graph,
+    random_momenta,
+    random_positive_fraction,
+    with_random_kinematics,
+)
 
 
 def _combined_gap(a, b, err_a, err_b):
@@ -156,16 +162,6 @@ def test_pfaffian_integrand_matches_symbolic_pipeline():
         assert abs(pf) ** 2 == pytest.approx(abs(s2) ** 2, rel=1e-10)
 
 
-def _three_loop_graph(rnd: random.Random) -> Graph:
-    """K4 with edges 1-2 and 3-4 subdivided: n = 3, N = 8, forms of size 8."""
-    edges = [(1, 1, 5), (2, 5, 2), (3, 1, 3), (4, 1, 4), (5, 2, 3), (6, 2, 4), (7, 3, 6), (8, 6, 4)]
-    return Graph.build(
-        range(1, 7),
-        [(i, u, v, random_positive_fraction(rnd)) for i, u, v in edges],
-        random_momenta(rnd, [1, 2, 3, 4]),
-    )
-
-
 def test_pfaffian_kernel_against_exact_and_determinant_oracles():
     from twistamp.algebra import _PF_CHUNK_BYTES
     from twistamp.integrate import _pfaffian_batch
@@ -175,7 +171,7 @@ def test_pfaffian_kernel_against_exact_and_determinant_oracles():
     graphs = (
         with_random_kinematics(box, rnd),
         with_random_kinematics(bowtie, rnd),
-        _three_loop_graph(rnd),
+        multi_loop_graph("loop3", rnd),
     )
     for g in graphs:
         forms = [f.form for f in propagator_forms(g)]
@@ -223,7 +219,12 @@ def test_pfaffian_kernel_against_exact_and_determinant_oracles():
 
 
 def test_pfaffian_estimate_equals_mean_of_inverse_s2_squared_on_same_draws():
-    from twistamp.integrate import _poly_evaluator, _simplex_batches
+    from twistamp.integrate import (
+        _poly_evaluator,
+        _require_convergent,
+        _simplex_batches,
+        _tropical_sampler,
+    )
 
     rnd = random.Random(73)
     g = with_random_kinematics(bowtie, rnd)
@@ -231,11 +232,200 @@ def test_pfaffian_estimate_equals_mean_of_inverse_s2_squared_on_same_draws():
     cfg = IntegrationConfig(n_samples=25_000, seed=5, batch_size=10_000)
     result = pfaffian_amplitude(g, cfg)
     s2_at = _poly_evaluator(second_symanzik(g).s2)
-    draws = _simplex_batches(cfg, g.n_edges, "pfaffian")
-    weights = np.concatenate([1.0 / np.square(s2_at(batch).real) for batch in draws])
+    n, n_edges, orders = _require_convergent(g)
+    draws = _simplex_batches(cfg, n_edges, "pfaffian", _tropical_sampler(n, orders))
+    # each draw a carries weight 1 / (S2(a)^2 q(a)), q the mixture density
+    weights = np.concatenate(
+        [1.0 / np.square(s2_at(points)) / np.exp(log_q) for points, log_q in draws]
+    )
     # lambda^2 = 1: |Pf|^2 = S2^2 point by point
-    expect = math.fsum(weights) / weights.size / math.factorial(g.n_edges - 1)
+    expect = math.fsum(weights) / weights.size
     assert result.estimate == pytest.approx(expect, rel=1e-12)
+
+
+def _complex_reference(poly, points):
+    """The complex-arithmetic evaluation that the float evaluator replaces."""
+    exps, coeffs = poly.compiled()
+    out = np.zeros(len(points), dtype=complex)
+    for term in range(len(coeffs)):
+        v = np.full(len(points), coeffs[term])
+        for var in range(exps.shape[1]):
+            e = exps[term, var]
+            if e == 1:
+                v = v * points[:, var]
+            elif e:
+                v = v * points[:, var] ** e
+        out += v
+    return out
+
+
+def test_poly_evaluator_is_the_real_part_of_complex_evaluation_bit_for_bit():
+    from twistamp import GaussianRational, MultiPoly
+    from twistamp.integrate import _poly_evaluator
+
+    rnd = random.Random(5)
+    rng = np.random.default_rng(5)
+    graphs = [with_random_kinematics(bowtie, rnd)] + [
+        multi_loop_graph(name, rnd) for name in ("theta", "loop3", "loop4")
+    ]
+    for g in graphs:
+        s2 = second_symanzik(g).s2
+        points = rng.dirichlet(np.ones(g.n_edges), size=3000)
+        values = _poly_evaluator(s2)(points)
+        assert values.dtype == np.float64
+        assert np.array_equal(values, _complex_reference(s2, points).real)
+        # column-major batches (as the tropical mixture yields) give the same bits
+        assert np.array_equal(_poly_evaluator(s2)(np.asfortranarray(points)), values)
+    with pytest.raises(InvariantViolation):
+        _poly_evaluator(MultiPoly(2, {(1, 1): GaussianRational(1, 1)}))
+
+
+def _subset_minima(poly, n_edges):
+    """min over the monomials a^k of poly of sum_{e in S} k_e, per bitmask S."""
+    exps, _ = poly.compiled()
+    member = (np.arange(1 << n_edges)[:, None] >> np.arange(n_edges)) & 1
+    return (member @ exps.T).min(axis=1)
+
+
+def test_vanishing_orders_are_the_s2_monomial_minima():
+    from twistamp.integrate import _vanishing_orders
+
+    rnd = random.Random(11)
+    graphs = [with_random_kinematics(f, rnd) for f in (triangle, box, bowtie, complete4)]
+    graphs += [multi_loop_graph(name, rnd) for name in ("theta", "loop3", "loop4")]
+    even = 0
+    while even < 12:
+        skeleton = random_connected_graph(rnd)
+        if skeleton.n_edges != 2 * (skeleton.n_edges - skeleton.n_vertices + 1) + 2:
+            continue
+        even += 1
+        graphs.append(
+            Graph.build(
+                skeleton.vertices,
+                [(e.id, e.source, e.target, e.mass) for e in skeleton.edges],
+                random_momenta(rnd, skeleton.vertices),
+            )
+        )
+    for g in graphs:
+        expect = _subset_minima(second_symanzik(g).s2, g.n_edges)
+        assert np.array_equal(_vanishing_orders(g), expect)
+
+
+def test_tropical_normalisation_is_the_hepp_sum_over_orderings():
+    import itertools
+
+    from twistamp.integrate import _TropicalSampler, _require_convergent
+
+    for g in (box(), bowtie()):
+        n, n_edges, orders = _require_convergent(g)
+        full = (1 << n_edges) - 1
+        total = Fraction(0)
+        for ordering in itertools.permutations(range(n_edges)):
+            subset, term = full, Fraction(1)
+            for e in ordering[:-1]:
+                subset ^= 1 << e
+                term /= subset.bit_count() - 2 * int(orders[subset])
+            total += term
+        assert _TropicalSampler(n, orders).i_tr == pytest.approx(float(total), rel=1e-12)
+
+
+def _tropical_setup(g):
+    from twistamp.integrate import _require_convergent, _tropical_sampler
+
+    n, n_edges, orders = _require_convergent(g)
+    return n_edges, _tropical_sampler(n, orders)
+
+
+def test_tropical_log_f_is_the_dominant_s2_monomial():
+    rnd = random.Random(17)
+    rng = np.random.default_rng(17)
+    graphs = [with_random_kinematics(bowtie, rnd)] + [
+        multi_loop_graph(name, rnd) for name in ("theta", "loop3", "loop4")
+    ]
+    for g in graphs:
+        n_edges, sampler = _tropical_setup(g)
+        exps, _ = second_symanzik(g).s2.compiled()
+        columns = np.empty((n_edges, 2000))
+        log_f = sampler.draw(rng.random((2 * n_edges - 2, 2000)), columns)
+        assert np.allclose(columns.sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
+        expect = (exps @ np.log(columns)).max(axis=0)
+        assert np.allclose(log_f, expect, rtol=1e-12, atol=1e-12)
+        uniform = np.ascontiguousarray(rng.dirichlet(np.ones(n_edges), size=2000).T)
+        expect = (exps @ np.log(uniform)).max(axis=0)
+        assert np.allclose(sampler.log_f(uniform), expect, rtol=1e-12, atol=1e-12)
+
+
+def test_mixture_density_is_normalised():
+    # under draws from the mixture q, the uniform density (N-1)! over q has
+    # mean 1 (and is bounded by 1 / share); a wrong I_tr, F_tr or share in
+    # either half of q moves the mean
+    from twistamp.integrate import _simplex_batches
+
+    rnd = random.Random(19)
+    for g in (with_random_kinematics(bowtie, rnd), multi_loop_graph("loop3", rnd)):
+        n_edges, sampler = _tropical_setup(g)
+        for qmc in (False, True):
+            cfg = IntegrationConfig(n_samples=200_000, seed=19, qmc=qmc)
+            ratio = np.concatenate(
+                [
+                    np.exp(math.lgamma(n_edges) - log_q)
+                    for _, log_q in _simplex_batches(cfg, n_edges, "parametric", sampler)
+                ]
+            )
+            assert abs(ratio.mean() - 1.0) < 3 * ratio.std() / math.sqrt(ratio.size)
+
+
+def test_mixture_weights_stay_below_the_tropical_bound():
+    from twistamp.integrate import _UNIFORM_SHARE, _poly_evaluator, _simplex_batches
+
+    rnd = random.Random(23)
+    graphs = [with_random_kinematics(bowtie, rnd)] + [
+        multi_loop_graph(name, rnd) for name in ("theta", "loop3")
+    ]
+    for g in graphs:
+        n_edges, sampler = _tropical_setup(g)
+        s2 = second_symanzik(g).s2
+        s2_at = _poly_evaluator(s2)
+        c_min = min(float(c.re) for _, c in s2.terms())
+        bound = sampler.i_tr / ((1.0 - _UNIFORM_SHARE) * c_min**2)
+        for qmc in (False, True):
+            # an odd batch size puts one more sample in the tropical part
+            cfg = IntegrationConfig(n_samples=60_000, seed=7, batch_size=20_001, qmc=qmc)
+            for points, log_q in _simplex_batches(cfg, n_edges, "parametric", sampler):
+                weights = 1.0 / np.square(s2_at(points)) / np.exp(log_q)
+                assert weights.max() <= bound * (1.0 + 1e-12)
+
+
+def test_one_loop_graphs_keep_the_uniform_proposal():
+    from twistamp.integrate import _poly_evaluator, _simplex_batches
+
+    g = with_random_kinematics(box, random.Random(29))
+    n_edges, sampler = _tropical_setup(g)
+    assert sampler is None
+    cfg = IntegrationConfig(n_samples=20_000, seed=3, batch_size=7_000)
+    s2_at = _poly_evaluator(second_symanzik(g).s2)
+    weights = np.concatenate(
+        [1.0 / np.square(s2_at(batch)) for batch in _simplex_batches(cfg, n_edges, "parametric")]
+    )
+    expect = math.fsum(weights) / weights.size / math.factorial(n_edges - 1)
+    assert parametric_amplitude(g, cfg).estimate == pytest.approx(expect, rel=1e-12)
+
+
+def _k4_with_a_path():
+    """K4 on 1..4 plus the path 1-5-6-7-2: n = 4, N = 10, and the K4 is a
+    log-divergent subgraph (6 edges, 3 loops)."""
+    k4 = [(1, 1, 2), (2, 1, 3), (3, 1, 4), (4, 2, 3), (5, 2, 4), (6, 3, 4)]
+    path = [(7, 1, 5), (8, 5, 6), (9, 6, 7), (10, 7, 2)]
+    return Graph.build(range(1, 8), [(i, u, v, 1) for i, u, v in k4 + path])
+
+
+def test_divergent_subgraph_is_refused():
+    g = _k4_with_a_path()
+    assert g.n_edges == 10 and g.n_edges - g.n_vertices + 1 == 4
+    cfg = IntegrationConfig(n_samples=1000, seed=0)
+    for run in (direct_amplitude, parametric_amplitude, pfaffian_amplitude):
+        with pytest.raises(UnsupportedTopology, match="divergent subgraph"):
+            run(g, cfg)
 
 
 def test_reproducibility_bitwise():
@@ -305,6 +495,37 @@ def test_qmc_parametric_agrees():
     plain = parametric_amplitude(g, IntegrationConfig(n_samples=100_000, seed=51))
     sobol = parametric_amplitude(g, IntegrationConfig(n_samples=100_000, seed=52, qmc=True))
     assert sobol.estimate == pytest.approx(plain.estimate, rel=5e-3)
+
+
+def test_simplex_estimators_times_pi_to_the_2n_match_direct():
+    # c(n) = pi^(2n) exactly (Schwinger parametrisation with N = 2n + 2);
+    # checks the tropical mixture against the independent direct estimator
+    from conftest import MULTI_LOOP_TOPOLOGIES
+
+    q = [Fraction(1, 2), 0, Fraction(1, 3), 0]
+    vertices, edges = MULTI_LOOP_TOPOLOGIES["theta"]
+    graphs = [
+        bowtie(momenta={1: q, 4: [-c for c in q]}),
+        Graph.build(vertices, [(i, s, t, 1) for i, s, t in edges], {1: q, 2: [-c for c in q]}),
+    ]
+    for g in graphs:
+        direct = direct_amplitude(g, IntegrationConfig(n_samples=200_000, seed=0))
+        for run in (parametric_amplitude, pfaffian_amplitude):
+            simplex = run(g, IntegrationConfig(n_samples=100_000, seed=0))
+            c = math.pi**4
+            z = _combined_gap(
+                direct.estimate, c * simplex.estimate, direct.std_error, c * simplex.std_error
+            )
+            assert z < 3
+
+
+def test_qmc_tropical_mixture_agrees_with_mc():
+    rnd = random.Random(72)
+    g = with_random_kinematics(bowtie, rnd)
+    for run in (parametric_amplitude, pfaffian_amplitude):
+        plain = run(g, IntegrationConfig(n_samples=100_000, seed=53))
+        sobol = run(g, IntegrationConfig(n_samples=100_000, seed=54, qmc=True))
+        assert _combined_gap(plain.estimate, sobol.estimate, plain.std_error, sobol.std_error) < 3
 
 
 def test_feynman_trick_constant_case():
