@@ -6,10 +6,9 @@ this module is exact. The symbolic pfaffian and determinant share one
 expansion, `_pfaffian_expand`: the perfect-matching sum grouped by the
 partner of the lowest index and memoized on the remaining indices; a
 determinant is the pfaffian of [[0, M], [-M^T, 0]] up to sign. The only
-floating-point code paths are the numeric pfaffian (one batched,
-cache-blocked Parlett-Reid kernel; a single matrix is a batch of one) and
-the SVD rank, which exist to cross-check the exact routines and to serve
-the Monte Carlo integrators.
+floating-point code path is the numeric pfaffian (one batched, cache-blocked
+Parlett-Reid kernel; a single matrix is a batch of one), which exists to
+cross-check the exact routines and to serve the Monte Carlo integrators.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "GaussianRational",
     "MultiPoly",
     "AlternatingForm",
-    "combine_forms",
     "pfaffian_numeric",
     "pfaffian_symbolic",
     "det_symbolic",
@@ -38,8 +36,8 @@ __all__ = [
 def as_fraction(value) -> Fraction:
     """Exact rational from an int, Fraction, decimal string, or float.
 
-    Floats are read through repr(), so 0.1 parses as 1/10 rather than as the
-    binary expansion of the double.
+    Floats (numpy's included) are read through repr(float(value)), so 0.1
+    parses as 1/10 rather than as the binary expansion of the double.
     """
     if isinstance(value, Fraction):
         return value
@@ -50,7 +48,7 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValidationError(f"non-finite value {value!r}")
-        return Fraction(repr(value))
+        return Fraction(repr(float(value)))
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -475,24 +473,10 @@ class AlternatingForm:
         return np.array([[complex(x) for x in row] for row in self._rows], dtype=complex)
 
     def rank(self) -> int:
-        return _exact_rank(self._rows)
+        return matrix_rank(self)
 
     def __repr__(self):
         return f"AlternatingForm(dim={self.dim})"
-
-
-def combine_forms(forms, coeffs) -> AlternatingForm:
-    """Exact linear combination sum_i coeffs[i] * forms[i]."""
-    forms = list(forms)
-    coeffs = [GaussianRational.coerce(c) for c in coeffs]
-    if len(forms) != len(coeffs):
-        raise StructuralError("need one coefficient per form")
-    if not forms:
-        raise StructuralError("need at least one form")
-    out = AlternatingForm.zero(forms[0].dim)
-    for f, c in zip(forms, coeffs):
-        out = out + f.scaled(c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +572,6 @@ _PF_CHUNK_BYTES = 1 << 20
 
 # pfaffian_numeric rejects a matrix with |A + A^T| above this times max(1, |A|)
 _ASYM_TOL = 1e-12
-# matrix_rank counts the singular values above this times the largest
-_RANK_RTOL = 1e-9
 
 
 def _parlett_reid(A: np.ndarray) -> np.ndarray:
@@ -676,13 +658,10 @@ def pfaffian_numeric(form) -> complex:
     return complex(_pfaffian_batch(A[None])[0])
 
 
-def _is_exact_scalar(x) -> bool:
-    return isinstance(x, (GaussianRational, Fraction)) or (
-        isinstance(x, int) and not isinstance(x, bool)
-    )
-
-
-def _exact_rank(rows) -> int:
+def matrix_rank(matrix) -> int:
+    """Rank of a matrix (an AlternatingForm or rows of scalars) by exact
+    Gaussian-rational elimination; float entries are read as by as_fraction."""
+    rows = matrix.rows() if isinstance(matrix, AlternatingForm) else matrix
     m = [[GaussianRational.coerce(x) for x in row] for row in rows]
     nrows = len(m)
     if not nrows:
@@ -707,27 +686,3 @@ def _exact_rank(rows) -> int:
         if row == nrows:
             break
     return rank
-
-
-def matrix_rank(matrix) -> int:
-    """Rank of a matrix.
-
-    Exact fraction elimination when all entries are exact scalars, SVD with
-    threshold _RANK_RTOL * s_max otherwise.
-    """
-    if isinstance(matrix, AlternatingForm):
-        return _exact_rank(matrix.rows())
-    if not isinstance(matrix, np.ndarray):
-        rows = [list(r) for r in matrix]
-        if rows and all(_is_exact_scalar(x) for r in rows for x in r):
-            return _exact_rank(rows)
-        matrix = np.array(
-            [[complex(x) for x in r] for r in rows] if rows else [], dtype=complex
-        )
-    A = np.asarray(matrix, dtype=complex)
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int((s > _RANK_RTOL * s[0]).sum())

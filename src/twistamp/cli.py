@@ -180,13 +180,7 @@ def _error_entry(exc: TwistampError) -> dict:
 
 def cmd_integrate(args) -> int:
     g, digest = load_graph(args.graph)
-    cfg = IntegrationConfig(
-        n_samples=args.samples,
-        seed=args.seed,
-        scale=args.scale,
-        batch_size=args.batch_size,
-        qmc=args.qmc,
-    )
+    cfg = IntegrationConfig(n_samples=args.samples, seed=args.seed, qmc=args.qmc)
     methods = ["direct", "parametric", "pfaffian"] if args.method == "all" else [args.method]
     runners = {
         "direct": direct_amplitude,
@@ -294,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_int.add_argument("--samples", type=int, default=1_000_000)
     p_int.add_argument("--seed", type=int, default=0)
-    p_int.add_argument("--scale", type=float, default=None, help="direct-method proposal scale")
-    p_int.add_argument("--batch-size", type=int, default=65_536)
     p_int.add_argument("--qmc", action="store_true", help="scrambled-Sobol simplex sampling")
     p_int.add_argument(
         "--exact",

@@ -25,7 +25,6 @@ __all__ = [
     "loop_number",
     "cycle_basis",
     "route_momenta",
-    "incidence_matrix",
 ]
 
 
@@ -346,19 +345,3 @@ def _check_flow(g: Graph, routing: MomentumRouting) -> None:
                 balance = balance - s
         if balance != g.momentum(v):
             raise ValidationError(f"momentum balance failed at vertex {v!r}")
-
-
-def incidence_matrix(g: Graph) -> list:
-    """Signed incidence rows, one per vertex: +1 at outgoing, -1 at incoming."""
-    rows = []
-    for v in g.vertices:
-        row = []
-        for e in g.edges:
-            val = 0
-            if e.source == v:
-                val += 1
-            if e.target == v:
-                val -= 1
-            row.append(val)
-        rows.append(row)
-    return rows

@@ -27,15 +27,11 @@ estimates.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
-from scipy.special import gammaln
-from scipy.stats import qmc
 
 from .algebra import _pfaffian_batch
 from .errors import (
@@ -75,11 +71,16 @@ _TAIL_DOF = 1.0
 # weights small where S2 is far from zero.
 _UNIFORM_SHARE = 0.5
 
+# Samples per batch. The batch index seeds each batch's random stream, so the
+# batch size is part of the estimate; it is fixed so that the fields a report
+# records (method, samples, seed, qmc) reproduce its numbers.
+_BATCH_SIZE = 65_536
+
 _METHOD_CODE = {"direct": 1, "parametric": 2, "pfaffian": 3, "feynman": 4}
 
 
 def _is_int(value) -> bool:
-    # bool is a subclass of int, but batch_size=True is not a batch size
+    # bool is a subclass of int, but seed=True is not a seed
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -89,8 +90,6 @@ class IntegrationConfig:
 
     n_samples: int = 100_000
     seed: int = 0
-    scale: float | None = None  # proposal scale (energy units), direct method
-    batch_size: int = 65_536
     qmc: bool = False
 
     def __post_init__(self):
@@ -98,15 +97,6 @@ class IntegrationConfig:
             raise ValidationError("sample count must be an integer >= 1000")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
-        if not _is_int(self.batch_size) or self.batch_size <= 0:
-            raise ValidationError("batch size must be a positive integer")
-        if self.scale is not None and not (
-            isinstance(self.scale, numbers.Real)
-            and not isinstance(self.scale, bool)
-            and math.isfinite(self.scale)
-            and self.scale > 0
-        ):
-            raise ValidationError("proposal scale must be a finite positive number")
 
 
 @dataclass
@@ -152,11 +142,11 @@ class _Accumulator:
         return factor * mean, factor * math.sqrt(variance)
 
 
-def _batches(total: int, size: int):
+def _batches(total: int):
     index = 0
     done = 0
     while done < total:
-        count = min(size, total - done)
+        count = min(_BATCH_SIZE, total - done)
         yield index, count
         index += 1
         done += count
@@ -293,9 +283,11 @@ def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical=Non
     """
     width = dim if tropical is None else 2 * dim - 2
     if cfg.qmc:
+        from scipy.stats import qmc  # scipy loads only on the paths that use it
+
         sobol = qmc.Sobol(d=width, scramble=True, seed=_rng(cfg.seed, method, 0))
     alpha = np.ones(dim)
-    for index, count in _batches(cfg.n_samples, cfg.batch_size):
+    for index, count in _batches(cfg.n_samples):
         n_uniform = count if tropical is None else int(count * _UNIFORM_SHARE)
         if cfg.qmc:
             with warnings.catch_warnings():
@@ -409,9 +401,9 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     int d^{4n}x / prod_e [(sum_k alpha_k(e) x_k + s_e)^2 + m_e^2].
 
     Importance sampling draws each loop 4-vector from a heavy-tailed
-    4-dimensional Cauchy (Student-t, one degree of freedom) whose scale
-    defaults to the geometric mean of the masses; see _TAIL_DOF for the
-    tail-matching argument.
+    4-dimensional Cauchy (Student-t, one degree of freedom) whose scale is
+    the geometric mean of the masses; see _TAIL_DOF for the tail-matching
+    argument.
     """
     start = time.perf_counter()
     n, n_edges, _ = _require_convergent(g)
@@ -425,20 +417,18 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     loops = basis.to_numpy()  # (n, E)
     shifts = np.array([routing.of(e.id).floats() for e in g.edges])  # (E, 4)
     mass_sq = np.array([float(e.mass) ** 2 for e in g.edges])
-    scale = cfg.scale or math.exp(
-        sum(math.log(float(e.mass)) for e in g.edges) / n_edges
-    )
+    scale = math.exp(sum(math.log(float(e.mass)) for e in g.edges) / n_edges)
 
     nu = _TAIL_DOF
     log_norm_per_loop = (
-        gammaln((nu + 4.0) / 2.0)
-        - gammaln(nu / 2.0)
+        math.lgamma((nu + 4.0) / 2.0)
+        - math.lgamma(nu / 2.0)
         - 2.0 * math.log(nu * math.pi)
         - 4.0 * math.log(scale)
     )
 
     acc = _Accumulator()
-    for index, count in _batches(cfg.n_samples, cfg.batch_size):
+    for index, count in _batches(cfg.n_samples):
         rng = _rng(cfg.seed, "direct", index)
         z = rng.standard_normal((count, n, 4))
         u = rng.chisquare(nu, size=(count, n)) / nu
@@ -542,9 +532,11 @@ def feynman_trick_check(values, cfg: IntegrationConfig | None = None) -> Feynman
     n_vals = len(A)
 
     if n_vals == 2:
+        from scipy.integrate import quad
+
         a, b = A
         try:
-            rhs, abserr = _scipy_integrate.quad(
+            rhs, abserr = quad(
                 lambda t: 1.0 / (t * a + (1.0 - t) * b) ** 2, 0.0, 1.0,
                 epsabs=1e-14, epsrel=1e-13,
             )

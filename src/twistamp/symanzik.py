@@ -18,12 +18,10 @@ from .graphs import CycleBasis, FourVector, Graph, _find, _union, cycle_basis, l
 
 __all__ = [
     "SymanzikPair",
-    "edge_rank_one_matrix",
     "first_symanzik_det",
     "first_symanzik_trees",
     "second_symanzik",
     "spanning_trees",
-    "two_forests",
     "two_forest_polynomial",
 ]
 
@@ -34,12 +32,6 @@ class SymanzikPair:
 
     s1: MultiPoly
     s2: MultiPoly
-
-
-def edge_rank_one_matrix(basis: CycleBasis, e: int):
-    """c_e c_e^T for c_e the basis column of edge e: symmetric, rank <= 1, PSD."""
-    col = basis.column(e)
-    return [[a * b for b in col] for a in col]
 
 
 def first_symanzik_det(g: Graph, basis: CycleBasis | None = None) -> MultiPoly:
@@ -88,27 +80,19 @@ def first_symanzik_trees(g: Graph) -> MultiPoly:
     return MultiPoly(n_edges, terms)
 
 
-def two_forests(g: Graph):
-    """Spanning 2-forests (acyclic, V - 2 edges), with one component's vertex set.
-
-    Yields (edge positions, vertices of the component containing the first
-    vertex); the other component is the complement.
-    """
-    for idxs, parent in _forests(g, g.n_vertices - 2):
-        root0 = _find(parent, g.vertices[0])
-        yield idxs, frozenset(v for v in g.vertices if _find(parent, v) == root0)
-
-
 def two_forest_polynomial(g: Graph) -> MultiPoly:
     """Momentum part of S2: sum over 2-forests F of (q^F)^2 prod_{e not in F} a_e.
 
-    (q^F)^2 is the euclidean square of the total external momentum entering
-    one component (well defined by conservation), so every coefficient is a
-    nonnegative rational.
+    The 2-forests are the acyclic sets of V - 2 edges. (q^F)^2 is the
+    euclidean square of the total external momentum entering the component
+    of the first vertex (the other component carries minus that by
+    conservation), so every coefficient is a nonnegative rational.
     """
     n_edges = g.n_edges
     terms = {}
-    for idxs, side in two_forests(g):
+    for idxs, parent in _forests(g, g.n_vertices - 2):
+        root0 = _find(parent, g.vertices[0])
+        side = (v for v in g.vertices if _find(parent, v) == root0)
         q = sum((g.momentum(v) for v in side), FourVector.zero())
         weight = q.norm2()
         if weight:

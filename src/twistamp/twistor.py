@@ -22,7 +22,6 @@ from .algebra import (
     AlternatingForm,
     GaussianRational,
     MultiPoly,
-    as_fraction,
     matrix_rank,
     pfaffian_symbolic,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "build_propagator_form",
     "propagator_forms",
     "pair",
-    "pair_rows",
     "o_block_form",
     "quadratic_rank_check",
     "PfaffianSymanzikRatio",
@@ -162,7 +160,6 @@ def build_propagator_form(
     edge_id,
     basis: CycleBasis | None = None,
     routing: MomentumRouting | None = None,
-    mass=None,
 ) -> PropagatorForm:
     """Q_e = u w^T - w u^T + m^2 (e1 e2^T - e2 e1^T) with
 
@@ -179,7 +176,7 @@ def build_propagator_form(
     e_idx = g.index_of(edge_id)
     edge = g.edges[e_idx]
     alpha = basis.column(e_idx)
-    m = edge.mass if mass is None else as_fraction(mass)
+    m = edge.mass
     shift = routing.of(edge.id)
     blk = embed4(shift)
 
@@ -235,7 +232,8 @@ def _form_matrix(q) -> np.ndarray:
 
 
 def pair(q, point) -> complex:
-    """row1 . Q . row2^T against the point's identity-framed rows.
+    """row1 . Q . row2^T against the point's identity-framed rows, or against
+    any 2-plane frame given as a (2, dim) array of rows.
 
     For points on the real slice this is the euclidean propagator, a real
     number >= m^2.
@@ -245,16 +243,6 @@ def pair(q, point) -> complex:
     if rows.shape != (2, m.shape[0]):
         raise StructuralError("point and form dimensions disagree")
     return complex(rows[0] @ m @ rows[1])
-
-
-def pair_rows(q, row1, row2) -> complex:
-    """Pairing against an arbitrary 2-plane frame (rows need not be framed)."""
-    m = _form_matrix(q)
-    r1 = np.asarray(row1, dtype=complex)
-    r2 = np.asarray(row2, dtype=complex)
-    if r1.shape != (m.shape[0],) or r2.shape != (m.shape[0],):
-        raise StructuralError("frame rows and form dimensions disagree")
-    return complex(r1 @ m @ r2)
 
 
 def quadratic_rank_check(alpha: AlternatingForm) -> int:

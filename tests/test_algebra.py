@@ -10,7 +10,8 @@ from twistamp import (
     MultiPoly,
     StructuralError,
     ValidationError,
-    combine_forms,
+    as_fraction,
+    box,
     det_symbolic,
     matrix_rank,
     pfaffian_numeric,
@@ -35,6 +36,11 @@ def test_gaussian_rational_arithmetic():
     assert complex(GR(1, 2)) == 1 + 2j
     with pytest.raises(ZeroDivisionError):
         a / GR()
+
+
+def test_numpy_floats_read_as_decimals():
+    assert as_fraction(np.float64(0.1)) == Fraction(1, 10)
+    assert box(masses=np.ones(4)).edges == box(masses=(1,) * 4).edges
 
 
 def test_gaussian_rational_is_exact():
@@ -144,6 +150,14 @@ def _wedge(u, w, dim):
     return AlternatingForm.from_wedge(uu, ww)
 
 
+def _combine(forms, coeffs):
+    """Exact sum_i coeffs[i] * forms[i]."""
+    out = forms[0].scaled(coeffs[0])
+    for f, c in zip(forms[1:], coeffs[1:]):
+        out = out + f.scaled(c)
+    return out
+
+
 def test_pfaffian_symbolic_n0_edge_case():
     # two 2x2 forms: Pf(a1 Q1 + a2 Q2) is linear with the (1,2) entries
     q1 = AlternatingForm([[0, 3], [-3, 0]])
@@ -171,7 +185,7 @@ def test_pfaffian_symbolic_matches_numeric_at_random_points():
     assert pf.homogeneous_degree() in (0, 2)  # zero poly reports 0
     for _ in range(20):
         point = [random_fraction(rnd) for _ in range(4)]
-        summed = combine_forms(forms, point)
+        summed = _combine(forms, point)
         exact = pf.evaluate(point)
         numeric = pfaffian_numeric(summed.to_numpy())
         assert abs(complex(exact) - numeric) <= 1e-12 * max(1.0, abs(numeric))
@@ -187,7 +201,7 @@ def test_pfaffian_symbolic_evaluation_is_exact():
     point = [Fraction(1, 7), Fraction(2, 3), Fraction(3), Fraction(5, 2)]
     direct = pf.evaluate(point)
     # independent exact evaluation: Pf of the summed 4x4 by the 3-term formula
-    m = combine_forms(forms, point)
+    m = _combine(forms, point)
     expect = m[0, 1] * m[2, 3] - m[0, 2] * m[1, 3] + m[0, 3] * m[1, 2]
     assert direct == expect
 

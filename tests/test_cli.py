@@ -130,6 +130,14 @@ def test_integrate_rejects_zero_samples(tmp_path, capsys):
     assert main(["integrate", path, "--samples", "0"]) == EXIT_VALIDATION
 
 
+def test_integrate_has_no_sampler_flags_the_report_does_not_record(tmp_path, capsys):
+    path = _write(tmp_path, "box.json", BOX)
+    for flag in (["--scale", "1"], ["--batch-size", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["integrate", path, *flag])
+        assert exc.value.code == EXIT_VALIDATION
+
+
 def test_integrate_single_method(tmp_path, capsys):
     path = _write(tmp_path, "box.json", BOX)
     code = main(["integrate", path, "--method", "parametric", "--samples", "5000", "--seed", "3"])

@@ -48,17 +48,11 @@ def test_config_validation():
         IntegrationConfig(n_samples=999)
     with pytest.raises(ValidationError):
         IntegrationConfig(n_samples=10_000, seed=-1)
-    with pytest.raises(ValidationError):
-        IntegrationConfig(n_samples=10_000, batch_size=0)
-    with pytest.raises(ValidationError):
-        IntegrationConfig(n_samples=10_000, scale=0.0)
-    with pytest.raises(ValidationError):
-        IntegrationConfig(n_samples=10_000, scale=math.inf)
 
 
 def test_config_rejects_bool_counts():
-    # bool is an int subclass: batch_size=True would run one sample per batch
-    for field in ("n_samples", "seed", "batch_size", "scale"):
+    # bool is an int subclass: seed=True would run as seed 1
+    for field in ("n_samples", "seed"):
         with pytest.raises(ValidationError):
             IntegrationConfig(**{"n_samples": 10_000, field: True})
 
@@ -218,7 +212,7 @@ def test_pfaffian_kernel_against_exact_and_determinant_oracles():
     assert np.array_equal(single, before[:1])
 
 
-def test_pfaffian_estimate_equals_mean_of_inverse_s2_squared_on_same_draws():
+def test_pfaffian_estimate_equals_mean_of_inverse_s2_squared_on_same_draws(monkeypatch):
     from twistamp.integrate import (
         _poly_evaluator,
         _require_convergent,
@@ -229,7 +223,8 @@ def test_pfaffian_estimate_equals_mean_of_inverse_s2_squared_on_same_draws():
     rnd = random.Random(73)
     g = with_random_kinematics(bowtie, rnd)
     # 10_000 is not a multiple of the kernel chunk
-    cfg = IntegrationConfig(n_samples=25_000, seed=5, batch_size=10_000)
+    monkeypatch.setattr("twistamp.integrate._BATCH_SIZE", 10_000)
+    cfg = IntegrationConfig(n_samples=25_000, seed=5)
     result = pfaffian_amplitude(g, cfg)
     s2_at = _poly_evaluator(second_symanzik(g).s2)
     n, n_edges, orders = _require_convergent(g)
@@ -375,13 +370,15 @@ def test_mixture_density_is_normalised():
             assert abs(ratio.mean() - 1.0) < 3 * ratio.std() / math.sqrt(ratio.size)
 
 
-def test_mixture_weights_stay_below_the_tropical_bound():
+def test_mixture_weights_stay_below_the_tropical_bound(monkeypatch):
     from twistamp.integrate import _UNIFORM_SHARE, _poly_evaluator, _simplex_batches
 
     rnd = random.Random(23)
     graphs = [with_random_kinematics(bowtie, rnd)] + [
         multi_loop_graph(name, rnd) for name in ("theta", "loop3")
     ]
+    # an odd batch size puts one more sample in the tropical part
+    monkeypatch.setattr("twistamp.integrate._BATCH_SIZE", 20_001)
     for g in graphs:
         n_edges, sampler = _tropical_setup(g)
         s2 = second_symanzik(g).s2
@@ -389,20 +386,20 @@ def test_mixture_weights_stay_below_the_tropical_bound():
         c_min = min(float(c.re) for _, c in s2.terms())
         bound = sampler.i_tr / ((1.0 - _UNIFORM_SHARE) * c_min**2)
         for qmc in (False, True):
-            # an odd batch size puts one more sample in the tropical part
-            cfg = IntegrationConfig(n_samples=60_000, seed=7, batch_size=20_001, qmc=qmc)
+            cfg = IntegrationConfig(n_samples=60_000, seed=7, qmc=qmc)
             for points, log_q in _simplex_batches(cfg, n_edges, "parametric", sampler):
                 weights = 1.0 / np.square(s2_at(points)) / np.exp(log_q)
                 assert weights.max() <= bound * (1.0 + 1e-12)
 
 
-def test_one_loop_graphs_keep_the_uniform_proposal():
+def test_one_loop_graphs_keep_the_uniform_proposal(monkeypatch):
     from twistamp.integrate import _poly_evaluator, _simplex_batches
 
     g = with_random_kinematics(box, random.Random(29))
     n_edges, sampler = _tropical_setup(g)
     assert sampler is None
-    cfg = IntegrationConfig(n_samples=20_000, seed=3, batch_size=7_000)
+    monkeypatch.setattr("twistamp.integrate._BATCH_SIZE", 7_000)
+    cfg = IntegrationConfig(n_samples=20_000, seed=3)
     s2_at = _poly_evaluator(second_symanzik(g).s2)
     weights = np.concatenate(
         [1.0 / np.square(s2_at(batch)) for batch in _simplex_batches(cfg, n_edges, "parametric")]
@@ -440,11 +437,14 @@ def test_reproducibility_bitwise():
     assert other.estimate != direct_amplitude(g, cfg).estimate
 
 
-def test_batch_split_does_not_change_estimate():
+def test_multi_batch_run_is_bit_reproducible(monkeypatch):
+    monkeypatch.setattr("twistamp.integrate._BATCH_SIZE", 10_000)
     g = box(masses=(1,) * 4)
-    a = direct_amplitude(g, IntegrationConfig(n_samples=40_000, seed=4, batch_size=10_000))
-    b = direct_amplitude(g, IntegrationConfig(n_samples=40_000, seed=4, batch_size=10_000))
+    cfg = IntegrationConfig(n_samples=40_000, seed=4)
+    a = direct_amplitude(g, cfg)
+    b = direct_amplitude(g, cfg)
     assert a.estimate == b.estimate
+    assert a.std_error == b.std_error
 
 
 def test_std_error_scales_like_sqrt_n():

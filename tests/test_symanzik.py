@@ -9,10 +9,8 @@ from twistamp import (
     bowtie,
     box,
     cycle_basis,
-    edge_rank_one_matrix,
     first_symanzik_det,
     first_symanzik_trees,
-    matrix_rank,
     second_symanzik,
     spanning_trees,
     triangle,
@@ -46,14 +44,6 @@ def test_single_edge_graph_has_unit_s1():
     g = Graph.build([1, 2], [(1, 1, 2, 1)])
     assert first_symanzik_trees(g) == MultiPoly.constant(1, 1)
     assert first_symanzik_det(g) == MultiPoly.constant(1, 1)
-
-
-def test_rank_one_matrices():
-    basis = cycle_basis(bowtie())
-    for e in range(6):
-        m = edge_rank_one_matrix(basis, e)
-        assert m == [list(r) for r in zip(*m)]  # symmetric
-        assert matrix_rank(m) <= 1
 
 
 def test_determinant_equals_tree_sum_on_random_graphs():

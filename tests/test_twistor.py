@@ -16,12 +16,11 @@ from twistamp import (
     bowtie,
     box,
     build_propagator_form,
-    combine_forms,
     cycle_basis,
     embed4,
     o_block_form,
     pair,
-    pair_rows,
+    pfaffian_numeric,
     pfaffian_symanzik_ratio,
     propagator_forms,
     quadratic_rank_check,
@@ -70,14 +69,13 @@ def test_embed4_is_real_linear():
 
 
 def test_propagator_form_single_loop_support():
-    # zero shift, zero-ish mass override: pure loop wedge, rank 2
+    # zero shift, unit mass
     g = box()
-    f = build_propagator_form(g, 1, mass=Fraction(1, 1))
+    f = build_propagator_form(g, 1)
     assert f.form.dim == 4
-    massless = build_propagator_form(g, 1, mass=None)
-    assert massless.form.rank() == 4  # mass 1 makes it rank 4
+    assert f.form.rank() == 4  # mass 1 makes it rank 4
     # strip the mass by subtracting it out: the loop wedge alone has rank 2
-    loop_only = massless.form + o_block_form(1).scaled(-1)
+    loop_only = f.form + o_block_form(1).scaled(-1)
     assert loop_only.rank() == 2
 
 
@@ -119,7 +117,7 @@ def test_pair_reproduces_euclidean_propagator():
 
 def test_pair_at_n1_unit_loop_vector():
     g = box()
-    f = build_propagator_form(g, 1, mass=Fraction(1))
+    f = build_propagator_form(g, 1)
     point = TwistorPoint.real_slice([[1.0, 0.0, 0.0, 0.0]])
     # alpha = 1, s = 0, so the pairing is q(x) + m^2 = 1 + 1
     assert pair(f, point) == pytest.approx(2.0)
@@ -183,9 +181,10 @@ def test_sum_of_forms_nonzero_on_real_slice():
 def test_massless_shifted_form_has_rank_two():
     q = [Fraction(1), Fraction(0), Fraction(1, 2), Fraction(0)]
     g = box(momenta={1: q, 3: [-c for c in q]})
-    f = build_propagator_form(g, 1, mass=0)  # shift q rides edge 1
+    f = build_propagator_form(g, 1)  # shift q rides edge 1
     assert not f.shift.is_zero()
-    assert f.form.rank() == 2
+    massless = f.form + o_block_form(1).scaled(-f.mass * f.mass)
+    assert massless.rank() == 2
 
 
 def test_o_block_form_positive_on_slice():
@@ -197,7 +196,7 @@ def test_o_block_form_positive_on_slice():
         row2 = np.empty_like(z)
         row2[0::2] = -np.conj(z[1::2])
         row2[1::2] = np.conj(z[0::2])
-        value = pair_rows(q0, row1, row2)
+        value = pair(q0, np.stack([row1, row2]))
         expect = abs(z[0]) ** 2 + abs(z[1]) ** 2
         assert value == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
@@ -244,10 +243,12 @@ def test_ratio_reports_pf_equals_s2_at_points():
         point = rng.uniform(0.05, 1.0, size=6)
         point /= point.sum()
         exact_pt = [Fraction(p).limit_denominator(10**6) for p in point]
-        summed = combine_forms([f.form for f in forms], exact_pt)
+        # independent numeric oracle: Parlett-Reid on sum_e a_e Q_e
+        summed = sum(float(a) * f.to_numpy() for a, f in zip(exact_pt, forms))
         pf_val = complex(result.pfaffian.evaluate(exact_pt))
         s2_val = complex(result.symanzik.s2.evaluate(exact_pt))
         assert pf_val == pytest.approx(s2_val, rel=1e-12)
+        assert pfaffian_numeric(summed) == pytest.approx(pf_val, rel=1e-12)
         assert abs(pf_val) > 0
 
 
