@@ -14,6 +14,7 @@ cross-check the exact routines and to serve the Monte Carlo integrators.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +35,8 @@ __all__ = [
 
 
 def as_fraction(value) -> Fraction:
-    """Exact rational from an int, Fraction, decimal string, or float.
+    """Exact rational from an integer (any numbers.Integral but bool, so numpy
+    integers too), Fraction, decimal string, or float.
 
     Floats (numpy's included) are read through repr(float(value)), so 0.1
     parses as 1/10 rather than as the binary expansion of the double.
@@ -43,8 +45,8 @@ def as_fraction(value) -> Fraction:
         return value
     if isinstance(value, bool):
         raise ValidationError("booleans are not numbers here")
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, numbers.Integral):
+        return Fraction(int(value))
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValidationError(f"non-finite value {value!r}")
@@ -363,14 +365,14 @@ class MultiPoly:
         coeffs = np.array([complex(c) for _, c in items], dtype=complex)
         return exps, coeffs
 
-    def text(self, var: str = "a") -> str:
+    def text(self) -> str:
         """Canonical rendering, terms in descending lexicographic order."""
         if not self._terms:
             return "0"
         pieces = []
         for exps, coeff in self.terms():
             mono = "*".join(
-                f"{var}{i + 1}" + (f"^{e}" if e > 1 else "")
+                f"a{i + 1}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(exps)
                 if e
             )
@@ -402,28 +404,40 @@ class MultiPoly:
 
 
 class AlternatingForm:
-    """Antisymmetric square matrix with exact GaussianRational entries."""
+    """Antisymmetric matrix of exact GaussianRational entries, stored as its
+    nonzero upper entries {(i, j): A[i, j]}, i < j, the format `_pfaffian_expand`
+    reads. Only the rows constructor validates; the other builders fill it."""
 
-    __slots__ = ("dim", "_rows")
+    __slots__ = ("dim", "_upper")
 
     def __init__(self, rows):
         rows = tuple(tuple(GaussianRational.coerce(x) for x in row) for row in rows)
         dim = len(rows)
         if any(len(r) != dim for r in rows):
             raise StructuralError("alternating form must be square")
+        upper = {}
         for i in range(dim):
             if not rows[i][i].is_zero():
                 raise ValidationError("diagonal of an alternating form must vanish")
             for j in range(i):
                 if rows[i][j] != -rows[j][i]:
                     raise ValidationError("matrix is not exactly antisymmetric")
+                if not rows[j][i].is_zero():
+                    upper[(j, i)] = rows[j][i]
         self.dim = dim
-        self._rows = rows
+        self._upper = upper
+
+    @classmethod
+    def _raw(cls, dim, upper):
+        # internal: upper holds only nonzero entries, keyed (i, j) with i < j
+        form = cls.__new__(cls)
+        form.dim = dim
+        form._upper = upper
+        return form
 
     @classmethod
     def zero(cls, dim):
-        z = GaussianRational()
-        return cls([[z] * dim for _ in range(dim)])
+        return cls._raw(dim, {})
 
     @classmethod
     def from_wedge(cls, u, w):
@@ -432,28 +446,35 @@ class AlternatingForm:
         w = [GaussianRational.coerce(x) for x in w]
         if len(u) != len(w):
             raise StructuralError("wedge factors must have equal length")
-        rows = [[u[i] * w[j] - w[i] * u[j] for j in range(len(u))] for i in range(len(u))]
-        return cls(rows)
+        support = [i for i in range(len(u)) if u[i] or w[i]]
+        upper = {(i, j): u[i] * w[j] - w[i] * u[j] for i in support for j in support if i < j}
+        return cls._raw(len(u), {k: x for k, x in upper.items() if not x.is_zero()})
 
     def __getitem__(self, key):
         i, j = key
-        return self._rows[i][j]
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexError(f"no entry {key!r} in a form of dimension {self.dim}")
+        if i > j:
+            return -self._upper.get((j, i), _GR_ZERO)
+        return self._upper.get((i, j), _GR_ZERO)
 
     def rows(self):
-        return self._rows
+        return tuple(tuple(self[i, j] for j in range(self.dim)) for i in range(self.dim))
 
     def scaled(self, c) -> "AlternatingForm":
         c = GaussianRational.coerce(c)
-        return AlternatingForm([[x * c for x in row] for row in self._rows])
+        upper = {k: x * c for k, x in self._upper.items() if not c.is_zero()}
+        return AlternatingForm._raw(self.dim, upper)
 
     def __add__(self, other):
         if not isinstance(other, AlternatingForm):
             return NotImplemented
         if other.dim != self.dim:
             raise StructuralError("dimension mismatch")
-        return AlternatingForm(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)]
-        )
+        out = dict(self._upper)
+        for k, x in other._upper.items():
+            out[k] = out[k] + x if k in out else x
+        return AlternatingForm._raw(self.dim, {k: x for k, x in out.items() if not x.is_zero()})
 
     def __neg__(self):
         return self.scaled(-1)
@@ -461,16 +482,16 @@ class AlternatingForm:
     def __eq__(self, other):
         if not isinstance(other, AlternatingForm):
             return NotImplemented
-        return self.dim == other.dim and self._rows == other._rows
+        return self.dim == other.dim and self._upper == other._upper
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash((self.dim, frozenset(self._upper.items())))
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self._rows for x in row)
+        return not self._upper
 
     def to_numpy(self) -> np.ndarray:
-        return np.array([[complex(x) for x in row] for row in self._rows], dtype=complex)
+        return np.array([[complex(x) for x in row] for row in self.rows()], dtype=complex)
 
     def rank(self) -> int:
         return matrix_rank(self)
@@ -528,18 +549,12 @@ def pfaffian_symbolic(forms) -> MultiPoly:
     if any(f.dim != dim for f in forms):
         raise StructuralError("all forms must share one dimension")
     nvars = len(forms)
-
-    def unit(e):
-        exps = [0] * nvars
-        exps[e] = 1
-        return tuple(exps)
-
-    entries = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            entry = MultiPoly(nvars, {unit(e): forms[e][i, j] for e in range(nvars)})
-            if not entry.is_zero():
-                entries[(i, j)] = entry
+    terms = {}
+    for e, form in enumerate(forms):
+        exps = (0,) * e + (1,) + (0,) * (nvars - e - 1)
+        for key, x in form._upper.items():
+            terms.setdefault(key, {})[exps] = x
+    entries = {key: MultiPoly._raw(nvars, t) for key, t in terms.items()}
     return _pfaffian_expand(entries, dim, nvars)
 
 

@@ -140,19 +140,8 @@ class Graph:
         if not total.is_zero():
             raise ValidationError("external momenta must sum to zero")
 
-        adjacency = {v: [] for v in verts}
-        for e in edges:
-            adjacency[e.source].append(e.target)
-            adjacency[e.target].append(e.source)
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            v = stack.pop()
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != vset:
+        parent = {v: v for v in verts}
+        if sum(_union(parent, e.source, e.target) for e in edges) != len(verts) - 1:
             raise StructuralError("graph must be connected")
 
         object.__setattr__(self, "vertices", verts)
@@ -267,10 +256,10 @@ class CycleBasis:
     def column(self, e: int) -> tuple:
         return tuple(row[e] for row in self.loops)
 
-    def to_numpy(self, dtype=float) -> np.ndarray:
+    def to_numpy(self) -> np.ndarray:
         n = len(self.loops)
         cols = len(self.loops[0]) if n else 0
-        return np.array([list(r) for r in self.loops], dtype=dtype).reshape(n, cols)
+        return np.array([list(r) for r in self.loops], dtype=float).reshape(n, cols)
 
 
 def cycle_basis(g: Graph) -> CycleBasis:

@@ -409,8 +409,6 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     n, n_edges, _ = _require_convergent(g)
     if cfg.qmc:
         raise ValidationError("qmc sampling is only wired up for the simplex methods")
-    if any(e.mass <= 0 for e in g.edges):
-        raise ValidationError("direct integral needs all masses > 0 to converge")
     basis = cycle_basis(g)
     routing = route_momenta(g)
 
@@ -605,7 +603,7 @@ def extract_constants(
     return ExtractedConstants(c_hat, c_err, big_c, big_err, direct, parametric, pfaffian)
 
 
-def log_divergent_integrand(g: Graph, basis=None):
+def log_divergent_integrand(g: Graph):
     """Integrand builder 1 / S1(a)^2 for graphs with N = 2n.
 
     Exposed without any convergence guarantee (the integral is scaleless);
@@ -617,13 +615,12 @@ def log_divergent_integrand(g: Graph, basis=None):
         raise UnsupportedTopology(
             f"log-divergent integrand needs N = 2n; got N={g.n_edges}, n={n}"
         )
-    s1 = first_symanzik_det(g, basis or cycle_basis(g))
+    s1 = first_symanzik_det(g)
     evaluate = _poly_evaluator(s1)
 
     def integrand(points):
         arr = np.atleast_2d(np.asarray(points, dtype=float))
-        values = evaluate(arr).real
-        out = 1.0 / np.square(values)
+        out = 1.0 / np.square(evaluate(arr))
         return float(out[0]) if np.ndim(points) == 1 else out
 
     integrand.polynomial = s1

@@ -189,9 +189,7 @@ def build_propagator_form(
     for k in range(n):
         u[2 * k + 2] = GaussianRational.coerce(alpha[k])
         w[2 * k + 3] = GaussianRational.coerce(alpha[k])
-    q = AlternatingForm.from_wedge(u, w)
-    if m:
-        q = q + o_block_form(n).scaled(m * m)
+    q = AlternatingForm.from_wedge(u, w) + o_block_form(n).scaled(m * m)
     return PropagatorForm(q, edge.id, tuple(alpha), shift, m)
 
 

@@ -43,6 +43,13 @@ def test_numpy_floats_read_as_decimals():
     assert box(masses=np.ones(4)).edges == box(masses=(1,) * 4).edges
 
 
+def test_numpy_integers_read_as_integers():
+    assert as_fraction(np.int64(3)) == 3
+    assert box(masses=np.array([1, 1, 1, 1])) == box()
+    with pytest.raises(ValidationError):
+        as_fraction(np.bool_(True))
+
+
 def test_gaussian_rational_is_exact():
     third = GR(Fraction(1, 3))
     assert third + third + third == 1
@@ -82,6 +89,29 @@ def test_alternating_form_validation():
         AlternatingForm([[1, 0], [0, 1]])
     form = AlternatingForm([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
     assert form[0, 1] == Fraction(1, 2)
+
+
+def test_wedge_entries_match_dense_outer_products():
+    rnd = random.Random(71)
+    for dim in (2, 5, 8, 10):
+        for _ in range(25):
+            u = [random_fraction(rnd) if rnd.random() < 0.4 else Fraction(0) for _ in range(dim)]
+            w = [
+                GR(random_fraction(rnd), random_fraction(rnd)) if rnd.random() < 0.4 else GR()
+                for _ in range(dim)
+            ]
+            form = AlternatingForm.from_wedge(u, w)
+            dense = [[w[j] * u[i] - w[i] * u[j] for j in range(dim)] for i in range(dim)]
+            for i in range(dim):
+                for j in range(dim):
+                    assert form[i, j] == dense[i][j]
+            assert form == AlternatingForm(dense)
+            assert form.rows() == AlternatingForm(dense).rows()
+            expect = np.array([[complex(x) for x in row] for row in dense])
+            assert np.array_equal(form.to_numpy(), expect)
+            assert form.is_zero() == all(x.is_zero() for row in dense for x in row)
+            with pytest.raises(IndexError):
+                form[0, dim]
 
 
 def test_pfaffian_2x2_convention():

@@ -39,6 +39,8 @@ def test_rejects_parallel_edges():
 def test_rejects_disconnected():
     with pytest.raises(StructuralError):
         Graph.build([1, 2, 3, 4], [(1, 1, 2, 1), (2, 3, 4, 1)])
+    with pytest.raises(StructuralError):  # V - 1 edges, one of them closing a cycle
+        Graph.build([1, 2, 3, 4], [(1, 1, 2, 1), (2, 2, 3, 1), (3, 3, 1, 1)])
 
 
 def test_rejects_nonpositive_mass():

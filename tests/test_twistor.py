@@ -29,6 +29,7 @@ from twistamp import (
     triangle,
 )
 from conftest import (
+    multi_loop_graph,
     random_fraction,
     random_momenta,
     random_positive_fraction,
@@ -176,6 +177,19 @@ def test_sum_of_forms_nonzero_on_real_slice():
     # each summand contributes a nonnegative real pairing on the slice
     singles = np.einsum("bi,ij,bj->b", z, stack[0], rows2)
     assert np.all(singles.real >= -1e-10 * np.maximum(1.0, np.abs(singles)))
+
+
+def test_propagator_forms_store_only_nonzero_upper_entries():
+    rnd = random.Random(72)
+    graphs = [with_random_kinematics(box, rnd), with_random_kinematics(bowtie, rnd)]
+    graphs += [multi_loop_graph(name, rnd) for name in ("theta", "loop3", "loop4")]
+    for g in graphs:
+        for f in propagator_forms(g):
+            dense = AlternatingForm(f.form.rows())
+            assert dense == f.form
+            assert hash(dense) == hash(f.form)
+            assert f.form._upper
+            assert all(i < j and not x.is_zero() for (i, j), x in f.form._upper.items())
 
 
 def test_massless_shifted_form_has_rank_two():
