@@ -335,11 +335,14 @@ class MultiPoly:
         pt = [GaussianRational.coerce(p) for p in point]
         if len(pt) != self.nvars:
             raise StructuralError("point has the wrong number of coordinates")
+        # a coordinate equal to one leaves every product alone, so at the
+        # all-ones point each term is just its coefficient
+        active = [(i, p) for i, p in enumerate(pt) if p.re != 1 or p.im]
         total = _GR_ZERO
         for exps, coeff in self._terms.items():
             v = coeff
-            for p, e in zip(pt, exps):
-                for _ in range(e):
+            for i, p in active:
+                for _ in range(exps[i]):
                     v = v * p
             total = total + v
         return total

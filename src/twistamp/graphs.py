@@ -256,11 +256,6 @@ class CycleBasis:
     def column(self, e: int) -> tuple:
         return tuple(row[e] for row in self.loops)
 
-    def to_numpy(self) -> np.ndarray:
-        n = len(self.loops)
-        cols = len(self.loops[0]) if n else 0
-        return np.array([list(r) for r in self.loops], dtype=float).reshape(n, cols)
-
 
 def cycle_basis(g: Graph) -> CycleBasis:
     """Fundamental cycles of the lowest-id spanning tree, one per extra edge.

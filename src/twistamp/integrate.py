@@ -1,7 +1,10 @@
 """Monte Carlo evaluation of the three amplitude representations.
 
 direct      integral over R^(4n) of 1 / prod_e P_e(x), importance-sampled
-            with one heavy-tailed 4-dimensional Cauchy proposal per loop;
+            from a mixture with one channel per spanning tree: each channel
+            draws its chord momenta from heavy-tailed 4-dimensional
+            Student-t laws, and the mixture density is the first Symanzik
+            polynomial at the per-edge densities (see direct_amplitude);
 parametric  integral over the unit simplex of 1 / S2(a)^2;
 pfaffian    integral over the unit simplex of 1 / |Pf(sum_e a_e Q_e)|^2.
             Each batch of forms is assembled by one real matmul with the
@@ -41,7 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .graphs import Graph, _subset_loop_numbers, cycle_basis, loop_number, route_momenta
-from .symanzik import first_symanzik_det, second_symanzik
+from .symanzik import first_symanzik_det, second_symanzik, spanning_trees
 from .twistor import propagator_forms
 
 __all__ = [
@@ -56,15 +59,6 @@ __all__ = [
     "extract_constants",
     "log_divergent_integrand",
 ]
-
-# Degrees of freedom of the per-loop proposal factors in the direct method.
-# Each loop's 4 coordinates are drawn from one 4-dimensional Student-t with
-# nu = 1 (a 4-dim Cauchy), independently per loop. Along the subspace spanned
-# by any s loops the proposal then decays like r^(-5s) while the integrand
-# decays like r^(-2e) with e the number of edges those loops touch; simple
-# graphs give e >= 3 for s = 1 and e >= 5 for s = 2, so the importance
-# weights stay bounded for every 1- and 2-loop topology.
-_TAIL_DOF = 1.0
 
 # Share of each simplex batch drawn uniformly; the tropical sampler draws the
 # rest. Any share below 1 bounds the weights; the uniform half keeps the
@@ -341,7 +335,8 @@ def _simplex_integral(cfg: IntegrationConfig, n: int, orders, method: str, denom
 def _poly_evaluator(poly):
     """Vectorized float64 evaluation of a MultiPoly with real coefficients on
     batches of points (B, N): each term is its coefficient times x**e per
-    variable in variable order, a running product over contiguous columns."""
+    variable in variable order, a running product over contiguous columns
+    (a unit coefficient is left out, which changes no bit)."""
     if any(c.im for _, c in poly.terms()):
         raise InvariantViolation("polynomial has a complex coefficient")
     exps, coeffs = poly.compiled()
@@ -355,9 +350,15 @@ def _poly_evaluator(poly):
         out = np.zeros(len(points))
         v = np.empty(len(points))
         for coeff, factors in terms:
-            v.fill(coeff)
-            for var, e in factors:
-                np.multiply(v, columns[var] if e == 1 else columns[var] ** e, out=v)
+            operands = [columns[var] if e == 1 else columns[var] ** e for var, e in factors]
+            if coeff != 1.0 or not operands:  # 1 * x is x exactly
+                operands.insert(0, coeff)
+            if len(operands) == 1:
+                out += operands[0]
+                continue
+            np.multiply(operands[0], operands[1], out=v)
+            for x in operands[2:]:
+                np.multiply(v, x, out=v)
             out += v
         return out
 
@@ -396,48 +397,131 @@ def _require_convergent(g: Graph) -> tuple:
     return n, n_edges, orders
 
 
+def _tail_dof(n: int, orders: np.ndarray) -> float:
+    """Degrees of freedom nu of the direct proposal's Student-t factors:
+    half the largest value with 4|S| > (8 + nu) L(S) on every edge subset S
+    that has a loop, capped at 1 (a Cauchy). L(S) is m(S) from `orders`,
+    except L(E) = n. See direct_amplitude."""
+    loops = orders.tolist()
+    loops[-1] = n
+    bound = min(
+        (4 * mask.bit_count() - 8 * s) / s for mask, s in enumerate(loops) if s
+    )
+    return min(1.0, 0.5 * bound)
+
+
+def _tree_channels(g: Graph, basis) -> tuple:
+    """Per spanning tree T with chords C (the n edges outside T), the integer
+    (E, n) matrix A_T and the (E, 4) offset b_T with q = A_T y + b_T the edge
+    momenta when the chords carry momenta y: A_T = L^T (L[:, C]^T)^-1 for the
+    loop matrix L, b_T = s - A_T s_C for the routed shifts s. A_T is exact
+    and, like b_T, does not depend on the cycle basis. Returns them stacked,
+    as floats."""
+    loops = np.array(basis.loops, dtype=np.int64)  # (n, E)
+    routing = route_momenta(g)
+    shifts = np.array([routing.of(e.id).floats() for e in g.edges])  # (E, 4)
+    identity = np.eye(basis.n, dtype=np.int64)
+    maps, offsets = [], []
+    for tree in spanning_trees(g):
+        chords = [e for e in range(g.n_edges) if e not in tree]
+        cut = loops[:, chords].T  # x -> q_C, less the shifts
+        try:
+            inverse = np.rint(np.linalg.inv(cut)).astype(np.int64)
+        except np.linalg.LinAlgError:
+            inverse = None
+        if inverse is None or not np.array_equal(cut @ inverse, identity):
+            raise InvariantViolation(
+                f"chords {[g.edges[c].id for c in chords]} give a loop matrix "
+                "that is not unimodular"
+            )
+        a_t = (loops.T @ inverse).astype(float)
+        maps.append(a_t)
+        offsets.append(shifts - a_t @ shifts[chords])
+    return np.array(maps), np.array(offsets)
+
+
 def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     """Monte Carlo estimate of the momentum-space integral
     int d^{4n}x / prod_e [(sum_k alpha_k(e) x_k + s_e)^2 + m_e^2].
 
-    Importance sampling draws each loop 4-vector from a heavy-tailed
-    4-dimensional Cauchy (Student-t, one degree of freedom) whose scale is
-    the geometric mean of the masses; see _TAIL_DOF for the tail-matching
-    argument.
+    The proposal is a mixture with one channel per spanning tree T
+    (multichannel sampling, Kleiss-Pittau hep-ph/9405257). Channel T draws
+    the momentum of each chord c of T from a 4-dimensional Student-t h
+    centred at q_c = 0, with nu degrees of freedom and the geometric mean of
+    the masses as scale; conservation fixes the rest, q = A_T y + b_T (see
+    _tree_channels), a map of unit Jacobian. The channels are picked
+    uniformly, so every sample is weighted by the balance heuristic f/g with
+    the mixture density g = U(h(q_1), ..., h(q_E)) / T_count, U the first
+    Symanzik polynomial (the sum over spanning trees of chord products;
+    Bogner-Weinzierl arXiv:1002.3458) and T_count = U(1, ..., 1). U is a sum
+    of positive terms, evaluated after dividing each sample's h by its
+    largest entry (U is homogeneous of degree n), so g loses no precision
+    to cancellation.
+
+    Power counting. Let the momenta of a subgraph with s loops and e edges
+    grow like r. Some spanning tree contains a spanning forest of it, so g
+    decays no faster than r^(-(4+nu)s) there, while the integrand decays
+    like r^(-2e); the variance int f^2/g is finite along the subgraph when
+    4e > (8+nu)s. Convergence (e >= 2s+1 on proper subgraphs, 2n+2 edges on
+    the whole graph) makes nu s < 4 enough. nu is half the largest value the
+    condition allows over all edge subsets, capped at 1:
+    nu = min(1, min_S (4|S| - 8 L(S)) / (2 L(S))). That is 1 on the box,
+    the bowtie and the theta, 3- and 4-loop graphs of the benchmark, and
+    2/3 on a 4-loop graph holding a K4 with one edge subdivided (7 edges,
+    3 loops). Nested limits, where one subgraph's momenta outgrow
+    another's, are not covered by this count.
     """
     start = time.perf_counter()
-    n, n_edges, _ = _require_convergent(g)
+    n, n_edges, orders = _require_convergent(g)
     if cfg.qmc:
         raise ValidationError("qmc sampling is only wired up for the simplex methods")
     basis = cycle_basis(g)
-    routing = route_momenta(g)
-
-    loops = basis.to_numpy()  # (n, E)
-    shifts = np.array([routing.of(e.id).floats() for e in g.edges])  # (E, 4)
-    mass_sq = np.array([float(e.mass) ** 2 for e in g.edges])
+    maps, offsets = _tree_channels(g, basis)
+    u_at = _poly_evaluator(first_symanzik_det(g, basis))
+    n_trees = len(maps)
+    mass_sq = np.array([float(e.mass) ** 2 for e in g.edges])[:, None]
     scale = math.exp(sum(math.log(float(e.mass)) for e in g.edges) / n_edges)
 
-    nu = _TAIL_DOF
-    log_norm_per_loop = (
+    nu = _tail_dof(n, orders)
+    log_norm = (  # log of the Student-t density at q = 0
         math.lgamma((nu + 4.0) / 2.0)
         - math.lgamma(nu / 2.0)
         - 2.0 * math.log(nu * math.pi)
         - 4.0 * math.log(scale)
     )
+    log_g0 = n * log_norm - math.log(n_trees)
+    uniform = np.full(n_trees, 1.0 / n_trees)
 
     acc = _Accumulator()
     for index, count in _batches(cfg.n_samples):
         rng = _rng(cfg.seed, "direct", index)
-        z = rng.standard_normal((count, n, 4))
-        u = rng.chisquare(nu, size=(count, n)) / nu
-        xs = scale * z / np.sqrt(u)[:, :, None]
+        per_tree = rng.multinomial(count, uniform).tolist()
+        chords = rng.standard_normal((4, n, count))  # component, chord, sample
+        # chi^2 with nu degrees of freedom; for nu = 1 a squared normal, which
+        # numpy draws several times faster than chisquare(1)
+        chi2 = (
+            np.square(rng.standard_normal((n, count)))
+            if nu == 1.0
+            else rng.chisquare(nu, size=(n, count))
+        )
+        chords *= scale / np.sqrt(chi2 / nu)
 
-        r2 = np.square(xs / scale).sum(axis=2)  # (B, n)
-        log_g = n * log_norm_per_loop - 0.5 * (nu + 4.0) * np.log1p(r2 / nu).sum(axis=1)
+        # each channel's samples form one contiguous block of columns
+        p2 = np.empty((n_edges, count))  # |q_e|^2
+        end = 0
+        for a_t, b_t, k in zip(maps, offsets, per_tree):
+            block = slice(end, end + k)
+            end += k
+            q = a_t @ chords[:, :, block]  # (4, E, k)
+            q += b_t.T[:, :, None]
+            np.square(q, out=q)
+            q.sum(axis=0, out=p2[:, block])
 
-        momenta = np.einsum("ke,bkc->bec", loops, xs) + shifts[None, :, :]
-        props = np.square(momenta).sum(axis=2) + mass_sq[None, :]
-        log_f = -np.log(props).sum(axis=1)
+        log_f = -np.log(p2 + mass_sq).sum(axis=0)
+        log_h = np.log1p(p2 / (nu * scale * scale))
+        log_h *= -0.5 * (nu + 4.0)
+        top = log_h.max(axis=0)
+        log_g = np.log(u_at(np.exp(log_h - top).T)) + n * top + log_g0
 
         weights = np.exp(log_f - log_g)
         if not np.all(np.isfinite(weights)):

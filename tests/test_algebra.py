@@ -66,6 +66,8 @@ def test_multipoly_basics():
     assert (p + 1).homogeneous_degree() is None
     assert (p - p).is_zero()
     assert p.evaluate([1, 1, 1]) == 6
+    # coordinates equal to one are skipped; 1 + i and -1 are not
+    assert (p**3 + 5).evaluate([1, GR(1, 1), -1]) == GR(5, -8)
     assert p.eval_complex([1j, 0, 0]) == 1j
 
 
