@@ -5,7 +5,10 @@ direct      integral over R^(4n) of 1 / prod_e P_e(x), importance-sampled
             draws its chord momenta from heavy-tailed 4-dimensional
             Student-t laws, and the mixture density is the first Symanzik
             polynomial at the per-edge densities (see direct_amplitude);
-parametric  integral over the unit simplex of 1 / S2(a)^2;
+parametric  integral over the unit simplex of 1 / S2(a)^2, with S2 evaluated
+            unexpanded as F0(a) + (sum_e m_e^2 a_e) U(a), the 2-forest sum
+            and the spanning-tree sum each compiled once into a
+            multivariate Horner plan (see _poly_evaluator);
 pfaffian    integral over the unit simplex of 1 / |Pf(sum_e a_e Q_e)|^2.
             Each batch of forms is assembled by one real matmul with the
             flattened (E, 2*d*d) stack and goes through the one Parlett-Reid
@@ -22,9 +25,9 @@ S2. One-loop graphs, where S2 has no zero on the closed simplex, keep the
 plain uniform proposal. Graphs with a divergent subgraph are refused.
 
 All samplers derive their random stream deterministically from
-(seed, method, batch index), and batch results are merged in batch order
-with compensated summation, so a fixed config reproduces bit-identical
-estimates.
+(seed, method, batch index), and each batch's count, mean and sum of
+squared deviations are merged in batch order, so a fixed config reproduces
+bit-identical estimates.
 """
 
 from __future__ import annotations
@@ -44,7 +47,12 @@ from .errors import (
     ValidationError,
 )
 from .graphs import Graph, _subset_loop_numbers, cycle_basis, loop_number, route_momenta
-from .symanzik import first_symanzik_det, second_symanzik, spanning_trees
+from .symanzik import (
+    first_symanzik_det,
+    first_symanzik_trees,
+    spanning_trees,
+    two_forest_polynomial,
+)
 from .twistor import propagator_forms
 
 __all__ = [
@@ -116,24 +124,29 @@ class IntegrationResult:
 
 
 class _Accumulator:
-    """Per-batch sums merged deterministically in batch order."""
+    """Count, mean and sum of squared deviations M2, merged batch by batch
+    in batch order (Chan, Golub and LeVeque's pairwise update). Each batch
+    is reduced in two passes, mean first and then the deviations from it,
+    so a spread far below the mean is not lost to cancellation."""
 
     def __init__(self):
-        self._sums = []
-        self._sq_sums = []
         self._count = 0
+        self._mean = 0.0
+        self._m2 = 0.0
 
     def add(self, values: np.ndarray) -> None:
-        self._sums.append(float(values.sum()))
-        self._sq_sums.append(float(np.square(values).sum()))
-        self._count += values.size
+        count = values.size
+        mean = float(values.sum()) / count
+        m2 = float(np.square(values - mean).sum())
+        total = self._count + count
+        delta = mean - self._mean
+        self._mean += delta * (count / total)
+        self._m2 += m2 + delta * delta * (self._count * count / total)
+        self._count = total
 
     def finalize(self, factor: float = 1.0):
         n = self._count
-        mean = math.fsum(self._sums) / n
-        mean_sq = math.fsum(self._sq_sums) / n
-        variance = max(mean_sq - mean * mean, 0.0) / n
-        return factor * mean, factor * math.sqrt(variance)
+        return factor * self._mean, factor * math.sqrt(self._m2) / n
 
 
 def _batches(total: int):
@@ -226,21 +239,22 @@ class _TropicalSampler:
         return log_f
 
     def log_f(self, columns: np.ndarray) -> np.ndarray:
-        """log F_tr at simplex points (N, B): sum_i m(S_i) (log a_(i) -
-        log a_(i-1)) with a_(1) >= a_(2) >= ..., a_(0) = 1 and S_i the
-        N - i + 1 smallest coordinates, i.e. the i-th largest coordinate has
-        exponent m(S_i) - m(S_(i+1)) in the dominant monomial."""
-        order = np.argsort(-columns, axis=0)
-        log_a = np.take_along_axis(columns, order, axis=0)
-        np.log(np.maximum(log_a, np.finfo(float).tiny, out=log_a), out=log_a)
-        subset = np.full(columns.shape[1], self.full)
-        above = self.orders[self.full]
+        """log F_tr at simplex points (N, B): sum_e (m(S_e) - m(S_e - e))
+        log a_e, where S_e holds e and every edge ranked after it in
+        decreasing a. The ranking comes from pairwise comparisons, the lower
+        index first on ties; the value does not depend on how ties are broken."""
+        n_edges = self.n_edges
+        bits = 1 << np.arange(n_edges, dtype=np.int32)
+        masks = np.repeat(bits[:, None], columns.shape[1], axis=1)
+        for e in range(n_edges):
+            for f in range(e + 1, n_edges):
+                after = columns[f] <= columns[e]  # f ranks after e
+                masks[e] |= after << f
+                masks[f] |= ~after << e
         out = np.zeros(columns.shape[1])
-        for i in range(self.n_edges):
-            subset ^= 1 << order[i]
-            below = self.orders[subset]
-            out += (above - below) * log_a[i]
-            above = below
+        for e, mask in enumerate(masks):
+            exponent = self.orders[mask] - self.orders[mask ^ bits[e]]
+            out += exponent * np.log(np.maximum(columns[e], np.finfo(float).tiny))
         return out
 
     def mix(self, uniform: np.ndarray, u: np.ndarray):
@@ -332,34 +346,102 @@ def _simplex_integral(cfg: IntegrationConfig, n: int, orders, method: str, denom
     return _simplex_mean(cfg, n_edges, method, weights, tropical=tropical)
 
 
+def _horner_program(terms: list, nvars: int) -> tuple:
+    """Multivariate Horner form of a real polynomial, given as (exponents,
+    coefficient) pairs, as straight-line code over operands; returns
+    (program, constants, number of registers, result operand).
+
+    The form is x_v * Q + R with v the variable present in the most
+    nonconstant terms (the lowest index on ties), Q the terms holding x_v
+    divided by it and R the rest, each factored the same way down to
+    constants. Operands are indexed as the N input columns, then the
+    registers, then the constants; an instruction (ufunc, a, b, out) sets
+    operand out to ufunc(a, b). Q is computed in register d and R in d + 1;
+    x_v does not occur in R, so every step up a register drops a variable:
+    at most N + 1 registers."""
+    constants: list = []
+    program: list = []
+    depth = 0
+
+    def const(value):
+        constants.append(value)
+        return ("c", len(constants) - 1)
+
+    def emit(ufunc, a, b, d):
+        nonlocal depth
+        depth = max(depth, d + 1)
+        program.append((ufunc, a, b, ("r", d)))
+        return ("r", d)
+
+    def factor(terms, d):
+        counts = [sum(1 for exps, _ in terms if exps[v]) for v in range(nvars)]
+        top = max(counts, default=0)
+        if not top:  # only the constant term is left
+            return const(terms[0][1] if terms else 0.0)
+        v = counts.index(top)
+        q = factor(
+            [(exps[:v] + (exps[v] - 1,) + exps[v + 1 :], c) for exps, c in terms if exps[v]], d
+        )
+        x = ("x", v)
+        if q[0] == "c" and constants[q[1]] == 1.0:  # 1 * x is x exactly
+            t = x
+        else:
+            t = emit(np.multiply, x, q, d)
+        rest = [(exps, c) for exps, c in terms if not exps[v]]
+        if not rest:
+            return t
+        return emit(np.add, t, factor(rest, d + 1 if t[0] == "r" else d), d)
+
+    result = factor(terms, 0)
+    offset = {"x": 0, "r": nvars, "c": nvars + depth}
+
+    def index(operand):
+        return offset[operand[0]] + operand[1]
+
+    program = [(f, index(a), index(b), index(out)) for f, a, b, out in program]
+    return program, constants, depth, index(result)
+
+
+# Lanes per chunk of the Horner evaluation. A plan touches its N input
+# columns and a few registers per chunk (16 rows, 2 MB, for the 4-loop F0),
+# which then stay in cache between instructions; shorter chunks pay more
+# per-instruction overhead. On a 2-vCPU Xeon with 2 MB of L2 per core,
+# F0 + (a.m^2) U on 65 536 4-loop points took 15.5 ms at 16 384 lanes,
+# 17.7 at 8 192, 20.3 at 32 768 and 23.9 unchunked.
+_HORNER_CHUNK = 16_384
+
+
 def _poly_evaluator(poly):
     """Vectorized float64 evaluation of a MultiPoly with real coefficients on
-    batches of points (B, N): each term is its coefficient times x**e per
-    variable in variable order, a running product over contiguous columns
-    (a unit coefficient is left out, which changes no bit)."""
+    batches of points (B, N).
+
+    The polynomial is compiled once into a multivariate Horner plan (see
+    _horner_program), which then runs over chunks of `_HORNER_CHUNK` points:
+    the chunk is copied into contiguous columns, each instruction is one
+    numpy add or multiply over the chunk, and a unit factor is never
+    multiplied in. With nonnegative coefficients and points every operation
+    adds or multiplies nonnegative numbers, so the relative error stays a
+    few ulp. The values depend only on the points, not on their memory
+    layout or on how the batch splits into chunks."""
     if any(c.im for _, c in poly.terms()):
         raise InvariantViolation("polynomial has a complex coefficient")
-    exps, coeffs = poly.compiled()
-    terms = [
-        (coeff, [(var, e) for var, e in enumerate(row) if e])
-        for coeff, row in zip(coeffs.real.tolist(), exps)
-    ]
+    nvars = poly.nvars
+    program, constants, depth, result = _horner_program(
+        [(exps, float(c.re)) for exps, c in poly.terms()], nvars
+    )
 
     def evaluate(points: np.ndarray) -> np.ndarray:
-        columns = np.ascontiguousarray(points.T)
-        out = np.zeros(len(points))
-        v = np.empty(len(points))
-        for coeff, factors in terms:
-            operands = [columns[var] if e == 1 else columns[var] ** e for var, e in factors]
-            if coeff != 1.0 or not operands:  # 1 * x is x exactly
-                operands.insert(0, coeff)
-            if len(operands) == 1:
-                out += operands[0]
-                continue
-            np.multiply(operands[0], operands[1], out=v)
-            for x in operands[2:]:
-                np.multiply(v, x, out=v)
-            out += v
+        count = len(points)
+        out = np.empty(count)
+        work = np.empty((nvars + depth, min(count, _HORNER_CHUNK)))
+        for start in range(0, count, _HORNER_CHUNK):
+            chunk = points[start : start + _HORNER_CHUNK]
+            lanes = work[:, : len(chunk)]
+            lanes[:nvars] = chunk.T
+            operands = [*lanes, *constants]
+            for ufunc, a, b, target in program:
+                ufunc(operands[a], operands[b], out=operands[target])
+            out[start : start + len(chunk)] = operands[result]
         return out
 
     return evaluate
@@ -477,7 +559,7 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
         raise ValidationError("qmc sampling is only wired up for the simplex methods")
     basis = cycle_basis(g)
     maps, offsets = _tree_channels(g, basis)
-    u_at = _poly_evaluator(first_symanzik_det(g, basis))
+    u_at = _poly_evaluator(first_symanzik_trees(g))
     n_trees = len(maps)
     mass_sq = np.array([float(e.mass) ** 2 for e in g.edges])[:, None]
     scale = math.exp(sum(math.log(float(e.mass)) for e in g.edges) / n_edges)
@@ -538,13 +620,22 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
 
 
 def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
-    """Monte Carlo estimate of int_simplex delta(1 - sum a) da / S2(a)^2."""
+    """Monte Carlo estimate of int_simplex delta(1 - sum a) da / S2(a)^2.
+
+    S2 is never expanded: it is evaluated as F0(a) + (sum_e m_e^2 a_e) U(a)
+    (Bogner-Weinzierl arXiv:1002.3458), with F0 the 2-forest momentum sum
+    and U the spanning-tree sum, each compiled into a Horner plan. On the
+    4-loop benchmark graph that is 130 + 117 terms in place of 686."""
     start = time.perf_counter()
     n, _, orders = _require_convergent(g)
-    s2_at = _poly_evaluator(second_symanzik(g).s2)
+    f0_at = _poly_evaluator(two_forest_polynomial(g))
+    u_at = _poly_evaluator(first_symanzik_trees(g))
+    mass_sq = np.array([float(e.mass * e.mass) for e in g.edges])
 
     def denominators(batch):
-        values = s2_at(batch)
+        values = u_at(batch)
+        values *= batch @ mass_sq
+        values += f0_at(batch)
         if np.any(values <= 0.0):
             raise InvariantViolation(
                 "S2 <= 0 at an interior simplex sample; sign convention broken"

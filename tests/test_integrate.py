@@ -12,7 +12,6 @@ from twistamp import (
     IntegrationConfig,
     InvariantViolation,
     PrecisionError,
-    SymanzikPair,
     UnsupportedTopology,
     ValidationError,
     bowtie,
@@ -23,6 +22,7 @@ from twistamp import (
     extract_constants,
     feynman_trick_check,
     first_symanzik_det,
+    first_symanzik_trees,
     log_divergent_integrand,
     parametric_amplitude,
     pfaffian_amplitude,
@@ -31,6 +31,7 @@ from twistamp import (
     second_symanzik,
     spanning_trees,
     triangle,
+    two_forest_polynomial,
 )
 from conftest import (
     multi_loop_graph,
@@ -190,11 +191,12 @@ def test_parametric_mass_homogeneity():
 
 
 def test_parametric_aborts_on_negative_s2(monkeypatch):
-    g = box()
-    sym = second_symanzik(g)
-    flipped = SymanzikPair(sym.s1, -sym.s2)
-    monkeypatch.setattr("twistamp.integrate.second_symanzik", lambda graph: flipped)
-    with pytest.raises(InvariantViolation):
+    # S2 = F0 + (sum m^2 a) U changes sign with both of its parts
+    g = with_random_kinematics(box, random.Random(4))
+    for build in (two_forest_polynomial, first_symanzik_trees):
+        flipped = -build(g)
+        monkeypatch.setattr(f"twistamp.integrate.{build.__name__}", lambda graph, p=flipped: p)
+    with pytest.raises(InvariantViolation, match="S2 <= 0"):
         parametric_amplitude(g, IntegrationConfig(n_samples=1000, seed=0))
 
 
@@ -320,23 +322,17 @@ def test_pfaffian_estimate_equals_mean_of_inverse_s2_squared_on_same_draws(monke
     assert result.estimate == pytest.approx(expect, rel=1e-12)
 
 
-def _complex_reference(poly, points):
-    """The complex-arithmetic evaluation that the float evaluator replaces."""
-    exps, coeffs = poly.compiled()
-    out = np.zeros(len(points), dtype=complex)
-    for term in range(len(coeffs)):
-        v = np.full(len(points), coeffs[term])
-        for var in range(exps.shape[1]):
-            e = exps[term, var]
-            if e == 1:
-                v = v * points[:, var]
-            elif e:
-                v = v * points[:, var] ** e
-        out += v
-    return out
+def _exact_values(poly, points):
+    """MultiPoly.evaluate at float points read as exact rationals."""
+    return [poly.evaluate([Fraction(x) for x in row]).re for row in points]
 
 
-def test_poly_evaluator_is_the_real_part_of_complex_evaluation_bit_for_bit():
+def _assert_within_ulps(values, exact, ulps):
+    for value, expect in zip(values.tolist(), exact):
+        assert abs(Fraction(value) - expect) <= ulps * 2.0**-52 * abs(expect)
+
+
+def test_poly_evaluator_matches_exact_evaluation_within_8_ulp():
     from twistamp import GaussianRational, MultiPoly
     from twistamp.integrate import _poly_evaluator
 
@@ -346,15 +342,68 @@ def test_poly_evaluator_is_the_real_part_of_complex_evaluation_bit_for_bit():
         multi_loop_graph(name, rnd) for name in ("theta", "loop3", "loop4")
     ]
     for g in graphs:
-        s2 = second_symanzik(g).s2
-        points = rng.dirichlet(np.ones(g.n_edges), size=3000)
-        values = _poly_evaluator(s2)(points)
-        assert values.dtype == np.float64
-        assert np.array_equal(values, _complex_reference(s2, points).real)
-        # column-major batches (as the tropical mixture yields) give the same bits
-        assert np.array_equal(_poly_evaluator(s2)(np.asfortranarray(points)), values)
+        # interior points and points near the faces, where S2 is small
+        points = np.concatenate(
+            [
+                rng.dirichlet(np.ones(g.n_edges), size=8),
+                rng.dirichlet(np.full(g.n_edges, 0.2), size=8),
+            ]
+        )
+        for poly in (
+            second_symanzik(g).s2,
+            two_forest_polynomial(g),
+            first_symanzik_trees(g),
+        ):
+            values = _poly_evaluator(poly)(points)
+            assert values.dtype == np.float64
+            _assert_within_ulps(values, _exact_values(poly, points), 8)
+            # column-major batches (as the tropical mixture yields) give the same bits
+            assert np.array_equal(_poly_evaluator(poly)(np.asfortranarray(points)), values)
     with pytest.raises(InvariantViolation):
         _poly_evaluator(MultiPoly(2, {(1, 1): GaussianRational(1, 1)}))
+
+
+def test_horner_edge_cases_against_exact_evaluation():
+    from twistamp import MultiPoly
+    from twistamp.integrate import _HORNER_CHUNK, _poly_evaluator
+
+    rng = np.random.default_rng(8)
+    cube = MultiPoly(3, {(3, 0, 0): 1})
+    mixed = MultiPoly(
+        3, {(3, 0, 0): Fraction(1, 3), (1, 1, 1): 2, (0, 0, 2): Fraction(5, 7), (0, 0, 0): 3}
+    )
+    cases = [
+        (MultiPoly.constant(Fraction(7, 3), 3), rng.random((5, 3))),
+        (MultiPoly.zero(3), rng.random((5, 3))),
+        (cube, rng.random((6, 3))),
+        (mixed, rng.random((1, 3))),  # a batch of one
+        (mixed, rng.random((2 * _HORNER_CHUNK + 5, 3))),  # ends mid-chunk
+    ]
+    for poly, points in cases:
+        values = _poly_evaluator(poly)(points)
+        assert values.shape == (len(points),)
+        # the exact oracle on a sample of the lanes, the last chunk included
+        lanes = np.unique(np.r_[np.arange(0, len(points), 997), len(points) - 1])
+        _assert_within_ulps(values[lanes], _exact_values(poly, points[lanes]), 8)
+        # a second evaluator from the same polynomial returns the same bits
+        assert np.array_equal(_poly_evaluator(poly)(points), values)
+    # each lane's value is independent of where the chunk boundaries fall
+    points = cases[-1][1]
+    full = _poly_evaluator(mixed)(points)
+    assert np.array_equal(_poly_evaluator(mixed)(points[3:]), full[3:])
+
+
+def test_two_forests_plus_mass_times_trees_is_the_expanded_s2():
+    from twistamp import MultiPoly
+
+    rnd = random.Random(13)
+    graphs = [with_random_kinematics(f, rnd) for f in (box, bowtie)]
+    graphs += [multi_loop_graph(name, rnd) for name in ("theta", "loop3", "loop4")]
+    graphs.append(_subdivided_k4_with_a_path())
+    for g in graphs:
+        mass = MultiPoly.linear([e.mass * e.mass for e in g.edges])
+        factored = two_forest_polynomial(g) + mass * first_symanzik_trees(g)
+        assert factored == second_symanzik(g).s2
 
 
 def _subset_minima(poly, n_edges):
@@ -430,6 +479,68 @@ def test_tropical_log_f_is_the_dominant_s2_monomial():
         uniform = np.ascontiguousarray(rng.dirichlet(np.ones(n_edges), size=2000).T)
         expect = (exps @ np.log(uniform)).max(axis=0)
         assert np.allclose(sampler.log_f(uniform), expect, rtol=1e-12, atol=1e-12)
+
+
+def _log_f_by_sorting(sampler, columns):
+    """log F_tr by sorting each point's coordinates: sum_i m(S_i) (log a_(i)
+    - log a_(i-1)) over a_(1) >= a_(2) >= ..., S_i the N - i + 1 smallest."""
+    order = np.argsort(-columns, axis=0)
+    log_a = np.log(np.maximum(np.take_along_axis(columns, order, axis=0), np.finfo(float).tiny))
+    subset = np.full(columns.shape[1], sampler.full)
+    above = sampler.orders[sampler.full]
+    out = np.zeros(columns.shape[1])
+    for i in range(sampler.n_edges):
+        subset ^= 1 << order[i]
+        below = sampler.orders[subset]
+        out += (above - below) * log_a[i]
+        above = below
+    return out
+
+
+def test_tropical_log_f_by_pairwise_ranks_matches_sorting_with_ties():
+    rnd = random.Random(18)
+    rng = np.random.default_rng(18)
+    graphs = [with_random_kinematics(bowtie, rnd)] + [
+        multi_loop_graph(name, rnd) for name in ("theta", "loop4")
+    ]
+    for g in graphs:
+        n_edges, sampler = _tropical_setup(g)
+        columns = np.ascontiguousarray(rng.dirichlet(np.ones(n_edges), size=3000).T)
+        # ties: two, three and all coordinates equal, and equal zeros
+        columns[1, :500] = columns[0, :500]
+        columns[2:4, 500:1000] = columns[0, 500:1000]
+        columns[:, 1000:1100] = 1.0 / n_edges
+        columns[-2:, 1100:1200] = 0.0
+        columns[:, 1200:1400] = np.round(columns[:, 1200:1400], 1)
+        got = sampler.log_f(columns)
+        np.testing.assert_allclose(got, _log_f_by_sorting(sampler, columns), rtol=1e-14, atol=1e-12)
+        # and the dominant monomial itself, which no tie-breaking enters
+        exps, _ = second_symanzik(g).s2.compiled()
+        expect = (exps @ np.log(np.maximum(columns, np.finfo(float).tiny))).max(axis=0)
+        np.testing.assert_allclose(got, expect, rtol=1e-14, atol=1e-12)
+
+
+def test_accumulator_keeps_a_spread_far_below_the_mean():
+    # weights 1e8 + N(0, 1e-3): the sum of squares loses the variance to
+    # cancellation, a two-pass merge keeps it
+    from twistamp.integrate import _Accumulator
+
+    rng = np.random.default_rng(3)
+    batches = [1e8 + 1e-3 * rng.standard_normal(size) for size in (65_536, 65_536, 1000, 7)]
+    acc = _Accumulator()
+    for batch in batches:
+        acc.add(batch)
+    mean, err = acc.finalize(2.0)
+    values = np.concatenate(batches).tolist()
+    n = len(values)
+    exact_mean = math.fsum(values) / n
+    exact_err = math.sqrt(math.fsum((x - exact_mean) ** 2 for x in values) / n) / math.sqrt(n)
+    assert mean == pytest.approx(2.0 * exact_mean, rel=1e-15)
+    assert err == pytest.approx(2.0 * exact_err, rel=1e-9)
+    # one batch at a time or all at once: the same numbers to rounding
+    whole = _Accumulator()
+    whole.add(np.concatenate(batches))
+    assert whole.finalize(2.0) == pytest.approx((mean, err), rel=1e-9)
 
 
 def test_mixture_density_is_normalised():
