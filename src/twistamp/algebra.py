@@ -222,14 +222,6 @@ class MultiPoly:
         return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
-    def variable(cls, index, nvars):
-        if not 0 <= index < nvars:
-            raise StructuralError(f"variable index {index} out of range")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): 1})
-
-    @classmethod
     def linear(cls, coeffs):
         """sum_i coeffs[i] * a_{i+1}"""
         coeffs = list(coeffs)
@@ -244,9 +236,6 @@ class MultiPoly:
     def terms(self):
         """Canonically ordered (exponents, coefficient) pairs."""
         return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
-
-    def coefficient(self, exps) -> GaussianRational:
-        return self._terms.get(tuple(exps), _GR_ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -347,27 +336,6 @@ class MultiPoly:
             total = total + v
         return total
 
-    def eval_complex(self, point) -> complex:
-        """Double-precision value at a complex (or real) point."""
-        pt = [complex(p) for p in point]
-        if len(pt) != self.nvars:
-            raise StructuralError("point has the wrong number of coordinates")
-        total = 0j
-        for exps, coeff in self._terms.items():
-            v = complex(coeff)
-            for p, e in zip(pt, exps):
-                if e:
-                    v *= p**e
-            total += v
-        return total
-
-    def compiled(self):
-        """(exponent matrix, coefficient vector) for vectorized evaluation."""
-        items = self.terms()
-        exps = np.array([e for e, _ in items], dtype=np.int64).reshape(len(items), self.nvars)
-        coeffs = np.array([complex(c) for _, c in items], dtype=complex)
-        return exps, coeffs
-
     def text(self) -> str:
         """Canonical rendering, terms in descending lexicographic order."""
         if not self._terms:
@@ -437,10 +405,6 @@ class AlternatingForm:
         form.dim = dim
         form._upper = upper
         return form
-
-    @classmethod
-    def zero(cls, dim):
-        return cls._raw(dim, {})
 
     @classmethod
     def from_wedge(cls, u, w):

@@ -103,7 +103,11 @@ def graph_from_document(doc) -> Graph:
     momenta = {}
     raw_momenta = doc.get("external_momenta", {}) or {}
     _expect(isinstance(raw_momenta, dict), "external_momenta", "must be an object")
-    by_name = {str(v): v for v in vertices}
+    # momentum keys are JSON strings, so 1 and "1" would name the same vertex
+    by_name = {}
+    for pos, v in enumerate(vertices):
+        other = by_name.setdefault(str(v), v)
+        _expect(other == v, f"vertices[{pos}]", f"labels {other!r} and {v!r} read the same")
     for key, comps in raw_momenta.items():
         where = f"external_momenta[{key!r}]"
         _expect(key in by_name, where, "no such vertex")
@@ -128,7 +132,13 @@ def _symbolic_checks(g: Graph) -> dict:
     routing = route_momenta(g)
     checks: dict = {}
 
-    sym = second_symanzik(g, basis)
+    # the ratio builds S2 itself; only N != 2n+2 graphs need their own
+    ratio = None
+    if g.n_edges == 2 * loop_number(g) + 2:
+        ratio = pfaffian_symanzik_ratio(g, basis, routing)
+        sym = ratio.symanzik
+    else:
+        sym = second_symanzik(g, basis)
     checks["first_symanzik_match"] = bool(sym.s1 == first_symanzik_trees(g))
 
     forms = propagator_forms(g, basis, routing)
@@ -143,8 +153,7 @@ def _symbolic_checks(g: Graph) -> dict:
         "pass": ranks == expected,
     }
 
-    if g.n_edges == 2 * loop_number(g) + 2:
-        ratio = pfaffian_symanzik_ratio(g, basis, routing)
+    if ratio is not None:
         checks["pfaffian_symanzik"] = {
             "lambda2": [ratio.lambda2.real, ratio.lambda2.imag],
             "residual": ratio.residual,

@@ -218,19 +218,22 @@ def _subset_loop_numbers(g: Graph) -> list:
     return out
 
 
-def _rooted_tree(g: Graph):
-    """Greedy lowest-id spanning tree, rooted at the first vertex.
+def _rooted_tree(g: Graph, tree=None):
+    """A spanning tree rooted at the first vertex: the given edge positions,
+    or by default the greedy lowest-id tree.
 
     Returns (up, order): up[v] = (parent, edge position, +1 if the edge
     points v -> parent else -1) for every non-root vertex, and the vertices
     in parents-first order.
     """
-    parent = {v: v for v in g.vertices}
+    if tree is None:
+        parent = {v: v for v in g.vertices}
+        tree = [idx for idx, e in enumerate(g.edges) if _union(parent, e.source, e.target)]
     adjacency = {v: [] for v in g.vertices}
-    for idx, e in enumerate(g.edges):
-        if _union(parent, e.source, e.target):
-            adjacency[e.source].append((e.target, idx, -1))
-            adjacency[e.target].append((e.source, idx, 1))
+    for idx in tree:
+        e = g.edges[idx]
+        adjacency[e.source].append((e.target, idx, -1))
+        adjacency[e.target].append((e.source, idx, 1))
     root = g.vertices[0]
     up = {}
     order = [root]
@@ -257,17 +260,18 @@ class CycleBasis:
         return tuple(row[e] for row in self.loops)
 
 
-def cycle_basis(g: Graph) -> CycleBasis:
-    """Fundamental cycles of the lowest-id spanning tree, one per extra edge.
+def _fundamental_cycles(g: Graph, tree=None) -> list:
+    """One row per chord of the spanning tree (see _rooted_tree), in edge
+    order, over the edge positions.
 
-    Each non-tree edge e closes exactly one cycle: coefficient +1 on e, and
-    +/-1 on the tree path from target(e) back to source(e) according to
-    whether the path traverses a tree edge along or against its direction.
-    That path is the climb from target(e) to the root minus the climb from
-    source(e); the edges above their common ancestor cancel.
+    Chord e closes exactly one cycle: coefficient +1 on e, and +/-1 on the
+    tree path from target(e) back to source(e) according to whether the
+    path traverses a tree edge along or against its direction. That path is
+    the climb from target(e) to the root minus the climb from source(e); the
+    edges above their common ancestor cancel.
     """
-    up, _ = _rooted_tree(g)
-    tree = {idx for _, idx, _ in up.values()}
+    up, _ = _rooted_tree(g, tree)
+    in_tree = {idx for _, idx, _ in up.values()}
 
     def climb(row, v, sign):
         while v in up:
@@ -276,14 +280,20 @@ def cycle_basis(g: Graph) -> CycleBasis:
 
     rows = []
     for idx, e in enumerate(g.edges):
-        if idx in tree:
+        if idx in in_tree:
             continue
         row = [0] * g.n_edges
         row[idx] = 1
         climb(row, e.target, 1)
         climb(row, e.source, -1)
         rows.append(tuple(row))
-    return CycleBasis(tuple(rows))
+    return rows
+
+
+def cycle_basis(g: Graph) -> CycleBasis:
+    """Fundamental cycles of the lowest-id spanning tree, one per extra edge
+    (see _fundamental_cycles)."""
+    return CycleBasis(tuple(_fundamental_cycles(g)))
 
 
 @dataclass(frozen=True)

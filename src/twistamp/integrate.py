@@ -46,7 +46,7 @@ from .errors import (
     UnsupportedTopology,
     ValidationError,
 )
-from .graphs import Graph, _subset_loop_numbers, cycle_basis, loop_number, route_momenta
+from .graphs import Graph, _fundamental_cycles, _subset_loop_numbers, loop_number, route_momenta
 from .symanzik import (
     first_symanzik_det,
     first_symanzik_trees,
@@ -456,10 +456,29 @@ def _vanishing_orders(g: Graph) -> np.ndarray:
     return orders
 
 
+def _double(value) -> float:
+    """float(value) for a nonnegative rational, inf where that overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _require_convergent(g: Graph) -> tuple:
     """(n, N, vanishing orders) for an N = 2n+2 graph without divergent
     subgraphs: a proper edge subset S with omega(S) = |S| - 2 m(S) <= 0 is
-    UV-divergent in momentum space and non-integrable at its simplex face."""
+    UV-divergent in momentum space and non-integrable at its simplex face.
+
+    The estimators run in float64, so every squared mass must be a positive
+    finite double and every momentum component a finite one."""
+    for e in g.edges:
+        mass_sq = _double(e.mass * e.mass)
+        if not 0.0 < mass_sq < math.inf:
+            side = "overflows" if mass_sq else "underflows to 0"
+            raise ValidationError(f"edge {e.id}: the squared mass {side} in float64")
+    for v, q in g.external_momenta.items():
+        if any(_double(abs(c)) == math.inf for c in q):
+            raise ValidationError(f"vertex {v!r}: a momentum component overflows float64")
     n = loop_number(g)
     n_edges = g.n_edges
     if n_edges != 2 * n + 2:
@@ -492,31 +511,21 @@ def _tail_dof(n: int, orders: np.ndarray) -> float:
     return min(1.0, 0.5 * bound)
 
 
-def _tree_channels(g: Graph, basis) -> tuple:
-    """Per spanning tree T with chords C (the n edges outside T), the integer
-    (E, n) matrix A_T and the (E, 4) offset b_T with q = A_T y + b_T the edge
-    momenta when the chords carry momenta y: A_T = L^T (L[:, C]^T)^-1 for the
-    loop matrix L, b_T = s - A_T s_C for the routed shifts s. A_T is exact
-    and, like b_T, does not depend on the cycle basis. Returns them stacked,
-    as floats."""
-    loops = np.array(basis.loops, dtype=np.int64)  # (n, E)
+def _tree_channels(g: Graph) -> tuple:
+    """Per spanning tree T with chords C (the n edges outside T), the (E, n)
+    matrix A_T and the (E, 4) offset b_T with q = A_T y + b_T the edge
+    momenta when the chords carry momenta y. Column c of A_T is the
+    fundamental cycle that chord c closes in T, from the same tree walk as
+    cycle_basis: +1 on c, 0 on the other chords and +/-1 on the tree path,
+    so A_T is an integer matrix that does not depend on any cycle basis.
+    b_T = s - A_T s_C for the routed shifts s. Returns them stacked, as
+    floats."""
     routing = route_momenta(g)
     shifts = np.array([routing.of(e.id).floats() for e in g.edges])  # (E, 4)
-    identity = np.eye(basis.n, dtype=np.int64)
     maps, offsets = [], []
     for tree in spanning_trees(g):
         chords = [e for e in range(g.n_edges) if e not in tree]
-        cut = loops[:, chords].T  # x -> q_C, less the shifts
-        try:
-            inverse = np.rint(np.linalg.inv(cut)).astype(np.int64)
-        except np.linalg.LinAlgError:
-            inverse = None
-        if inverse is None or not np.array_equal(cut @ inverse, identity):
-            raise InvariantViolation(
-                f"chords {[g.edges[c].id for c in chords]} give a loop matrix "
-                "that is not unimodular"
-            )
-        a_t = (loops.T @ inverse).astype(float)
+        a_t = np.array(_fundamental_cycles(g, tree), dtype=float).T
         maps.append(a_t)
         offsets.append(shifts - a_t @ shifts[chords])
     return np.array(maps), np.array(offsets)
@@ -530,8 +539,9 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     (multichannel sampling, Kleiss-Pittau hep-ph/9405257). Channel T draws
     the momentum of each chord c of T from a 4-dimensional Student-t h
     centred at q_c = 0, with nu degrees of freedom and the geometric mean of
-    the masses as scale; conservation fixes the rest, q = A_T y + b_T (see
-    _tree_channels), a map of unit Jacobian. The channels are picked
+    the masses as scale; conservation fixes the rest, q = A_T y + b_T with
+    the columns of A_T the fundamental cycles of T (see _tree_channels), a
+    map of unit Jacobian that no cycle basis enters. The channels are picked
     uniformly, so every sample is weighted by the balance heuristic f/g with
     the mixture density g = U(h(q_1), ..., h(q_E)) / T_count, U the first
     Symanzik polynomial (the sum over spanning trees of chord products;
@@ -557,8 +567,7 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     n, n_edges, orders = _require_convergent(g)
     if cfg.qmc:
         raise ValidationError("qmc sampling is only wired up for the simplex methods")
-    basis = cycle_basis(g)
-    maps, offsets = _tree_channels(g, basis)
+    maps, offsets = _tree_channels(g)
     u_at = _poly_evaluator(first_symanzik_trees(g))
     n_trees = len(maps)
     mass_sq = np.array([float(e.mass) ** 2 for e in g.edges])[:, None]

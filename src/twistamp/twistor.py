@@ -110,12 +110,7 @@ class TwistorPoint:
         arr = np.atleast_2d(np.asarray(xs, dtype=float))
         if arr.shape[1] != 4:
             raise ValidationError("loop vectors need 4 components")
-        blocks = []
-        for x1, x2, x3, x4 in arr:
-            z1 = x1 + 1j * x2
-            z2 = x4 + 1j * x3
-            blocks.append((z1, z2, -z2.conjugate(), z1.conjugate()))
-        return cls(tuple(blocks))
+        return cls(tuple(embed4(x) for x in arr))
 
     @property
     def n(self) -> int:

@@ -257,3 +257,52 @@ def test_feynman_check_rejects_nonpositive(capsys):
     captured = capsys.readouterr()
     assert "numerical failure:" in captured.err
     assert "rhs =" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "mass, component, message",
+    [
+        ("1e-400", None, "edge 1: the squared mass underflows to 0"),
+        ("1e-170", None, "edge 1: the squared mass underflows to 0"),
+        ("1e170", None, "edge 1: the squared mass overflows"),
+        ("1e400", None, "edge 1: the squared mass overflows"),
+        ("1/2", "1e400", "vertex 1: a momentum component overflows"),
+    ],
+    ids=["mass-1e-400", "mass-1e-170", "mass-1e170", "mass-1e400", "momentum-1e400"],
+)
+def test_integrate_refuses_kinematics_outside_float64(tmp_path, capsys, mass, component, message):
+    # exact rationals that float64 cannot hold used to end in a traceback, or
+    # (mass 1e-170) in a direct estimate 17 orders of magnitude too small
+    doc = json.loads(json.dumps(BOX))
+    doc["edges"][0]["mass"] = mass
+    if component is not None:
+        doc["external_momenta"]["1"][0] = component
+        doc["external_momenta"]["3"][0] = "-" + component
+    path = _write(tmp_path, "extreme.json", doc)
+    code = main(["integrate", path, "--method", "all", "--samples", "1000"])
+    assert code == EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().out)
+    for method in ("direct", "parametric", "pfaffian"):
+        error = report["results"][method]["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"].startswith(message)
+    assert "constants" not in report
+
+
+def test_vertex_labels_that_read_the_same_are_rejected(tmp_path, capsys):
+    # momentum keys are strings: "1" could name the vertex 1 or the vertex "1"
+    doc = {
+        "vertices": [1, "1", 3, 4],
+        "edges": [
+            {"id": 1, "source": 1, "target": "1", "mass": "1"},
+            {"id": 2, "source": "1", "target": 3, "mass": "1"},
+            {"id": 3, "source": 3, "target": 4, "mass": "1"},
+            {"id": 4, "source": 4, "target": 1, "mass": "1"},
+        ],
+        "external_momenta": {"1": ["1/2", "0", "0", "0"], "3": ["-1/2", "0", "0", "0"]},
+    }
+    path = _write(tmp_path, "mixed.json", doc)
+    assert main(["integrate", path, "--method", "parametric", "--samples", "1000"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: vertices[1]:")
+    assert "read the same" in err

@@ -124,6 +124,18 @@ def test_pair_at_n1_unit_loop_vector():
     assert pair(f, point) == pytest.approx(2.0)
 
 
+def test_real_slice_blocks_are_the_embed4_blocks():
+    rng = np.random.default_rng(9)
+    xs = rng.standard_normal((3, 4))
+    point = TwistorPoint.real_slice(xs)
+    assert point.is_real_slice()
+    for (z1, z2, w1, w2), x in zip(point.blocks, xs):
+        assert (z1, z2, w1, w2) == tuple(complex(c) for c in embed4(x))
+        assert z1 * w2 - z2 * w1 == pytest.approx(x @ x, rel=1e-14)
+    with pytest.raises(ValidationError):
+        TwistorPoint.real_slice([[0.0, np.nan, 0.0, 0.0]])
+
+
 def test_quadratic_rank_examples():
     # n=1: e3* ^ e4* gives x3 y4 - x4 y3, rank 4
     e3 = [0, 0, 1, 0]
@@ -136,7 +148,7 @@ def test_quadratic_rank_examples():
     massive = alpha + AlternatingForm.from_wedge(e1, e2)
     assert quadratic_rank_check(massive) == 4
     with pytest.raises(ValidationError):
-        quadratic_rank_check(AlternatingForm.zero(4))
+        quadratic_rank_check(AlternatingForm([[0] * 4] * 4))
 
 
 def test_quadratic_rank_random_decomposable():
