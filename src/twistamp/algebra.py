@@ -594,7 +594,7 @@ def _parlett_reid(A: np.ndarray) -> np.ndarray:
     return pf
 
 
-def _pfaffian_batch(mats) -> np.ndarray:
+def _parlett_reid_batch(mats) -> np.ndarray:
     """Pfaffians of a batch of antisymmetric matrices (B, d, d).
 
     Partially pivoted Parlett-Reid elimination (Wimmer, arXiv:1102.3440),
@@ -620,7 +620,7 @@ def pfaffian_numeric(form) -> complex:
     Partial pivoting keeps the congruence transforms bounded; the running
     product of the 2x2 block pivots times the permutation sign is Pf(A),
     with Pf([[0, a], [-a, 0]]) = a and Pf(A)^2 = det(A). This is the batch
-    kernel `_pfaffian_batch` on a batch of one.
+    kernel `_parlett_reid_batch` on a batch of one.
     """
     if isinstance(form, AlternatingForm):
         A = form.to_numpy()
@@ -637,7 +637,7 @@ def pfaffian_numeric(form) -> complex:
     if float(np.abs(A + A.T).max()) > _ASYM_TOL * max(1.0, scale):
         raise ValidationError("matrix is not antisymmetric within tolerance")
     A = (A - A.T) / 2.0
-    return complex(_pfaffian_batch(A[None])[0])
+    return complex(_parlett_reid_batch(A[None])[0])
 
 
 def matrix_rank(matrix) -> int:

@@ -9,10 +9,14 @@ parametric  integral over the unit simplex of 1 / S2(a)^2, with S2 evaluated
             unexpanded as F0(a) + (sum_e m_e^2 a_e) U(a), the 2-forest sum
             and the spanning-tree sum each compiled once into a
             multivariate Horner plan (see _poly_evaluator);
-pfaffian    integral over the unit simplex of 1 / |Pf(sum_e a_e Q_e)|^2.
-            Each batch of forms is assembled by one real matmul with the
-            flattened (E, 2*d*d) stack and goes through the one Parlett-Reid
-            kernel, `algebra._pfaffian_batch` (batch-last, cache-blocked).
+pfaffian    integral over the unit simplex of 1 / |Pf(sum_e a_e Q_e)|^2,
+            evaluated by the block factorization of the forms: with the
+            loop block L (x) J, Pf = det L (b - c0^T (L^-1 (x) J) c1), det L
+            being S1 and the second factor S2 / S1. One real matmul maps
+            each batch to L, b, c0 and c1, and an unpivoted elimination of
+            L (positive definite inside the simplex) gives both factors
+            (see _pfaffian_batch). The general Parlett-Reid kernel serves
+            `algebra.pfaffian_numeric` only.
 
 The two simplex integrands blow up like 1/F_tr(a)^2 near the faces where S2
 vanishes, F_tr being the largest monomial of S2, so a uniform proposal gives
@@ -39,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _pfaffian_batch
 from .errors import (
     InvariantViolation,
     PrecisionError,
@@ -470,7 +473,9 @@ def _require_convergent(g: Graph) -> tuple:
     UV-divergent in momentum space and non-integrable at its simplex face.
 
     The estimators run in float64, so every squared mass must be a positive
-    finite double and every momentum component a finite one."""
+    finite double, every momentum component a finite one, and so must
+    (sum_v sum_i |q_v,i|)^2: it bounds every cut momentum |P|^2, hence every
+    2-forest coefficient, form entry and direct offset."""
     for e in g.edges:
         mass_sq = _double(e.mass * e.mass)
         if not 0.0 < mass_sq < math.inf:
@@ -479,6 +484,11 @@ def _require_convergent(g: Graph) -> tuple:
     for v, q in g.external_momenta.items():
         if any(_double(abs(c)) == math.inf for c in q):
             raise ValidationError(f"vertex {v!r}: a momentum component overflows float64")
+    total = sum(abs(c) for q in g.external_momenta.values() for c in q)
+    if _double(total * total) == math.inf:
+        raise ValidationError(
+            "the external momenta are too large: (sum of |q_v,i|)^2 overflows float64"
+        )
     n = loop_number(g)
     n_edges = g.n_edges
     if n_edges != 2 * n + 2:
@@ -657,19 +667,106 @@ def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     )
 
 
+def _block_table(forms, n: int) -> np.ndarray:
+    """The entries of the propagator forms that Pf(sum_e a_e Q_e) depends
+    on, one real row per edge, so that a batch of points (B, E) maps to all
+    of them by one matmul.
+
+    On C^(2n+2) with the indices paired as (0, 1 | 2, 3 | ... | 2n, 2n+1),
+    every Q_e is [[b J, C], [-C^T, L (x) J]] with J = [[0, 1], [-1, 0]], b =
+    Q[0, 1], C the two rows c0 = Q[0, 2:] and c1 = Q[1, 2:], and L the real
+    symmetric n x n loop matrix alpha_e alpha_e^T: Q[2k+2, 2l+3] = L[k, l]
+    and Q[2k+2, 2l+2] = Q[2k+3, 2l+3] = 0. That shape is checked exactly on
+    the sparse forms. Columns: L row by row (n^2); Re b, Im b; then for c0e
+    (c0 at the even loop indices 2k+2), c0o (at the odd ones 2k+3), c1o and
+    c1e in turn, the n real parts followed by the n imaginary parts."""
+    rows = []
+    for e, q in enumerate(forms):
+        loop = []
+        for k in range(n):
+            for l in range(n):
+                x = q[2 * k + 2, 2 * l + 3]
+                if q[2 * k + 2, 2 * l + 2] or q[2 * k + 3, 2 * l + 3] or x.im or (
+                    x != q[2 * l + 2, 2 * k + 3]
+                ):
+                    raise InvariantViolation(
+                        f"form {e}: loop block ({k}, {l}) is not a real symmetric L (x) J"
+                    )
+                loop.append(float(x.re))
+        b = complex(q[0, 1])
+        border = [b.real, b.imag]
+        for row, parity in ((0, 0), (0, 1), (1, 1), (1, 0)):
+            vector = [complex(q[row, 2 * k + 2 + parity]) for k in range(n)]
+            border += [x.real for x in vector] + [x.imag for x in vector]
+        rows.append(loop + border)
+    return np.array(rows)
+
+
+# Working set of one chunk of the block elimination, (n^2 + 2 + 8n) float64
+# rows of `chunk` lanes; it also bounds the temporaries of the updates. On a
+# 2-vCPU Xeon with 2 MiB of L2 per core, kernel plus assembly for 65 536
+# points took the same time from 1 MiB to whole batches (loop4 15-26 ms,
+# noisy) and up to 3x longer at 128-256 KiB; whole batches raised the peak
+# RSS of the mc-large benchmark from 87 to 98 MB.
+_BLOCK_CHUNK_BYTES = 1 << 20
+
+
+def _pfaffian_batch(lmat: np.ndarray, border: np.ndarray) -> np.ndarray:
+    """Pf(sum_e a_e Q_e) for a batch of points, from the blocks of
+    _block_table summed at each point: lmat (B, n, n) the loop matrices L,
+    border (B, 2 + 8n) the rest of the row. Both are views of the caller's
+    batch-last scratch and are overwritten.
+
+    Pf([[b J, C], [-C^T, L (x) J]]) = Pf(L (x) J) Pf(b J + C (L (x) J)^-1 C^T)
+    = det L (b - c0e^T L^-1 c1o + c0o^T L^-1 c1e). Inside the simplex
+    L = sum_e a_e alpha_e alpha_e^T is positive definite (det L = S1), so it
+    factors as W D W^T with W unit lower triangular and no pivoting:
+    det L = prod_k D_k and x^T L^-1 y = sum_k (W^-1 x)_k (W^-1 y)_k / D_k,
+    where the row operations that reduce L apply W^-1 to the vectors. Runs
+    batch-last, so every step acts on contiguous lanes, over chunks of
+    _BLOCK_CHUNK_BYTES."""
+    loop = np.moveaxis(lmat, 0, -1)  # (n, n, B)
+    rest = border.T  # (2 + 8n, B)
+    n, _, count = loop.shape
+    out = np.empty(count, dtype=complex)
+    chunk = max(1, _BLOCK_CHUNK_BYTES // (8 * (n * n + len(rest))))
+    for start in range(0, count, chunk):
+        lanes = slice(start, start + chunk)
+        ell = loop[:, :, lanes]
+        re, im = rest[0, lanes], rest[1, lanes]
+        # Re c0e, Im c0e, Re c0o, Im c0o, Re c1o, Im c1o, Re c1e, Im c1e
+        vec = rest[2:, lanes].reshape(8, n, -1)
+        det = np.ones(re.shape)
+        for k in range(n):
+            pivot = ell[k, k]
+            det *= pivot
+            xr, xi, yr, yi = vec[:4, k] / pivot
+            ur, ui, vr, vi = vec[4:, k]
+            re -= xr * ur - xi * ui - yr * vr + yi * vi
+            im -= xr * ui + xi * ur - yr * vi - yi * vr
+            tau = ell[k, k + 1 :] / pivot  # empty at the last step
+            ell[k + 1 :, k + 1 :] -= tau[:, None] * ell[k, k + 1 :][None]
+            vec[:, k + 1 :] -= tau[None] * vec[:, k, None]
+        block = out[lanes]
+        block.real = det * re
+        block.imag = det * im
+    return out
+
+
 def pfaffian_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
-    """Monte Carlo estimate of int_simplex delta(1 - sum a) da / |Pf(sum a Q)|^2."""
+    """Monte Carlo estimate of int_simplex delta(1 - sum a) da / |Pf(sum a Q)|^2.
+
+    Pf(sum_e a_e Q_e) is evaluated from the block shape of the forms (see
+    _block_table and _pfaffian_batch), not as a general pfaffian."""
     start = time.perf_counter()
-    n, n_edges, orders = _require_convergent(g)
-    stack = np.stack([f.to_numpy() for f in propagator_forms(g)])  # (E, d, d)
-    dim = stack.shape[1]
-    # real and imaginary parts interleaved, so the real batch needs no
-    # promotion to complex before the matmul
-    flat = stack.reshape(n_edges, dim * dim).view(float)
+    n, _, orders = _require_convergent(g)
+    table = _block_table([f.form for f in propagator_forms(g)], n)
+    size = n * n
 
     def denominators(batch):
-        forms = (batch @ flat).view(complex).reshape(len(batch), dim, dim)
-        mag = np.abs(_pfaffian_batch(forms)) ** 2
+        rows = table.T @ batch.T  # (K, B), each row contiguous
+        lmat = np.moveaxis(rows[:size].reshape(n, n, -1), -1, 0)
+        mag = np.abs(_pfaffian_batch(lmat, rows[size:].T)) ** 2
         if np.any(mag == 0.0) or not np.all(np.isfinite(mag)):
             raise InvariantViolation(
                 "pfaffian vanished (or overflowed) at an interior simplex sample"

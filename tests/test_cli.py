@@ -306,3 +306,41 @@ def test_vertex_labels_that_read_the_same_are_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: vertices[1]:")
     assert "read the same" in err
+
+
+def _box_with_momentum(tmp_path, component):
+    doc = json.loads(json.dumps(BOX))
+    doc["external_momenta"] = {
+        "1": [component, "0", "0", "0"],
+        "3": ["-" + component, "0", "0", "0"],
+    }
+    return _write(tmp_path, f"box-{component}.json", doc)
+
+
+@pytest.mark.parametrize("method", ["direct", "parametric", "pfaffian"])
+def test_integrate_refuses_momenta_whose_square_overflows(tmp_path, capsys, method):
+    # each component fits float64 but |P|^2 ~ 4e340 does not: parametric and
+    # pfaffian used to end in an OverflowError traceback, direct in 0.0 +- 0.0
+    path = _box_with_momentum(tmp_path, "1e170")
+    assert main(["integrate", path, "--method", method, "--samples", "1000"]) == EXIT_VALIDATION
+    error = json.loads(capsys.readouterr().out)["results"][method]["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith("the external momenta are too large")
+
+
+def test_integrate_keeps_momenta_whose_square_fits(tmp_path, capsys):
+    # |P|^2 ~ 4e300 passes the bound. The amplitude, ~1e-600, underflows to 0:
+    # direct says so silently; S2^2 and |Pf|^2 overflow with a numpy warning,
+    # and the pfaffian estimator refuses the infinite |Pf|^2 as a numerical
+    # failure, not as invalid input
+    path = _box_with_momentum(tmp_path, "1e150")
+    args = ["integrate", path, "--samples", "1000", "--method"]
+    assert main(args + ["direct"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["results"]["direct"]["estimate"] == 0.0
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(args + ["parametric"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["results"]["parametric"]["estimate"] == 0.0
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(args + ["pfaffian"]) == EXIT_NUMERIC
+    error = json.loads(capsys.readouterr().out)["results"]["pfaffian"]["error"]
+    assert error["type"] == "InvariantViolation"

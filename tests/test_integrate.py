@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,8 @@ import pytest
 from scipy.integrate import quad
 
 from twistamp import (
+    AlternatingForm,
+    GaussianRational,
     Graph,
     IntegrationConfig,
     InvariantViolation,
@@ -203,13 +206,13 @@ def test_pfaffian_matches_parametric():
 
 def test_batched_pfaffian_matches_scalar():
     from twistamp import pfaffian_numeric
-    from twistamp.integrate import _pfaffian_batch
+    from twistamp.algebra import _parlett_reid_batch
     from conftest import random_antisymmetric
 
     rng = np.random.default_rng(17)
     for dim in (2, 4, 6, 8):
         mats = np.stack([random_antisymmetric(rng, dim) for _ in range(50)])
-        batch = _pfaffian_batch(mats)
+        batch = _parlett_reid_batch(mats)
         for mat, value in zip(mats, batch):
             assert value == pytest.approx(pfaffian_numeric(mat), rel=1e-10)
 
@@ -220,19 +223,18 @@ def test_pfaffian_integrand_matches_symbolic_pipeline():
     sym = second_symanzik(g)
     forms = propagator_forms(g)
     stack = np.stack([f.to_numpy() for f in forms])
-    from twistamp.integrate import _pfaffian_batch
+    from twistamp.algebra import _parlett_reid_batch
 
     rng = np.random.default_rng(0)
     points = rng.dirichlet(np.ones(4), size=100)
-    pf_vals = _pfaffian_batch(np.einsum("be,eij->bij", points, stack))
+    pf_vals = _parlett_reid_batch(np.einsum("be,eij->bij", points, stack))
     for a, pf in zip(points, pf_vals):
         s2 = complex(sym.s2.evaluate(a))
         assert abs(pf) ** 2 == pytest.approx(abs(s2) ** 2, rel=1e-10)
 
 
 def test_pfaffian_kernel_against_exact_and_determinant_oracles():
-    from twistamp.algebra import _PF_CHUNK_BYTES
-    from twistamp.integrate import _pfaffian_batch
+    from twistamp.algebra import _PF_CHUNK_BYTES, _parlett_reid_batch
 
     # exact oracle: the matching expansion of Pf(sum_e a_e Q_e), signs included
     rnd = random.Random(71)
@@ -250,7 +252,7 @@ def test_pfaffian_kernel_against_exact_and_determinant_oracles():
             weights = [random_positive_fraction(rnd) for _ in forms]
             points.append([w / sum(weights) for w in weights])
         mats = np.einsum("be,eij->bij", np.array(points, dtype=float), stack)
-        for point, value in zip(points, _pfaffian_batch(mats)):
+        for point, value in zip(points, _parlett_reid_batch(mats)):
             exact = complex(pf_exact.evaluate(point))
             assert abs(value - exact) <= 1e-12 * abs(exact)
 
@@ -265,7 +267,7 @@ def test_pfaffian_kernel_against_exact_and_determinant_oracles():
         singular = chunk + 1
         mats[singular, 3, :] = mats[singular, :, 3] = 0.0  # dies mid-elimination
         before = mats.copy()
-        pf = _pfaffian_batch(mats)
+        pf = _parlett_reid_batch(mats)
         assert np.array_equal(mats, before)
         assert pf[singular] == 0
         others = np.arange(size) != singular
@@ -278,12 +280,72 @@ def test_pfaffian_kernel_against_exact_and_determinant_oracles():
             np.testing.assert_allclose(pf, formula, rtol=1e-12, atol=0)
         # the dead lane leaves its neighbours bit-for-bit alone
         mats[singular] = before[singular - 1]
-        assert np.array_equal(_pfaffian_batch(mats)[others], pf[others])
+        assert np.array_equal(_parlett_reid_batch(mats)[others], pf[others])
 
     # a batch of one must not write through to the caller's matrix
     single = before[:1].copy()
-    _pfaffian_batch(single)
+    _parlett_reid_batch(single)
     assert np.array_equal(single, before[:1])
+
+
+def _block_pfaffians(rows, n):
+    """The block kernel on a copy of the assembled rows (K, B), as
+    pfaffian_amplitude passes them."""
+    from twistamp.integrate import _pfaffian_batch
+
+    rows = rows.copy()
+    lmat = np.moveaxis(rows[: n * n].reshape(n, n, -1), -1, 0)
+    return _pfaffian_batch(lmat, rows[n * n :].T)
+
+
+def test_block_pfaffian_matches_parlett_reid():
+    from twistamp.algebra import _parlett_reid_batch
+    from twistamp.integrate import _BLOCK_CHUNK_BYTES, _block_table
+
+    rnd = random.Random(74)
+    rng = np.random.default_rng(74)
+    graphs = [box(), bowtie()]
+    graphs += [with_random_kinematics(f, rnd) for f in (box, bowtie)]
+    graphs += [multi_loop_graph(name, rnd) for name in ("theta", "loop3", "loop4")]
+    for g in graphs:
+        n = g.n_edges // 2 - 1
+        chunk = _BLOCK_CHUNK_BYTES // (8 * (n * n + 2 + 8 * n))
+        size = 2 * chunk + 3  # the last chunk is partial
+        points = np.concatenate(
+            [
+                rng.dirichlet(np.ones(g.n_edges), size=size - size // 3),
+                rng.dirichlet(np.full(g.n_edges, 0.5), size=size // 3),
+            ]
+        )
+        forms = propagator_forms(g)
+        stack = np.stack([f.to_numpy() for f in forms])
+        general = _parlett_reid_batch(np.einsum("be,eij->bij", points, stack))
+        rows = _block_table([f.form for f in forms], n).T @ points.T
+        block = _block_pfaffians(rows, n)
+        assert block.shape == (size,)
+        np.testing.assert_array_less(np.abs(block - general), 1e-13 * np.abs(general))
+        # each lane's value does not depend on where the chunks start
+        assert np.array_equal(_block_pfaffians(rows[:, 5:], n), block[5:])
+        assert np.array_equal(_block_pfaffians(rows[:, -1:], n), block[-1:])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [((2, 4), 1), ((3, 5), 1), ((2, 5), Fraction(7, 3)), ((2, 3), GaussianRational(1, 1))],
+    ids=["even-even", "odd-odd", "asymmetric-L", "complex-L"],
+)
+def test_block_table_refuses_forms_outside_the_block_shape(monkeypatch, key, value):
+    import twistamp.integrate as integrate
+
+    g = with_random_kinematics(bowtie, random.Random(75))
+    forms = propagator_forms(g)
+    upper = dict(forms[0].form._upper)
+    upper[key] = GaussianRational.coerce(value)
+    broken = AlternatingForm._raw(forms[0].form.dim, upper)
+    forms[0] = dataclasses.replace(forms[0], form=broken)
+    monkeypatch.setattr(integrate, "propagator_forms", lambda graph: forms)
+    with pytest.raises(InvariantViolation, match="form 0: loop block"):
+        pfaffian_amplitude(g, IntegrationConfig(n_samples=1000, seed=0))
 
 
 def test_pfaffian_estimate_equals_mean_of_inverse_s2_squared_on_same_draws(monkeypatch):
@@ -323,7 +385,7 @@ def _assert_within_ulps(values, exact, ulps):
 
 
 def test_poly_evaluator_matches_exact_evaluation_within_8_ulp():
-    from twistamp import GaussianRational, MultiPoly
+    from twistamp import MultiPoly
     from twistamp.integrate import _poly_evaluator
 
     rnd = random.Random(5)

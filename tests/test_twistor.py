@@ -18,9 +18,11 @@ from twistamp import (
     build_propagator_form,
     cycle_basis,
     embed4,
+    first_symanzik_trees,
     o_block_form,
     pair,
     pfaffian_numeric,
+    pfaffian_symbolic,
     pfaffian_symanzik_ratio,
     propagator_forms,
     quadratic_rank_check,
@@ -202,6 +204,20 @@ def test_propagator_forms_store_only_nonzero_upper_entries():
             assert hash(dense) == hash(f.form)
             assert f.form._upper
             assert all(i < j and not x.is_zero() for (i, j), x in f.form._upper.items())
+
+
+def test_loop_block_pfaffian_is_the_first_symanzik_polynomial():
+    # the loop block of sum_e a_e Q_e is L (x) J with L = sum_e a_e alpha_e
+    # alpha_e^T, and Pf(L (x) J) = det L = S1: the first factor of the block
+    # factorization Pf = det L (b - c0^T (L^-1 (x) J) c1)
+    rnd = random.Random(76)
+    graphs = [with_random_kinematics(f, rnd) for f in (box, bowtie)]
+    graphs += [multi_loop_graph(name, rnd) for name in ("theta", "loop3")]
+    for g in graphs:
+        loop_block = [
+            AlternatingForm([row[2:] for row in f.form.rows()[2:]]) for f in propagator_forms(g)
+        ]
+        assert pfaffian_symbolic(loop_block) == first_symanzik_trees(g)
 
 
 def test_massless_shifted_form_has_rank_two():
