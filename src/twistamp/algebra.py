@@ -1,8 +1,10 @@
 """Exact Gaussian-rational arithmetic, sparse multivariate polynomials, and
 pfaffians/determinants of small alternating matrices.
 
-Coefficients are pairs of `fractions.Fraction`, so every symbolic result in
-this module is exact. The symbolic pfaffian and determinant share one
+Coefficients are Gaussian rationals (a + b i)/d held as three Python ints
+(d > 0, gcd(a, b, d) = 1), so every symbolic result in this module is exact
+and its arithmetic never builds a `fractions.Fraction`; their `re` and `im`
+are read out as `Fraction`s. The symbolic pfaffian and determinant share one
 expansion, `_pfaffian_expand`: the perfect-matching sum grouped by the
 partner of the lowest index and memoized on the remaining indices; a
 determinant is the pfaffian of [[0, M], [-M^T, 0]] up to sign. The only
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -59,119 +61,170 @@ def as_fraction(value) -> Fraction:
     raise ValidationError(f"cannot interpret a {type(value).__name__} as an exact rational")
 
 
-@dataclass(frozen=True, eq=False)
 class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Exact complex rational (a + b i)/d, stored as Python ints with d > 0 and
+    gcd(a, b, d) = 1, so equal values have equal (a, b, d).
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    Arithmetic runs on the ints alone; `as_fraction` reads only values that
+    enter from outside (the constructor and `coerce`). `re` and `im` are
+    `Fraction`-valued properties. A real value hashes as its `Fraction` (so as
+    the int when integral), since it compares equal to one. Instances are
+    treated as immutable.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", as_fraction(self.re))
-        object.__setattr__(self, "im", as_fraction(self.im))
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re=0, im=0):
+        re = as_fraction(re)
+        im = as_fraction(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        a, b, d = p * s, r * q, q * s
+        g = math.gcd(a, b, d)
+        self._a, self._b, self._d = a // g, b // g, d // g
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        return cls(as_fraction(value))
+        if type(value) is int:
+            return _raw_gr(value, 0, 1)
+        value = as_fraction(value)
+        return _raw_gr(value.numerator, 0, value.denominator)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _raw_gr(self._a, -self._b, self._d)
 
     def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def __add__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except ValidationError:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        other = _operand(other)
+        return NotImplemented if other is None else _gr_add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except ValidationError:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        other = _operand(other)
+        return NotImplemented if other is None else _gr_add(self, -other)
 
     def __rsub__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except ValidationError:
-            return NotImplemented
-        return other - self
+        other = _operand(other)
+        return NotImplemented if other is None else _gr_add(other, -self)
 
     def __mul__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except ValidationError:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        other = _operand(other)
+        return NotImplemented if other is None else _gr_mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except ValidationError:
-            return NotImplemented
-        n2 = other.norm2()
-        if not n2:
-            raise ZeroDivisionError("division by zero")
-        num = self * other.conjugate()
-        return GaussianRational(num.re / n2, num.im / n2)
+        other = _operand(other)
+        return NotImplemented if other is None else _gr_div(self, other)
 
     def __rtruediv__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except ValidationError:
-            return NotImplemented
-        return other / self
+        other = _operand(other)
+        return NotImplemented if other is None else _gr_div(other, self)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _raw_gr(-self._a, -self._b, self._d)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValidationError("only nonnegative integer powers are supported")
-        out = GaussianRational(Fraction(1))
+        out = _raw_gr(1, 0, 1)
         for _ in range(exponent):
-            out = out * self
+            out = _gr_mul(out, self)
         return out
 
     def __eq__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except ValidationError:
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        return hash(self._a if self._d == 1 else Fraction(self._a, self._d))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __complex__(self):
-        return float(self.re) + 1j * float(self.im)
+        return complex(self._a / self._d, self._b / self._d)
+
+    def __repr__(self):
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
+
+
+def _raw_gr(a: int, b: int, d: int) -> GaussianRational:
+    # internal: (a, b, d) is already canonical
+    out = object.__new__(GaussianRational)
+    out._a, out._b, out._d = a, b, d
+    return out
+
+
+def _make_gr(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i)/d for d > 0, with the common gcd divided out."""
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _raw_gr(a, b, d)
+
+
+def _operand(value):
+    """The other operand of an arithmetic operator as a GaussianRational, or
+    None when it is no exact number (the operator then returns NotImplemented)."""
+    if type(value) is GaussianRational:
+        return value
+    try:
+        return GaussianRational.coerce(value)
+    except ValidationError:
+        return None
+
+
+def _gr_add(x: GaussianRational, y: GaussianRational) -> GaussianRational:
+    d = x._d
+    if d == y._d:
+        return _make_gr(x._a + y._a, x._b + y._b, d)
+    e = y._d
+    return _make_gr(x._a * e + y._a * d, x._b * e + y._b * d, d * e)
+
+
+def _gr_mul(x: GaussianRational, y: GaussianRational) -> GaussianRational:
+    a, b, c, e = x._a, x._b, y._a, y._b
+    return _make_gr(a * c - b * e, a * e + b * c, x._d * y._d)
+
+
+def _gr_div(x: GaussianRational, y: GaussianRational) -> GaussianRational:
+    # (a + b i)/d / ((c + e i)/f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
+    a, b, c, e, f = x._a, x._b, y._a, y._b, y._d
+    n2 = c * c + e * e
+    if not n2:
+        raise ZeroDivisionError("division by zero")
+    return _make_gr((a * c + b * e) * f, (b * c - a * e) * f, x._d * n2)
 
 
 _GR_ZERO = GaussianRational()
@@ -265,11 +318,14 @@ class MultiPoly:
         out = dict(self._terms)
         for exps, c in other._terms.items():
             cur = out.get(exps)
-            val = c if cur is None else cur + c
-            if val.is_zero():
-                out.pop(exps, None)
-            else:
+            if cur is None:
+                out[exps] = c
+                continue
+            val = _gr_add(cur, c)
+            if val._a or val._b:
                 out[exps] = val
+            else:
+                del out[exps]
         return MultiPoly._raw(self.nvars, out)
 
     __radd__ = __add__
@@ -288,18 +344,25 @@ class MultiPoly:
             c = GaussianRational.coerce(other)
             if c.is_zero():
                 return MultiPoly.zero(self.nvars)
-            return MultiPoly._raw(self.nvars, {e: v * c for e, v in self._terms.items()})
+            return MultiPoly._raw(self.nvars, {e: _gr_mul(v, c) for e, v in self._terms.items()})
         other = self._coerce_other(other)
         out: dict = {}
+        get = out.get
+        right = list(other._terms.items())
         for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                cur = out.get(key)
-                val = c1 * c2 if cur is None else cur + c1 * c2
-                if val.is_zero():
-                    out.pop(key, None)
-                else:
+            for e2, c2 in right:
+                key = tuple(map(operator.add, e1, e2))
+                val = _gr_mul(c1, c2)
+                cur = get(key)
+                if cur is None:
+                    # a product of nonzero Gaussian rationals is nonzero
                     out[key] = val
+                    continue
+                val = _gr_add(cur, val)
+                if val._a or val._b:
+                    out[key] = val
+                else:
+                    del out[key]
         return MultiPoly._raw(self.nvars, out)
 
     __rmul__ = __mul__
@@ -326,14 +389,14 @@ class MultiPoly:
             raise StructuralError("point has the wrong number of coordinates")
         # a coordinate equal to one leaves every product alone, so at the
         # all-ones point each term is just its coefficient
-        active = [(i, p) for i, p in enumerate(pt) if p.re != 1 or p.im]
+        active = [(i, p) for i, p in enumerate(pt) if p != 1]
         total = _GR_ZERO
         for exps, coeff in self._terms.items():
             v = coeff
             for i, p in active:
                 for _ in range(exps[i]):
-                    v = v * p
-            total = total + v
+                    v = _gr_mul(v, p)
+            total = _gr_add(total, v)
         return total
 
     def text(self) -> str:

@@ -86,15 +86,22 @@ def two_forest_polynomial(g: Graph) -> MultiPoly:
     The 2-forests are the acyclic sets of V - 2 edges. (q^F)^2 is the
     euclidean square of the total external momentum entering the component
     of the first vertex (the other component carries minus that by
-    conservation), so every coefficient is a nonnegative rational.
+    conservation), so every coefficient is a nonnegative rational. It
+    depends only on which momentum-carrying vertices share that component,
+    so it is computed once per such set, keyed by a bitmask over them.
     """
     n_edges = g.n_edges
+    first = g.vertices[0]
+    carriers = [(v, q) for v, q in g.external_momenta.items() if not q.is_zero()]
+    weights = {}
     terms = {}
     for idxs, parent in _forests(g, g.n_vertices - 2):
-        root0 = _find(parent, g.vertices[0])
-        side = (v for v in g.vertices if _find(parent, v) == root0)
-        q = sum((g.momentum(v) for v in side), FourVector.zero())
-        weight = q.norm2()
+        root0 = _find(parent, first)
+        side = sum(1 << k for k, (v, _) in enumerate(carriers) if _find(parent, v) == root0)
+        weight = weights.get(side)
+        if weight is None:
+            q = sum((p for k, (_, p) in enumerate(carriers) if side >> k & 1), FourVector.zero())
+            weight = weights[side] = q.norm2()
         if weight:
             inside = set(idxs)
             exps = tuple(0 if i in inside else 1 for i in range(n_edges))

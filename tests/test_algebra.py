@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistamp import (
     AlternatingForm,
@@ -54,6 +56,125 @@ def test_gaussian_rational_is_exact():
     third = GR(Fraction(1, 3))
     assert third + third + third == 1
     assert GR(0, 1) ** 2 == -1
+
+
+# Property tests of GaussianRational against a reference that keeps a
+# Gaussian rational as its (re, im) pair of Fractions.
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+rationals = st.fractions()
+pairs = st.tuples(rationals, rationals)
+nonzero_pairs = pairs.filter(lambda x: x[0] or x[1])
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_div(x, y):
+    n2 = y[0] * y[0] + y[1] * y[1]
+    re, im = ref_mul(x, (y[0], -y[1]))
+    return (re / n2, im / n2)
+
+
+def parts(z):
+    return (z.re, z.im)
+
+
+def is_canonical(z):
+    return z._d > 0 and math.gcd(z._a, z._b, z._d) == 1
+
+
+@PROPERTY
+@given(pairs, pairs)
+def test_gaussian_rational_arithmetic_matches_fraction_pairs(x, y):
+    gx, gy = GR(*x), GR(*y)
+    results = {
+        "+": (gx + gy, (x[0] + y[0], x[1] + y[1])),
+        "-": (gx - gy, (x[0] - y[0], x[1] - y[1])),
+        "*": (gx * gy, ref_mul(x, y)),
+        "neg": (-gx, (-x[0], -x[1])),
+        "conjugate": (gx.conjugate(), (x[0], -x[1])),
+    }
+    if y[0] or y[1]:
+        results["/"] = (gx / gy, ref_div(x, y))
+    for op, (got, want) in results.items():
+        assert parts(got) == want, op
+        assert is_canonical(got), op
+    assert gx.norm2() == x[0] * x[0] + x[1] * x[1]
+    assert isinstance(gx.norm2(), Fraction)
+
+
+@PROPERTY
+@given(pairs, st.integers(min_value=0, max_value=5))
+def test_gaussian_rational_power_matches_repeated_product(x, k):
+    want = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        want = ref_mul(want, x)
+    assert parts(GR(*x) ** k) == want
+
+
+@PROPERTY
+@given(pairs, nonzero_pairs)
+def test_gaussian_rational_form_is_canonical(x, y):
+    gx, gy = GR(*x), GR(*y)
+    # the same value reached three ways has one (a, b, d) and one hash
+    same = [gx, (gx * gy) / gy, (gx + gy) - gy, GR(gx.re, gx.im)]
+    for z in same:
+        assert z == gx
+        assert (z._a, z._b, z._d) == (gx._a, gx._b, gx._d)
+        assert hash(z) == hash(gx)
+        assert is_canonical(z)
+    assert parts(gx) == x
+    assert isinstance(gx.re, Fraction) and isinstance(gx.im, Fraction)
+
+
+@PROPERTY
+@given(pairs)
+def test_gaussian_rational_division_by_zero(x):
+    for zero in (GR(), 0, Fraction(0), "0", 0.0):
+        with pytest.raises(ZeroDivisionError):
+            GR(*x) / zero
+    with pytest.raises(ZeroDivisionError):
+        x[0] / GR()
+
+
+@PROPERTY
+@given(st.integers(), rationals, st.decimals(allow_nan=False, allow_infinity=False))
+def test_gaussian_rational_coerce(n, q, dec):
+    assert parts(GR.coerce(n)) == (n, 0)
+    assert parts(GR.coerce(q)) == (q, 0)
+    assert parts(GR.coerce(str(dec))) == (Fraction(str(dec)), 0)
+    z = GR(q, n)
+    assert GR.coerce(z) is z
+
+
+@PROPERTY
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_gaussian_rational_coerce_reads_floats_through_repr(f):
+    assert parts(GR.coerce(f)) == (Fraction(repr(f)), 0)
+    assert GR.coerce(np.float64(f)) == GR.coerce(f)
+
+
+@PROPERTY
+@given(st.integers(), rationals, pairs)
+def test_gaussian_rational_hash_agrees_with_eq(n, q, x):
+    assert GR(n) == n and hash(GR(n)) == hash(n)
+    assert GR(q) == q and hash(GR(q)) == hash(q)
+    z = GR(*x)
+    assert (z == x[0]) == (not x[1])
+    if not x[1]:
+        assert hash(z) == hash(x[0])
+    assert len({z, GR(*x), GR(x[0]) + GR(0, x[1])}) == 1
+
+
+def test_gaussian_rational_hash_examples():
+    assert hash(GR(1)) == hash(1) and hash(GR(-2)) == hash(-2)
+    assert hash(GR(Fraction(1, 3))) == hash(Fraction(1, 3))
+    assert hash(GR(0.5)) == hash(0.5)
+    assert {1: "one", Fraction(1, 2): "half"}[GR(Fraction(2, 4))] == "half"
+    assert GR(3) in {3} and 3 in {GR(3)}
 
 
 def test_multipoly_basics():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from twistamp import (
     Graph,
@@ -11,12 +12,19 @@ from twistamp import (
     cycle_basis,
     first_symanzik_det,
     first_symanzik_trees,
+    route_momenta,
     second_symanzik,
     spanning_trees,
     triangle,
     two_forest_polynomial,
 )
-from conftest import random_connected_graph, random_momenta, random_positive_fraction
+from conftest import (
+    multi_loop_graph,
+    random_connected_graph,
+    random_momenta,
+    random_positive_fraction,
+    with_random_kinematics,
+)
 
 
 def test_triangle_s1():
@@ -120,3 +128,49 @@ def test_s2_positive_on_interior_samples():
         points = rng.dirichlet(np.ones(g.n_edges), size=10_000)
         values = sum(float(c.re) * np.prod(points ** np.array(e), axis=1) for e, c in terms)
         assert (values > 0).all()
+
+
+def _sympy_symanzik(sympy, g):
+    """S1 and S2 by sympy alone from the cycle basis and the routed shifts
+    (Bogner-Weinzierl): with L = sum_e a_e alpha_e alpha_e^T,
+    B = sum_e a_e alpha_e s_e^T and J = sum_e a_e |s_e|^2,
+    S1 = det L and S2 = det L * J - tr(B^T adj(L) B) + (sum_e m_e^2 a_e) det L,
+    each as {exponents: Fraction}."""
+    basis = cycle_basis(g)
+    routing = route_momenta(g)
+    a = sympy.symbols(f"a1:{g.n_edges + 1}")
+
+    def rat(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    L = sympy.zeros(basis.n, basis.n)
+    B = sympy.zeros(basis.n, 4)
+    J = 0
+    mass = 0
+    for e, edge in enumerate(g.edges):
+        alpha = sympy.Matrix(basis.column(e))
+        s = sympy.Matrix([rat(x) for x in routing.of(edge.id)])
+        L += a[e] * alpha * alpha.T
+        B += a[e] * alpha * s.T
+        J += a[e] * s.dot(s)
+        mass += a[e] * rat(edge.mass) ** 2
+    s1 = L.det(method="berkowitz")
+    s2 = s1 * (J + mass) - (B.T * L.adjugate(method="berkowitz") * B).trace()
+
+    def terms(expr):
+        poly = sympy.Poly(sympy.expand(expr), *a)
+        return {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()}
+
+    return terms(s1), terms(s2)
+
+
+@pytest.mark.parametrize("name", ["bowtie", "theta", "loop3"])
+def test_symanzik_matches_independent_sympy_oracle(name):
+    sympy = pytest.importorskip("sympy")
+    rnd = random.Random(53)
+    g = with_random_kinematics(bowtie, rnd) if name == "bowtie" else multi_loop_graph(name, rnd)
+    s1, s2 = _sympy_symanzik(sympy, g)
+    pair = second_symanzik(g)
+    for poly, want in ((pair.s1, s1), (pair.s2, s2)):
+        assert not any(c.im for _, c in poly.terms())
+        assert {e: c.re for e, c in poly.terms()} == want
