@@ -8,9 +8,9 @@ are read out as `Fraction`s. The symbolic pfaffian and determinant share one
 expansion, `_pfaffian_expand`: the perfect-matching sum grouped by the
 partner of the lowest index and memoized on the remaining indices; a
 determinant is the pfaffian of [[0, M], [-M^T, 0]] up to sign. The only
-floating-point code path is the numeric pfaffian (one batched, cache-blocked
+floating-point code path is the numeric pfaffian (one batch-last
 Parlett-Reid kernel; a single matrix is a batch of one), which exists to
-cross-check the exact routines and to serve the Monte Carlo integrators.
+cross-check the exact routines and the pfaffian estimator's block kernel.
 """
 
 from __future__ import annotations
@@ -149,7 +149,9 @@ class GaussianRational:
         return out
 
     def __eq__(self, other):
-        other = _operand(other)
+        # floats and strings read as decimals in arithmetic, but they hash
+        # otherwise (hash(0.1) is that of the double), so they compare unequal
+        other = None if isinstance(other, (float, str)) else _operand(other)
         if other is None:
             return NotImplemented
         return self._a == other._a and self._b == other._b and self._d == other._d
@@ -608,19 +610,15 @@ def det_symbolic(matrix) -> MultiPoly:
     return -pf if dim * (dim - 1) // 2 % 2 else pf
 
 
-# Working set of one Parlett-Reid chunk, chunk * d * d complex128 entries,
-# so that the chunk and the temporaries of its rank-2 updates stay near the
-# L2 cache. On a 2-vCPU Xeon with 2 MiB of L2 per core, 65 536 matrices at
-# d = 4..10 ran fastest with 0.5-2 MiB (1 MiB within 2% of the best); 256 KiB
-# was up to 30% slower, 6 MiB up to 50% and 16 MiB up to 95%.
-_PF_CHUNK_BYTES = 1 << 20
-
 # pfaffian_numeric rejects a matrix with |A + A^T| above this times max(1, |A|)
 _ASYM_TOL = 1e-12
 
 
-def _parlett_reid(A: np.ndarray) -> np.ndarray:
-    """Pfaffians of the batch-last stack A (d, d, b); A is overwritten.
+def _parlett_reid_batch(mats) -> np.ndarray:
+    """Pfaffians of a batch of antisymmetric matrices (B, d, d), by partially
+    pivoted Parlett-Reid elimination (Wimmer, arXiv:1102.3440) run
+    batch-last, on a (d, d, B) copy, so that every step acts on contiguous
+    length-B vectors. The input is never written.
 
     Step k swaps the largest |A[i, k]|, i > k, into row and column k+1
     (flipping the sign), multiplies the pivot A[k, k+1] into the product
@@ -628,6 +626,9 @@ def _parlett_reid(A: np.ndarray) -> np.ndarray:
     congruence update. A matrix whose pivot column is exactly zero has
     Pf = 0.
     """
+    # astype always copies: for a batch of one matrix moveaxis returns a
+    # view that already counts as C-contiguous
+    A = np.moveaxis(np.asarray(mats), 0, -1).astype(complex, order="C")
     dim, _, b = A.shape
     pf = np.ones(b, dtype=complex)
     dead = np.zeros(b, dtype=bool)
@@ -657,33 +658,14 @@ def _parlett_reid(A: np.ndarray) -> np.ndarray:
     return pf
 
 
-def _parlett_reid_batch(mats) -> np.ndarray:
-    """Pfaffians of a batch of antisymmetric matrices (B, d, d).
-
-    Partially pivoted Parlett-Reid elimination (Wimmer, arXiv:1102.3440),
-    run batch-last so that every step acts on contiguous length-b vectors,
-    over chunks of b = _PF_CHUNK_BYTES // (16 d^2) matrices so that the
-    trailing updates stay in cache. The input is never written.
-    """
-    mats = np.asarray(mats)
-    batch, dim, _ = mats.shape
-    out = np.empty(batch, dtype=complex)
-    chunk = max(1, _PF_CHUNK_BYTES // (16 * dim * dim))
-    for start in range(0, batch, chunk):
-        # astype always copies: for a chunk of one matrix moveaxis returns a
-        # view that already counts as C-contiguous
-        A = np.moveaxis(mats[start : start + chunk], 0, -1).astype(complex, order="C")
-        out[start : start + A.shape[2]] = _parlett_reid(A)
-    return out
-
-
 def pfaffian_numeric(form) -> complex:
     """Pfaffian of an antisymmetric matrix by Parlett-Reid elimination.
 
     Partial pivoting keeps the congruence transforms bounded; the running
     product of the 2x2 block pivots times the permutation sign is Pf(A),
-    with Pf([[0, a], [-a, 0]]) = a and Pf(A)^2 = det(A). This is the batch
-    kernel `_parlett_reid_batch` on a batch of one.
+    with Pf([[0, a], [-a, 0]]) = a and Pf(A)^2 = det(A). This is
+    `_parlett_reid_batch` on a batch of one; the Monte Carlo estimators do
+    not use it (the pfaffian estimator has its own block kernel).
     """
     if isinstance(form, AlternatingForm):
         A = form.to_numpy()

@@ -88,7 +88,7 @@ class Edge(NamedTuple):
     mass: Fraction
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Graph:
     """Connected simple graph with per-edge masses and conserved external momenta.
 
@@ -169,15 +169,6 @@ class Graph:
             return self._index[edge_id]
         except KeyError:
             raise StructuralError(f"no edge with id {edge_id!r}") from None
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return (
-            self.vertices == other.vertices
-            and self.edges == other.edges
-            and self.external_momenta == other.external_momenta
-        )
 
 
 def loop_number(g: Graph) -> int:

@@ -29,8 +29,10 @@ S2. One-loop graphs, where S2 has no zero on the closed simplex, keep the
 plain uniform proposal. Graphs with a divergent subgraph are refused.
 
 All samplers derive their random stream deterministically from
-(seed, method, batch index), and each batch's count, mean and sum of
-squared deviations are merged in batch order, so a fixed config reproduces
+(seed, method, batch index). One loop, _mean, serves every Monte Carlo
+estimate (the three above and the Feynman check): it evaluates each batch's
+weights, refuses a non-finite one, and merges each batch's count, mean and
+sum of squared deviations in batch order, so a fixed config reproduces
 bit-identical estimates.
 """
 
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -116,14 +118,7 @@ class IntegrationResult:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "method": self.method,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
 
 class _Accumulator:
@@ -319,14 +314,20 @@ def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical=Non
             yield batch
 
 
-def _simplex_mean(
-    cfg: IntegrationConfig, dim: int, method: str, weights, factor: float = 1.0, tropical=None
-):
-    """factor * mean of weights(batch) over the simplex batches, with its
-    standard error."""
+def _mean(method: str, batches, weights, factor: float = 1.0):
+    """factor * mean of weights(batch) over the batches, with its standard
+    error. Every weight must be finite."""
     acc = _Accumulator()
-    for batch in _simplex_batches(cfg, dim, method, tropical):
-        acc.add(weights(batch))
+    for index, batch in enumerate(batches):
+        values = weights(batch)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise InvariantViolation(
+                f"non-finite {method}-method sample in batch {index} "
+                f"(sample {int(np.argmin(finite))})"
+            )
+        acc.add(values)
+        del values, finite  # hold neither while the next batch is drawn
     return acc.finalize(factor)
 
 
@@ -336,9 +337,10 @@ def _simplex_integral(cfg: IntegrationConfig, n: int, orders, method: str, denom
     its standard error."""
     n_edges = 2 * n + 2
     tropical = _tropical_sampler(n, orders)
+    batches = _simplex_batches(cfg, n_edges, method, tropical)
     if tropical is None:
-        return _simplex_mean(
-            cfg, n_edges, method, lambda points: 1.0 / denominators(points),
+        return _mean(
+            method, batches, lambda points: 1.0 / denominators(points),
             1.0 / math.factorial(n_edges - 1),
         )
 
@@ -346,7 +348,7 @@ def _simplex_integral(cfg: IntegrationConfig, n: int, orders, method: str, denom
         points, log_q = draw
         return np.exp(-(np.log(denominators(points)) + log_q))
 
-    return _simplex_mean(cfg, n_edges, method, weights, tropical=tropical)
+    return _mean(method, batches, weights)
 
 
 def _horner_program(terms: list, nvars: int) -> tuple:
@@ -593,46 +595,47 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     log_g0 = n * log_norm - math.log(n_trees)
     uniform = np.full(n_trees, 1.0 / n_trees)
 
-    acc = _Accumulator()
-    for index, count in _batches(cfg.n_samples):
-        rng = _rng(cfg.seed, "direct", index)
-        per_tree = rng.multinomial(count, uniform).tolist()
-        chords = rng.standard_normal((4, n, count))  # component, chord, sample
-        # chi^2 with nu degrees of freedom; for nu = 1 a squared normal, which
-        # numpy draws several times faster than chisquare(1)
-        chi2 = (
-            np.square(rng.standard_normal((n, count)))
-            if nu == 1.0
-            else rng.chisquare(nu, size=(n, count))
-        )
-        chords *= scale / np.sqrt(chi2 / nu)
-
-        # each channel's samples form one contiguous block of columns
-        p2 = np.empty((n_edges, count))  # |q_e|^2
-        end = 0
-        for a_t, b_t, k in zip(maps, offsets, per_tree):
-            block = slice(end, end + k)
-            end += k
-            q = a_t @ chords[:, :, block]  # (4, E, k)
-            q += b_t.T[:, :, None]
-            np.square(q, out=q)
-            q.sum(axis=0, out=p2[:, block])
-
-        log_f = -np.log(p2 + mass_sq).sum(axis=0)
-        log_h = np.log1p(p2 / (nu * scale * scale))
-        log_h *= -0.5 * (nu + 4.0)
-        top = log_h.max(axis=0)
-        log_g = np.log(u_at(np.exp(log_h - top).T)) + n * top + log_g0
-
-        weights = np.exp(log_f - log_g)
-        if not np.all(np.isfinite(weights)):
-            bad = int(np.argmin(np.isfinite(weights)))
-            raise InvariantViolation(
-                f"non-finite direct-method sample in batch {index} (sample {bad})"
+    # The batches are the log weights log f - log g, drawn by a generator
+    # whose frame keeps each batch's arrays until the next batch replaces
+    # them, as a hand-written loop would. A weight function of (index, count)
+    # that frees them on return lowers this estimate's own peak by about
+    # 1 MB, but then glibc (2.36) no longer trims its heap after the direct
+    # run on the 2-4 loop benchmark graphs, and the first pfaffian batch's
+    # assembly array lands on top of the retained heap: peak RSS over theta,
+    # loop3 and loop4 went from 85 to 97 MB.
+    def log_weights():
+        for index, count in _batches(cfg.n_samples):
+            rng = _rng(cfg.seed, "direct", index)
+            per_tree = rng.multinomial(count, uniform).tolist()
+            chords = rng.standard_normal((4, n, count))  # component, chord, sample
+            # chi^2 with nu degrees of freedom; for nu = 1 a squared normal, which
+            # numpy draws several times faster than chisquare(1)
+            chi2 = (
+                np.square(rng.standard_normal((n, count)))
+                if nu == 1.0
+                else rng.chisquare(nu, size=(n, count))
             )
-        acc.add(weights)
+            chords *= scale / np.sqrt(chi2 / nu)
 
-    estimate, err = acc.finalize()
+            # each channel's samples form one contiguous block of columns
+            p2 = np.empty((n_edges, count))  # |q_e|^2
+            end = 0
+            for a_t, b_t, k in zip(maps, offsets, per_tree):
+                block = slice(end, end + k)
+                end += k
+                q = a_t @ chords[:, :, block]  # (4, E, k)
+                q += b_t.T[:, :, None]
+                np.square(q, out=q)
+                q.sum(axis=0, out=p2[:, block])
+
+            log_f = -np.log(p2 + mass_sq).sum(axis=0)
+            log_h = np.log1p(p2 / (nu * scale * scale))
+            log_h *= -0.5 * (nu + 4.0)
+            top = log_h.max(axis=0)
+            log_g = np.log(u_at(np.exp(log_h - top).T)) + n * top + log_g0
+            yield log_f - log_g
+
+    estimate, err = _mean("direct", log_weights(), np.exp)
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "direct", time.perf_counter() - start
     )
@@ -832,7 +835,7 @@ def feynman_trick_check(values, cfg: IntegrationConfig | None = None) -> Feynman
             raise PrecisionError("simplex integrand underflowed to 0 or is not finite")
         return out
 
-    rhs, err = _simplex_mean(cfg, n_vals, "feynman", weights)
+    rhs, err = _mean("feynman", _simplex_batches(cfg, n_vals, "feynman"), weights)
     return FeynmanTrickResult(lhs, rhs, abs(rhs - lhs) / lhs, err, "mc", cfg.n_samples)
 
 

@@ -175,6 +175,9 @@ def test_gaussian_rational_hash_examples():
     assert hash(GR(0.5)) == hash(0.5)
     assert {1: "one", Fraction(1, 2): "half"}[GR(Fraction(2, 4))] == "half"
     assert GR(3) in {3} and 3 in {GR(3)}
+    # a float or a string hashes otherwise than its decimal value: not equal
+    assert GR(0.1) != 0.1 and 0.1 != GR(0.1) and GR(0.1) not in {0.1}
+    assert GR(1) != "1" and "1" != GR(1) and GR(1) not in {"1"}
 
 
 def test_multipoly_basics():

@@ -193,6 +193,31 @@ def test_parametric_aborts_on_negative_s2(monkeypatch):
         parametric_amplitude(g, IntegrationConfig(n_samples=1000, seed=0))
 
 
+@pytest.mark.parametrize("graph", [box, bowtie])
+def test_a_nan_weight_is_refused(monkeypatch, graph):
+    # box keeps the uniform proposal, bowtie mixes in the tropical one
+    from twistamp.integrate import _poly_evaluator
+
+    def with_a_nan_lane(poly):
+        evaluate = _poly_evaluator(poly)
+
+        def values(points):
+            out = evaluate(points)
+            out[5] = math.nan
+            return out
+
+        return values
+
+    monkeypatch.setattr("twistamp.integrate._poly_evaluator", with_a_nan_lane)
+    g = with_random_kinematics(graph, random.Random(4))
+    cfg = IntegrationConfig(n_samples=1000, seed=0)
+    for run in (parametric_amplitude, direct_amplitude):
+        method = run.__name__.removesuffix("_amplitude")
+        where = rf"non-finite {method}-method sample in batch 0 \(sample 5\)"
+        with pytest.raises(InvariantViolation, match=where):
+            run(g, cfg)
+
+
 def test_pfaffian_matches_parametric():
     rnd = random.Random(41)
     g = with_random_kinematics(bowtie, rnd)
@@ -234,7 +259,7 @@ def test_pfaffian_integrand_matches_symbolic_pipeline():
 
 
 def test_pfaffian_kernel_against_exact_and_determinant_oracles():
-    from twistamp.algebra import _PF_CHUNK_BYTES, _parlett_reid_batch
+    from twistamp.algebra import _parlett_reid_batch
 
     # exact oracle: the matching expansion of Pf(sum_e a_e Q_e), signs included
     rnd = random.Random(71)
@@ -256,15 +281,13 @@ def test_pfaffian_kernel_against_exact_and_determinant_oracles():
             exact = complex(pf_exact.evaluate(point))
             assert abs(value - exact) <= 1e-12 * abs(exact)
 
-    # |Pf|^2 = |det| on random batches that end mid-chunk
+    # |Pf|^2 = |det| on random batches
     rng = np.random.default_rng(72)
-    for dim in (4, 6, 8, 10):
-        chunk = _PF_CHUNK_BYTES // (16 * dim * dim)
-        size = 2 * chunk + 3
+    for dim, size in ((4, 8195), (6, 3643), (8, 2051), (10, 1313)):
         m = rng.standard_normal((size, dim, dim)) + 1j * rng.standard_normal((size, dim, dim))
         mats = m - np.swapaxes(m, 1, 2)
         mats[1::5, 0, 1] = mats[1::5, 1, 0] = 0.0  # forces a pivot swap at step 0
-        singular = chunk + 1
+        singular = size // 2 + 1
         mats[singular, 3, :] = mats[singular, :, 3] = 0.0  # dies mid-elimination
         before = mats.copy()
         pf = _parlett_reid_batch(mats)

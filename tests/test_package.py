@@ -1,6 +1,9 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import twistamp
 
@@ -81,3 +84,24 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_every_benchmark_span_target_resolves():
+    # the benchmark tracer reports a target the package lacks as absent, with
+    # value 0, instead of failing the run; its TARGETS are read, not imported
+    spans = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    tree = ast.parse(spans.read_text())
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    pairs = [(row.elts[0].value, row.elts[1].value) for row in table.elts]
+    assert len(pairs) >= 17
+    for module_name, attr in pairs:
+        owner = importlib.import_module(module_name)
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        assert leaf in vars(owner), f"{module_name}.{attr}"
