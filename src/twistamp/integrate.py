@@ -12,11 +12,12 @@ parametric  integral over the unit simplex of 1 / S2(a)^2, with S2 evaluated
 pfaffian    integral over the unit simplex of 1 / |Pf(sum_e a_e Q_e)|^2,
             evaluated by the block factorization of the forms: with the
             loop block L (x) J, Pf = det L (b - c0^T (L^-1 (x) J) c1), det L
-            being S1 and the second factor S2 / S1. One real matmul maps
-            each batch to L, b, c0 and c1, and an unpivoted elimination of
-            L (positive definite inside the simplex) gives both factors
-            (see _pfaffian_batch). The general Parlett-Reid kernel serves
-            `algebra.pfaffian_numeric` only.
+            being S1 and the second factor S2 / S1. Each batch runs in
+            chunks of _SIMPLEX_LANES points: one real matmul maps a chunk
+            to L, b, c0 and c1, and an unpivoted elimination of L (positive
+            definite inside the simplex) gives both factors while the chunk
+            is still in cache (see _pfaffian_batch). The general
+            Parlett-Reid kernel serves `algebra.pfaffian_numeric` only.
 
 The two simplex integrands blow up like 1/F_tr(a)^2 near the faces where S2
 vanishes, F_tr being the largest monomial of S2, so a uniform proposal gives
@@ -25,8 +26,10 @@ uniform and half drawn from Borinsky's tropical sampler (density
 1/(I_tr F_tr(a)^2), arXiv:2008.12310), and every sample is weighted by the
 balance heuristic f(a)/q(a) against the mixture density q; the weights are
 bounded by I_tr / ((1 - share) c_min^2), c_min the smallest coefficient of
-S2. One-loop graphs, where S2 has no zero on the closed simplex, keep the
-plain uniform proposal. Graphs with a divergent subgraph are refused.
+S2. The sampler draws and ranks each batch in the same lane chunks as the
+pfaffian estimator. One-loop graphs, where S2 has no zero on the closed
+simplex, keep the plain uniform proposal. Graphs with a divergent subgraph
+are refused.
 
 All samplers derive their random stream deterministically from
 (seed, method, batch index). One loop, _mean, serves every Monte Carlo
@@ -82,6 +85,15 @@ _UNIFORM_SHARE = 0.5
 # batch size is part of the estimate; it is fixed so that the fields a report
 # records (method, samples, seed, qmc) reproduce its numbers.
 _BATCH_SIZE = 65_536
+
+# Lanes per chunk of a simplex batch. The tropical sampler draws and ranks,
+# and the pfaffian estimator assembles and eliminates, one chunk at a time,
+# so that a chunk's rows stay in cache from one step to the next. On a
+# 2-vCPU Xeon with 2 MiB of L2 per core, assembly plus block kernel took
+# 22-27 ms per 65 536 loop4 points at 2 621 lanes (a 1 MiB working set),
+# 14-18 ms at 5 242-16 384 and 18-19 ms unchunked. 16 384 lanes raised the
+# peak RSS of the mc-large benchmark from 85.3 to 86.5 MB.
+_SIMPLEX_LANES = 8_192
 
 _METHOD_CODE = {"direct": 1, "parametric": 2, "pfaffian": 3, "feynman": 4}
 
@@ -161,6 +173,12 @@ def _rng(seed: int, method: str, batch_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, _METHOD_CODE[method], batch_index])
 
 
+def _lane_chunks(count: int):
+    """Slices of `_SIMPLEX_LANES` lanes covering range(count), the last one
+    partial."""
+    return (slice(start, start + _SIMPLEX_LANES) for start in range(0, count, _SIMPLEX_LANES))
+
+
 class _TropicalSampler:
     """Borinsky's tropical sampler for integrands ~ 1/S2^2 on the simplex
     (arXiv:2008.12310; massive case as in arXiv:2302.08955).
@@ -170,18 +188,20 @@ class _TropicalSampler:
     K(S) = sum_{e in S} K(S - e) / omega(S), and I_tr = sum_e K(E - e).
     A draw has density 1 / (I_tr F_tr(a)^2) on the simplex, where
     F_tr(a) = max over the monomials a^k of S2. Points are held as columns,
-    shape (N, B).
+    shape (N, B). `orders` and `omega` are held as float64, so the per-lane
+    gathers need no conversion.
     """
 
     def __init__(self, n: int, orders: np.ndarray):
         self.n = n
         self.n_edges = n_edges = len(orders).bit_length() - 1
         self.full = full = len(orders) - 1
-        self.orders = orders
+        self.orders = orders.astype(float)
         bits = 1 << np.arange(n_edges)
+        self.bit_values = bits.astype(float)
         masks = np.arange(full + 1)
         member = (masks[:, None] & bits) != 0  # (2^N, N)
-        self.omega = member.sum(axis=1) - 2 * orders
+        self.omega = member.sum(axis=1) - 2.0 * self.orders
         k_table = [1.0] * (full + 1)
         for mask in range(1, full):
             k_table[mask] = math.fsum(
@@ -215,7 +235,8 @@ class _TropicalSampler:
         rest set the gaps between their logarithms."""
         n_edges = self.n_edges
         count = u.shape[1]
-        lanes = np.arange(count)
+        log_a = np.empty(count * n_edges)  # lane-major log a_e: lane j, edge e at j N + e
+        base = np.arange(0, count * n_edges, n_edges)
         subset = np.full(count, self.full)
         ell = np.zeros(count)
         log_f = np.zeros(count)
@@ -224,13 +245,14 @@ class _TropicalSampler:
             slot = np.minimum(x.astype(np.int64), n_edges - 1)
             flat = subset * n_edges + slot
             edge = np.where(x - slot < self.prob[flat], slot, self.alias[flat])
-            out[edge, lanes] = ell  # log a_e until the exp below
+            log_a[base + edge] = ell
             subset ^= 1 << edge
             gap = np.log1p(-u[n_edges - 1 + step]) / self.omega[subset]
             ell += gap
             log_f += self.orders[subset] * gap
-        out[np.frexp(subset)[1] - 1, lanes] = ell  # the one edge left
-        np.exp(out, out=out)
+        log_a[base + np.frexp(subset)[1] - 1] = ell  # the one edge left
+        np.exp(log_a, out=log_a)
+        out[...] = log_a.reshape(count, n_edges).T
         total = out.sum(axis=0)
         out /= total
         log_f -= (self.n + 1) * np.log(total)
@@ -240,31 +262,36 @@ class _TropicalSampler:
         """log F_tr at simplex points (N, B): sum_e (m(S_e) - m(S_e - e))
         log a_e, where S_e holds e and every edge ranked after it in
         decreasing a. The ranking comes from pairwise comparisons, the lower
-        index first on ties; the value does not depend on how ties are broken."""
+        index first on ties; the value does not depend on how ties are broken.
+        S_e - e is the product of the bit values with the 0/1 rows `after`,
+        exact because it sums distinct powers of two."""
         n_edges = self.n_edges
-        bits = 1 << np.arange(n_edges, dtype=np.int32)
-        masks = np.repeat(bits[:, None], columns.shape[1], axis=1)
-        for e in range(n_edges):
-            for f in range(e + 1, n_edges):
-                after = columns[f] <= columns[e]  # f ranks after e
-                masks[e] |= after << f
-                masks[f] |= ~after << e
+        after = np.empty(columns.shape)  # row f: 1 where f ranks after e
         out = np.zeros(columns.shape[1])
-        for e, mask in enumerate(masks):
-            exponent = self.orders[mask] - self.orders[mask ^ bits[e]]
+        for e in range(n_edges):
+            np.less(columns[:e], columns[e], out=after[:e])
+            after[e] = 0.0
+            np.less_equal(columns[e + 1 :], columns[e], out=after[e + 1 :])
+            mask = (self.bit_values @ after).astype(np.intp)
+            exponent = self.orders[mask | 1 << e] - self.orders[mask]
             out += exponent * np.log(np.maximum(columns[e], np.finfo(float).tiny))
         return out
 
     def mix(self, uniform: np.ndarray, u: np.ndarray):
         """(points, log q) for the uniform points (rows) followed by the
         tropical draws from u, where q = share (N-1)! + (1 - share) /
-        (I_tr F_tr^2) is the density of this mixture, share the uniform part."""
+        (I_tr F_tr^2) is the density of this mixture, share the uniform part.
+        Both parts run in chunks of `_SIMPLEX_LANES` lanes."""
         n_uniform = len(uniform)
         count = n_uniform + u.shape[1]
         columns = np.empty((self.n_edges, count))
         columns[:, :n_uniform] = uniform.T
-        drawn = self.draw(u, columns[:, n_uniform:])
-        log_f = np.concatenate([self.log_f(columns[:, :n_uniform]), drawn])
+        log_f = np.empty(count)
+        for lanes in _lane_chunks(n_uniform):
+            log_f[lanes] = self.log_f(columns[:, lanes])
+        drawn, drawn_log_f = columns[:, n_uniform:], log_f[n_uniform:]
+        for lanes in _lane_chunks(u.shape[1]):
+            drawn_log_f[lanes] = self.draw(u[:, lanes], drawn[:, lanes])
         share = n_uniform / count
         log_uniform = math.log(share) + math.lgamma(self.n_edges) if share else -math.inf
         log_q = np.logaddexp(log_uniform, math.log((1.0 - share) / self.i_tr) - 2.0 * log_f)
@@ -647,7 +674,9 @@ def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     S2 is never expanded: it is evaluated as F0(a) + (sum_e m_e^2 a_e) U(a)
     (Bogner-Weinzierl arXiv:1002.3458), with F0 the 2-forest momentum sum
     and U the spanning-tree sum, each compiled into a Horner plan. On the
-    4-loop benchmark graph that is 130 + 117 terms in place of 686."""
+    4-loop benchmark graph that is 130 + 117 terms in place of 686. An S2
+    that is not positive, or that overflows (its weight would read exactly
+    0), is refused with InvariantViolation."""
     start = time.perf_counter()
     n, _, orders = _require_convergent(g)
     f0_at = _poly_evaluator(two_forest_polynomial(g))
@@ -662,6 +691,8 @@ def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
             raise InvariantViolation(
                 "S2 <= 0 at an interior simplex sample; sign convention broken"
             )
+        if np.any(values == math.inf):  # its weight would be exactly 0
+            raise InvariantViolation("S2 overflowed at an interior simplex sample")
         return np.square(values)
 
     estimate, err = _simplex_integral(cfg, n, orders, "parametric", denominators)
@@ -705,15 +736,6 @@ def _block_table(forms, n: int) -> np.ndarray:
     return np.array(rows)
 
 
-# Working set of one chunk of the block elimination, (n^2 + 2 + 8n) float64
-# rows of `chunk` lanes; it also bounds the temporaries of the updates. On a
-# 2-vCPU Xeon with 2 MiB of L2 per core, kernel plus assembly for 65 536
-# points took the same time from 1 MiB to whole batches (loop4 15-26 ms,
-# noisy) and up to 3x longer at 128-256 KiB; whole batches raised the peak
-# RSS of the mc-large benchmark from 87 to 98 MB.
-_BLOCK_CHUNK_BYTES = 1 << 20
-
-
 def _pfaffian_batch(lmat: np.ndarray, border: np.ndarray) -> np.ndarray:
     """Pf(sum_e a_e Q_e) for a batch of points, from the blocks of
     _block_table summed at each point: lmat (B, n, n) the loop matrices L,
@@ -726,33 +748,28 @@ def _pfaffian_batch(lmat: np.ndarray, border: np.ndarray) -> np.ndarray:
     factors as W D W^T with W unit lower triangular and no pivoting:
     det L = prod_k D_k and x^T L^-1 y = sum_k (W^-1 x)_k (W^-1 y)_k / D_k,
     where the row operations that reduce L apply W^-1 to the vectors. Runs
-    batch-last, so every step acts on contiguous lanes, over chunks of
-    _BLOCK_CHUNK_BYTES."""
-    loop = np.moveaxis(lmat, 0, -1)  # (n, n, B)
+    batch-last, so every step acts on contiguous lanes; the caller passes
+    one chunk of `_SIMPLEX_LANES` lanes at a time."""
+    ell = np.moveaxis(lmat, 0, -1)  # (n, n, B)
     rest = border.T  # (2 + 8n, B)
-    n, _, count = loop.shape
-    out = np.empty(count, dtype=complex)
-    chunk = max(1, _BLOCK_CHUNK_BYTES // (8 * (n * n + len(rest))))
-    for start in range(0, count, chunk):
-        lanes = slice(start, start + chunk)
-        ell = loop[:, :, lanes]
-        re, im = rest[0, lanes], rest[1, lanes]
-        # Re c0e, Im c0e, Re c0o, Im c0o, Re c1o, Im c1o, Re c1e, Im c1e
-        vec = rest[2:, lanes].reshape(8, n, -1)
-        det = np.ones(re.shape)
-        for k in range(n):
-            pivot = ell[k, k]
-            det *= pivot
-            xr, xi, yr, yi = vec[:4, k] / pivot
-            ur, ui, vr, vi = vec[4:, k]
-            re -= xr * ur - xi * ui - yr * vr + yi * vi
-            im -= xr * ui + xi * ur - yr * vi - yi * vr
-            tau = ell[k, k + 1 :] / pivot  # empty at the last step
-            ell[k + 1 :, k + 1 :] -= tau[:, None] * ell[k, k + 1 :][None]
-            vec[:, k + 1 :] -= tau[None] * vec[:, k, None]
-        block = out[lanes]
-        block.real = det * re
-        block.imag = det * im
+    n = len(ell)
+    re, im = rest[0], rest[1]
+    # Re c0e, Im c0e, Re c0o, Im c0o, Re c1o, Im c1o, Re c1e, Im c1e
+    vec = rest[2:].reshape(8, n, -1)
+    det = np.ones(re.shape)
+    for k in range(n):
+        pivot = ell[k, k]
+        det *= pivot
+        xr, xi, yr, yi = vec[:4, k] / pivot
+        ur, ui, vr, vi = vec[4:, k]
+        re -= xr * ur - xi * ui - yr * vr + yi * vi
+        im -= xr * ui + xi * ur - yr * vi - yi * vr
+        tau = ell[k, k + 1 :] / pivot  # empty at the last step
+        ell[k + 1 :, k + 1 :] -= tau[:, None] * ell[k, k + 1 :][None]
+        vec[:, k + 1 :] -= tau[None] * vec[:, k, None]
+    out = np.empty(len(det), dtype=complex)
+    out.real = det * re
+    out.imag = det * im
     return out
 
 
@@ -760,16 +777,29 @@ def pfaffian_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     """Monte Carlo estimate of int_simplex delta(1 - sum a) da / |Pf(sum a Q)|^2.
 
     Pf(sum_e a_e Q_e) is evaluated from the block shape of the forms (see
-    _block_table and _pfaffian_batch), not as a general pfaffian."""
+    _block_table and _pfaffian_batch), not as a general pfaffian. Each lane
+    chunk is assembled and handed to the kernel while it is still in cache."""
     start = time.perf_counter()
     n, _, orders = _require_convergent(g)
-    table = _block_table([f.form for f in propagator_forms(g)], n)
+    coeffs = np.ascontiguousarray(_block_table([f.form for f in propagator_forms(g)], n).T)
     size = n * n
 
     def denominators(batch):
-        rows = table.T @ batch.T  # (K, B), each row contiguous
-        lmat = np.moveaxis(rows[:size].reshape(n, n, -1), -1, 0)
-        mag = np.abs(_pfaffian_batch(lmat, rows[size:].T)) ** 2
+        columns = batch.T  # (E, B)
+        # Every chunk is assembled into its slice of one (K, B) array, though
+        # each slice is done with before the next chunk starts. That 11-26 MB
+        # allocation (theta to loop4) sets glibc's mmap and trim thresholds.
+        # With chunk-sized arrays instead, glibc trimmed and regrew its heap
+        # around every batch of every estimator: up to 5 866 minor faults per
+        # estimate on theta, loop3 and loop4 against at most 23, and theta's
+        # direct estimate, which shares no code with this one, ran 27% slower.
+        rows = np.empty((len(coeffs), len(batch)))
+        mag = np.empty(len(batch))
+        for lanes in _lane_chunks(len(batch)):
+            chunk = rows[:, lanes]  # each row contiguous
+            np.matmul(coeffs, columns[:, lanes], out=chunk)
+            lmat = np.moveaxis(chunk[:size].reshape(n, n, -1), -1, 0)
+            mag[lanes] = np.abs(_pfaffian_batch(lmat, chunk[size:].T)) ** 2
         if np.any(mag == 0.0) or not np.all(np.isfinite(mag)):
             raise InvariantViolation(
                 "pfaffian vanished (or overflowed) at an interior simplex sample"

@@ -218,6 +218,27 @@ def test_a_nan_weight_is_refused(monkeypatch, graph):
             run(g, cfg)
 
 
+@pytest.mark.parametrize("graph", [box, bowtie])
+def test_an_infinite_s2_is_refused(monkeypatch, graph):
+    # an overflowing S2 would give a weight of exactly 0, which is finite
+    from twistamp.integrate import _poly_evaluator
+
+    def with_an_infinite_lane(poly):
+        evaluate = _poly_evaluator(poly)
+
+        def values(points):
+            out = evaluate(points)
+            out[5] = math.inf
+            return out
+
+        return values
+
+    monkeypatch.setattr("twistamp.integrate._poly_evaluator", with_an_infinite_lane)
+    g = with_random_kinematics(graph, random.Random(4))
+    with pytest.raises(InvariantViolation, match="S2 overflowed"):
+        parametric_amplitude(g, IntegrationConfig(n_samples=1000, seed=0))
+
+
 def test_pfaffian_matches_parametric():
     rnd = random.Random(41)
     g = with_random_kinematics(bowtie, rnd)
@@ -323,7 +344,7 @@ def _block_pfaffians(rows, n):
 
 def test_block_pfaffian_matches_parlett_reid():
     from twistamp.algebra import _parlett_reid_batch
-    from twistamp.integrate import _BLOCK_CHUNK_BYTES, _block_table
+    from twistamp.integrate import _SIMPLEX_LANES, _block_table
 
     rnd = random.Random(74)
     rng = np.random.default_rng(74)
@@ -332,8 +353,7 @@ def test_block_pfaffian_matches_parlett_reid():
     graphs += [multi_loop_graph(name, rnd) for name in ("theta", "loop3", "loop4")]
     for g in graphs:
         n = g.n_edges // 2 - 1
-        chunk = _BLOCK_CHUNK_BYTES // (8 * (n * n + 2 + 8 * n))
-        size = 2 * chunk + 3  # the last chunk is partial
+        size = 2 * _SIMPLEX_LANES + 3  # the last chunk is partial
         points = np.concatenate(
             [
                 rng.dirichlet(np.ones(g.n_edges), size=size - size // 3),
@@ -559,6 +579,36 @@ def test_tropical_log_f_is_the_dominant_s2_monomial():
         uniform = np.ascontiguousarray(rng.dirichlet(np.ones(n_edges), size=2000).T)
         expect = (exps @ np.log(uniform)).max(axis=0)
         assert np.allclose(sampler.log_f(uniform), expect, rtol=1e-12, atol=1e-12)
+
+
+def test_tropical_lanes_do_not_depend_on_where_the_chunks_start():
+    from twistamp.integrate import _SIMPLEX_LANES
+
+    rnd = random.Random(19)
+    rng = np.random.default_rng(19)
+    size = 2 * _SIMPLEX_LANES + 3  # the last chunk is partial
+    graphs = [with_random_kinematics(bowtie, rnd)] + [
+        multi_loop_graph(name, rnd) for name in ("theta", "loop4")
+    ]
+    for g in graphs:
+        n_edges, sampler = _tropical_setup(g)
+        u = rng.random((2 * n_edges - 2, size))
+        drawn = np.empty((n_edges, size))
+        log_f = sampler.draw(u, drawn)
+        for start in (5, size - 1):
+            part = np.empty((n_edges, size - start))
+            assert np.array_equal(sampler.draw(u[:, start:], part), log_f[start:])
+            assert np.array_equal(part, drawn[:, start:])
+        uniform = np.ascontiguousarray(rng.dirichlet(np.ones(n_edges), size=size).T)
+        log_f = sampler.log_f(uniform)
+        for start in (5, size - 1):
+            assert np.array_equal(sampler.log_f(uniform[:, start:]), log_f[start:])
+        # equal halves keep the uniform share at 1/2 when both are sliced
+        points, log_q = sampler.mix(uniform.T, u)
+        part_points, part_log_q = sampler.mix(uniform.T[5:], u[:, 5:])
+        for whole, part in ((points, part_points), (log_q, part_log_q)):
+            assert np.array_equal(part[: size - 5], whole[5:size])
+            assert np.array_equal(part[size - 5 :], whole[size + 5 :])
 
 
 def _log_f_by_sorting(sampler, columns):

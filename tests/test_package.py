@@ -1,11 +1,13 @@
 import ast
 import importlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import twistamp
+from conftest import multi_loop_graph
 
 # the public names, in order; each module's __all__ lists its own share
 PUBLIC_NAMES = [
@@ -105,3 +107,25 @@ def test_every_benchmark_span_target_resolves():
         for part in path:
             owner = getattr(owner, part)
         assert leaf in vars(owner), f"{module_name}.{attr}"
+
+
+def test_pfaffian_batch_gets_the_loop_matrix_stack_the_benchmark_reads(monkeypatch):
+    # bench/spans.py reads the kernel's first argument as (B, n, n); any other
+    # shape would give a wrong byte count, not an error
+    import twistamp.integrate as integrate
+
+    kernel = integrate._pfaffian_batch
+    shapes = []
+
+    def recording(lmat, border):
+        shapes.append(lmat.shape)
+        return kernel(lmat, border)
+
+    monkeypatch.setattr(integrate, "_pfaffian_batch", recording)
+    g = multi_loop_graph("loop4", random.Random(3))
+    integrate.pfaffian_amplitude(g, integrate.IntegrationConfig(n_samples=66_536, seed=0))
+    assert shapes
+    for batch, rows, cols in shapes:
+        assert (rows, cols) == (4, 4)
+        assert 1 <= batch <= integrate._SIMPLEX_LANES
+    assert sum(batch for batch, _, _ in shapes) == 66_536
