@@ -37,11 +37,25 @@ estimate (the three above and the Feynman check): it evaluates each batch's
 weights, refuses a non-finite one, and merges each batch's count, mean and
 sum of squared deviations in batch order, so a fixed config reproduces
 bit-identical estimates.
+
+Every batch is drawn and evaluated in a workspace (see _workspace): each
+thread has one flat float64 arena, made by its first estimate, grown but
+never shrunk, and kept for the life of the thread, so its pages are faulted
+once and not once per batch. An estimate checks the arena out once, sized
+for its largest batch, and carves its draws and scratch from it; since
+estimates in a thread run one at a time, the arena ends the size of the
+largest one (14-16 MB at 4 loops). A call that finds its thread's
+arena checked out, such as a second live batch generator or an estimate
+run between another's batches, draws into a private array instead, with the
+same numbers. Which buffers are used never changes an estimate's bits.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+import threading
 import time
 import warnings
 from dataclasses import asdict, dataclass
@@ -86,9 +100,10 @@ _UNIFORM_SHARE = 0.5
 # records (method, samples, seed, qmc) reproduce its numbers.
 _BATCH_SIZE = 65_536
 
-# Lanes per chunk of a simplex batch. The tropical sampler draws and ranks,
-# and the pfaffian estimator assembles and eliminates, one chunk at a time,
-# so that a chunk's rows stay in cache from one step to the next. On a
+# Lanes per chunk of a batch. The tropical sampler draws and ranks, the
+# pfaffian estimator assembles and eliminates, and the direct estimator
+# evaluates its channels and logs, one chunk at a time, so that a chunk's
+# rows stay in cache from one step to the next. On a
 # 2-vCPU Xeon with 2 MiB of L2 per core, assembly plus block kernel took
 # 22-27 ms per 65 536 loop4 points at 2 621 lanes (a 1 MiB working set),
 # 14-18 ms at 5 242-16 384 and 18-19 ms unchunked. 16 384 lanes raised the
@@ -116,6 +131,8 @@ class IntegrationConfig:
             raise ValidationError("sample count must be an integer >= 1000")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
+        if not isinstance(self.qmc, bool):
+            raise ValidationError("qmc must be True or False")
 
 
 @dataclass
@@ -175,8 +192,69 @@ def _rng(seed: int, method: str, batch_index: int) -> np.random.Generator:
 
 def _lane_chunks(count: int):
     """Slices of `_SIMPLEX_LANES` lanes covering range(count), the last one
-    partial."""
-    return (slice(start, start + _SIMPLEX_LANES) for start in range(0, count, _SIMPLEX_LANES))
+    partial; every slice stops at or before count."""
+    return (
+        slice(start, min(start + _SIMPLEX_LANES, count))
+        for start in range(0, count, _SIMPLEX_LANES)
+    )
+
+
+def _largest_batch(cfg: IntegrationConfig) -> int:
+    return min(_BATCH_SIZE, cfg.n_samples)
+
+
+class _Arena:
+    """One thread's workspace: a flat float64 buffer that only grows, and
+    whether an estimate has it checked out."""
+
+    def __init__(self):
+        self.buffer = np.empty(0)
+        self.busy = False
+
+
+_threads = threading.local()
+
+
+def _arena() -> _Arena:
+    """The calling thread's arena, made on first use and kept for the life
+    of the thread."""
+    arena = getattr(_threads, "arena", None)
+    if arena is None:
+        arena = _threads.arena = _Arena()
+    return arena
+
+
+@contextlib.contextmanager
+def _workspace(*shapes):
+    """Flat float64 regions, one per shape and each of its size, laid end to
+    end in the calling thread's arena (grown first if it is too small), for
+    one estimate. While the arena is checked out (two live batch
+    generators, a nested call) the regions come from a private array
+    instead. They hold whatever their last user left in them."""
+    sizes = [math.prod(shape) for shape in shapes]
+    total = sum(sizes)
+    arena = _arena()
+    claimed = not arena.busy
+    if claimed:
+        if arena.buffer.size < total:
+            arena.buffer = np.empty(0)  # free the old pages before taking new ones
+            arena.buffer = np.empty(total)
+        arena.busy = True
+        buffer = arena.buffer
+    else:
+        buffer = np.empty(total)
+    ends = itertools.accumulate(sizes)
+    try:
+        yield [buffer[end - size : end] for size, end in zip(sizes, ends)]
+    finally:
+        if claimed:
+            arena.busy = False
+
+
+def _view(region: np.ndarray, *shape) -> np.ndarray:
+    """The first prod(shape) entries of a flat region as a C-contiguous
+    array of that shape."""
+    return region[: math.prod(shape)].reshape(shape)
 
 
 class _TropicalSampler:
@@ -277,24 +355,25 @@ class _TropicalSampler:
             out += exponent * np.log(np.maximum(columns[e], np.finfo(float).tiny))
         return out
 
-    def mix(self, uniform: np.ndarray, u: np.ndarray):
-        """(points, log q) for the uniform points (rows) followed by the
-        tropical draws from u, where q = share (N-1)! + (1 - share) /
-        (I_tr F_tr^2) is the density of this mixture, share the uniform part.
-        Both parts run in chunks of `_SIMPLEX_LANES` lanes."""
-        n_uniform = len(uniform)
-        count = n_uniform + u.shape[1]
-        columns = np.empty((self.n_edges, count))
-        columns[:, :n_uniform] = uniform.T
-        log_f = np.empty(count)
+    def mix(self, columns: np.ndarray, u: np.ndarray, log_q: np.ndarray):
+        """Completes a batch of columns (N, B) whose first B - u.shape[1]
+        lanes hold uniform points: the rest get the tropical draws from u,
+        and log_q (B) the log of the mixture density q = share (N-1)! +
+        (1 - share) / (I_tr F_tr^2), share the uniform part. Both parts run
+        in chunks of `_SIMPLEX_LANES` lanes. Returns (points, log_q), the
+        points being the rows of columns.T."""
+        count = columns.shape[1]
+        n_uniform = count - u.shape[1]
         for lanes in _lane_chunks(n_uniform):
-            log_f[lanes] = self.log_f(columns[:, lanes])
-        drawn, drawn_log_f = columns[:, n_uniform:], log_f[n_uniform:]
+            log_q[lanes] = self.log_f(columns[:, lanes])
+        drawn, drawn_log_f = columns[:, n_uniform:], log_q[n_uniform:]
         for lanes in _lane_chunks(u.shape[1]):
             drawn_log_f[lanes] = self.draw(u[:, lanes], drawn[:, lanes])
         share = n_uniform / count
         log_uniform = math.log(share) + math.lgamma(self.n_edges) if share else -math.inf
-        log_q = np.logaddexp(log_uniform, math.log((1.0 - share) / self.i_tr) - 2.0 * log_f)
+        log_q *= -2.0
+        log_q += math.log((1.0 - share) / self.i_tr)
+        np.logaddexp(log_uniform, log_q, out=log_q)
         return columns.T, log_q
 
 
@@ -305,7 +384,17 @@ def _tropical_sampler(n: int, orders: np.ndarray):
     return _TropicalSampler(n, orders) if orders[1:-1].any() else None
 
 
-def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical=None):
+def _draw_shapes(count: int, dim: int, tropical) -> list:
+    """Shapes of a batch of `count` simplex samples: the points (B, N), or
+    with a tropical sampler the columns (N, B), log q (B) and the tropical
+    part's uniforms (2N - 2, B - B_uniform)."""
+    if tropical is None:
+        return [(count, dim)]
+    n_drawn = count - int(count * _UNIFORM_SHARE)
+    return [(dim, count), (count,), (2 * dim - 2, n_drawn)]
+
+
+def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical=None, regions=None):
     """Uniform (Dirichlet) or scrambled-Sobol batches on the unit simplex.
 
     With a tropical sampler, each batch is its first `_UNIFORM_SHARE` drawn
@@ -313,6 +402,12 @@ def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical=Non
     mixture density). Under QMC one Sobol point of dimension 2N - 2 feeds
     each sample: the uniform part maps its first N coordinates, the tropical
     part uses all of them.
+
+    Every batch is drawn into `regions`, flat regions of the
+    `_draw_shapes` at the largest batch, or into a workspace checked out
+    here when none are given; so a batch holds only until the next one is
+    drawn. The Dirichlet part is drawn in lane chunks, which consume the
+    stream as one draw of the whole part does.
     """
     width = dim if tropical is None else 2 * dim - 2
     if cfg.qmc:
@@ -320,25 +415,35 @@ def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical=Non
 
         sobol = qmc.Sobol(d=width, scramble=True, seed=_rng(cfg.seed, method, 0))
     alpha = np.ones(dim)
-    for index, count in _batches(cfg.n_samples):
-        n_uniform = count if tropical is None else int(count * _UNIFORM_SHARE)
-        if cfg.qmc:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # non power-of-two draws
-                u = sobol.random(count)
-            e = -np.log(np.clip(1.0 - u[:n_uniform, :dim], 1e-16, 1.0))
-            uniform = e / e.sum(axis=1, keepdims=True)
-            u = u[n_uniform:].T
-        else:
-            rng = _rng(cfg.seed, method, index)
-            uniform = rng.dirichlet(alpha, size=n_uniform)
-            u = rng.random((width, count - n_uniform))
-        if tropical is None:
-            yield uniform
-        else:
-            batch = tropical.mix(uniform, u)
-            del uniform, u  # hold no draws while the caller works on the batch
-            yield batch
+    if regions is None:
+        owned = _workspace(*_draw_shapes(_largest_batch(cfg), dim, tropical))
+    else:
+        owned = contextlib.nullcontext(regions)
+    with owned as regions:
+        for index, count in _batches(cfg.n_samples):
+            n_uniform = count if tropical is None else int(count * _UNIFORM_SHARE)
+            batch = [
+                _view(region, *shape)
+                for region, shape in zip(regions, _draw_shapes(count, dim, tropical))
+            ]
+            uniform = batch[0] if tropical is None else batch[0][:, :n_uniform].T
+            if cfg.qmc:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # non power-of-two draws
+                    u = sobol.random(count)
+                e = -np.log(np.clip(1.0 - u[:n_uniform, :dim], 1e-16, 1.0))
+                np.divide(e, e.sum(axis=1, keepdims=True), out=uniform)
+                u = u[n_uniform:].T
+            else:
+                rng = _rng(cfg.seed, method, index)
+                for lanes in _lane_chunks(n_uniform):
+                    uniform[lanes] = rng.dirichlet(alpha, size=lanes.stop - lanes.start)
+                if tropical is not None:
+                    u = rng.random(out=batch[2])
+            if tropical is None:
+                yield uniform
+            else:
+                yield tropical.mix(batch[0], u, batch[1])
 
 
 def _mean(method: str, batches, weights, factor: float = 1.0):
@@ -358,24 +463,35 @@ def _mean(method: str, batches, weights, factor: float = 1.0):
     return acc.finalize(factor)
 
 
-def _simplex_integral(cfg: IntegrationConfig, n: int, orders, method: str, denominators):
+def _simplex_integral(cfg: IntegrationConfig, n: int, orders, method: str, denominators, *scratch):
     """Integral over the unit simplex of 1 / denominators(a), where the
     denominator vanishes like S2^2 (so m(S) of `orders` governs it), with
-    its standard error."""
+    its standard error. The estimate checks out one workspace for its draws
+    and for flat regions of the `scratch` shapes, which denominators(points,
+    regions) gets with each batch and may return its values in."""
     n_edges = 2 * n + 2
     tropical = _tropical_sampler(n, orders)
-    batches = _simplex_batches(cfg, n_edges, method, tropical)
-    if tropical is None:
-        return _mean(
-            method, batches, lambda points: 1.0 / denominators(points),
-            1.0 / math.factorial(n_edges - 1),
-        )
+    draws = _draw_shapes(_largest_batch(cfg), n_edges, tropical)
+    with _workspace(*draws, *scratch) as regions:
+        batches = _simplex_batches(cfg, n_edges, method, tropical, regions[: len(draws)])
+        own = regions[len(draws) :]
+        if tropical is None:
 
-    def weights(draw):
-        points, log_q = draw
-        return np.exp(-(np.log(denominators(points)) + log_q))
+            def weights(points):
+                values = denominators(points, own)
+                return np.divide(1.0, values, out=values)
 
-    return _mean(method, batches, weights)
+            return _mean(method, batches, weights, 1.0 / math.factorial(n_edges - 1))
+
+        def weights(draw):  # exp(-(log denominator + log q)), in place
+            points, log_q = draw
+            values = denominators(points, own)
+            np.log(values, out=values)
+            values += log_q
+            np.negative(values, out=values)
+            return np.exp(values, out=values)
+
+        return _mean(method, batches, weights)
 
 
 def _horner_program(terms: list, nvars: int) -> tuple:
@@ -454,7 +570,11 @@ def _poly_evaluator(poly):
     multiplied in. With nonnegative coefficients and points every operation
     adds or multiplies nonnegative numbers, so the relative error stays a
     few ulp. The values depend only on the points, not on their memory
-    layout or on how the batch splits into chunks."""
+    layout or on how the batch splits into chunks.
+
+    evaluate(points, out=None, work=None) writes the values into `out` (B)
+    and runs in the flat region `work` of at least evaluate.work_size(B)
+    entries; either is allocated when not given."""
     if any(c.im for _, c in poly.terms()):
         raise InvariantViolation("polynomial has a complex coefficient")
     nvars = poly.nvars
@@ -462,10 +582,13 @@ def _poly_evaluator(poly):
         [(exps, float(c.re)) for exps, c in poly.terms()], nvars
     )
 
-    def evaluate(points: np.ndarray) -> np.ndarray:
+    rows = nvars + depth
+
+    def evaluate(points: np.ndarray, out=None, work=None) -> np.ndarray:
         count = len(points)
-        out = np.empty(count)
-        work = np.empty((nvars + depth, min(count, _HORNER_CHUNK)))
+        width = min(count, _HORNER_CHUNK)
+        out = np.empty(count) if out is None else out
+        work = _view(np.empty(rows * width) if work is None else work, rows, width)
         for start in range(0, count, _HORNER_CHUNK):
             chunk = points[start : start + _HORNER_CHUNK]
             lanes = work[:, : len(chunk)]
@@ -476,6 +599,7 @@ def _poly_evaluator(poly):
             out[start : start + len(chunk)] = operands[result]
         return out
 
+    evaluate.work_size = lambda count: rows * min(count, _HORNER_CHUNK)
     return evaluate
 
 
@@ -570,6 +694,20 @@ def _tree_channels(g: Graph) -> tuple:
     return np.array(maps), np.array(offsets)
 
 
+def _pieces(lo: int, hi: int, width: int):
+    """Lanes lo..hi as consecutive (lo, hi) pieces of at most `width` lanes,
+    none of them one lane wide unless all of them are: numpy multiplies by a
+    single column through another BLAS call than by several, whose bits can
+    differ, and a sample's value must not depend on where its channel's
+    block is cut."""
+    while hi - lo > width:
+        step = width - 1 if hi - lo == width + 1 else width
+        yield lo, lo + step
+        lo += step
+    if hi > lo:
+        yield lo, hi
+
+
 def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     """Monte Carlo estimate of the momentum-space integral
     int d^{4n}x / prod_e [(sum_k alpha_k(e) x_k + s_e)^2 + m_e^2].
@@ -622,47 +760,78 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     log_g0 = n * log_norm - math.log(n_trees)
     uniform = np.full(n_trees, 1.0 / n_trees)
 
-    # The batches are the log weights log f - log g, drawn by a generator
-    # whose frame keeps each batch's arrays until the next batch replaces
-    # them, as a hand-written loop would. A weight function of (index, count)
-    # that frees them on return lowers this estimate's own peak by about
-    # 1 MB, but then glibc (2.36) no longer trims its heap after the direct
-    # run on the 2-4 loop benchmark graphs, and the first pfaffian batch's
-    # assembly array lands on top of the retained heap: peak RSS over theta,
-    # loop3 and loop4 went from 85 to 97 MB.
-    def log_weights():
-        for index, count in _batches(cfg.n_samples):
-            rng = _rng(cfg.seed, "direct", index)
-            per_tree = rng.multinomial(count, uniform).tolist()
-            chords = rng.standard_normal((4, n, count))  # component, chord, sample
-            # chi^2 with nu degrees of freedom; for nu = 1 a squared normal, which
-            # numpy draws several times faster than chisquare(1)
-            chi2 = (
-                np.square(rng.standard_normal((n, count)))
-                if nu == 1.0
-                else rng.chisquare(nu, size=(n, count))
-            )
-            chords *= scale / np.sqrt(chi2 / nu)
+    batch = _largest_batch(cfg)
+    lanes = min(_SIMPLEX_LANES, batch)
+    shapes = (
+        (4, n, batch),  # chord momenta: component, chord, sample
+        (n, batch),  # their chi^2 draws
+        (batch,),  # log weights log f - log g
+        (n_edges, lanes),  # |q_e|^2, then log h_e, of one lane chunk
+        (n_edges, lanes),  # log(|q_e|^2 + m_e^2)
+        (4, n_edges, lanes),  # q of one piece of a channel's block
+        (lanes,),  # max_e log h_e
+        (lanes,),  # log g
+        (u_at.work_size(lanes),),
+    )
+    with _workspace(*shapes) as regions:
+        chords_at, chi2_at, log_w_at, p2_at, log_p_at, q_at, top_at, log_g_at, work = regions
+        p2_chunk = p2_at.reshape(n_edges, lanes)
 
-            # each channel's samples form one contiguous block of columns
-            p2 = np.empty((n_edges, count))  # |q_e|^2
-            end = 0
-            for a_t, b_t, k in zip(maps, offsets, per_tree):
-                block = slice(end, end + k)
-                end += k
-                q = a_t @ chords[:, :, block]  # (4, E, k)
-                q += b_t.T[:, :, None]
-                np.square(q, out=q)
-                q.sum(axis=0, out=p2[:, block])
+        def finish(log_w, width):
+            """log f - log g into log_w from the chunk's first `width` lanes."""
+            p2 = p2_chunk[:, :width]
+            log_p = _view(log_p_at, n_edges, width)
+            np.add(p2, mass_sq, out=log_p)
+            np.log(log_p, out=log_p)
+            np.sum(log_p, axis=0, out=log_w)
+            np.negative(log_w, out=log_w)  # log f
+            np.divide(p2, nu * scale * scale, out=p2)
+            np.log1p(p2, out=p2)
+            p2 *= -0.5 * (nu + 4.0)  # log h
+            top = np.max(p2, axis=0, out=_view(top_at, width))
+            p2 -= top
+            np.exp(p2, out=p2)
+            log_g = u_at(p2.T, _view(log_g_at, width), work)
+            np.log(log_g, out=log_g)
+            log_g += np.multiply(top, n, out=top)
+            log_g += log_g0
+            log_w -= log_g
 
-            log_f = -np.log(p2 + mass_sq).sum(axis=0)
-            log_h = np.log1p(p2 / (nu * scale * scale))
-            log_h *= -0.5 * (nu + 4.0)
-            top = log_h.max(axis=0)
-            log_g = np.log(u_at(np.exp(log_h - top).T)) + n * top + log_g0
-            yield log_f - log_g
+        def log_weights():
+            for index, count in _batches(cfg.n_samples):
+                rng = _rng(cfg.seed, "direct", index)
+                per_tree = rng.multinomial(count, uniform).tolist()
+                chords = rng.standard_normal(out=_view(chords_at, 4, n, count))
+                # chi^2 with nu degrees of freedom; for nu = 1 a squared normal,
+                # which numpy draws several times faster than chisquare(1)
+                chi2 = _view(chi2_at, n, count)
+                if nu == 1.0:
+                    np.square(rng.standard_normal(out=chi2), out=chi2)
+                else:
+                    chi2[...] = rng.chisquare(nu, size=(n, count))
+                chi2 /= nu
+                chords *= np.divide(scale, np.sqrt(chi2, out=chi2), out=chi2)
 
-    estimate, err = _mean("direct", log_weights(), np.exp)
+                # Each channel's samples form one contiguous block of lanes.
+                # Its pieces fill the lane chunk base..stop in order, and a
+                # chunk is finished when the next piece would overflow it.
+                log_w = _view(log_w_at, count)
+                base = stop = 0
+                for a_t, b_t, k in zip(maps, offsets, per_tree):
+                    for lo, hi in _pieces(stop, stop + k, lanes):
+                        if hi - base > lanes:
+                            finish(log_w[base:lo], lo - base)
+                            base = lo
+                        q = _view(q_at, 4, n_edges, hi - lo)
+                        np.matmul(a_t, chords[:, :, lo:hi], out=q)
+                        q += b_t.T[:, :, None]
+                        np.square(q, out=q)
+                        q.sum(axis=0, out=p2_chunk[:, lo - base : hi - base])
+                        stop = hi
+                finish(log_w[base:stop], stop - base)
+                yield log_w
+
+        estimate, err = _mean("direct", log_weights(), lambda log_w: np.exp(log_w, out=log_w))
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "direct", time.perf_counter() - start
     )
@@ -683,19 +852,26 @@ def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     u_at = _poly_evaluator(first_symanzik_trees(g))
     mass_sq = np.array([float(e.mass * e.mass) for e in g.edges])
 
-    def denominators(batch):
-        values = u_at(batch)
-        values *= batch @ mass_sq
-        values += f0_at(batch)
+    def denominators(batch, regions):
+        values_at, term_at, work = regions
+        count = len(batch)
+        values = u_at(batch, _view(values_at, count), work)
+        term = _view(term_at, count)
+        values *= np.matmul(batch, mass_sq, out=term)
+        values += f0_at(batch, term, work)
         if np.any(values <= 0.0):
             raise InvariantViolation(
                 "S2 <= 0 at an interior simplex sample; sign convention broken"
             )
         if np.any(values == math.inf):  # its weight would be exactly 0
             raise InvariantViolation("S2 overflowed at an interior simplex sample")
-        return np.square(values)
+        return np.square(values, out=values)
 
-    estimate, err = _simplex_integral(cfg, n, orders, "parametric", denominators)
+    batch = _largest_batch(cfg)
+    work = max(u_at.work_size(batch), f0_at.work_size(batch))
+    estimate, err = _simplex_integral(
+        cfg, n, orders, "parametric", denominators, (batch,), (batch,), (work,)
+    )
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "parametric", time.perf_counter() - start
     )
@@ -784,19 +960,12 @@ def pfaffian_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     coeffs = np.ascontiguousarray(_block_table([f.form for f in propagator_forms(g)], n).T)
     size = n * n
 
-    def denominators(batch):
+    def denominators(batch, regions):
+        chunk_at, mag_at = regions
         columns = batch.T  # (E, B)
-        # Every chunk is assembled into its slice of one (K, B) array, though
-        # each slice is done with before the next chunk starts. That 11-26 MB
-        # allocation (theta to loop4) sets glibc's mmap and trim thresholds.
-        # With chunk-sized arrays instead, glibc trimmed and regrew its heap
-        # around every batch of every estimator: up to 5 866 minor faults per
-        # estimate on theta, loop3 and loop4 against at most 23, and theta's
-        # direct estimate, which shares no code with this one, ran 27% slower.
-        rows = np.empty((len(coeffs), len(batch)))
-        mag = np.empty(len(batch))
+        mag = _view(mag_at, len(batch))
         for lanes in _lane_chunks(len(batch)):
-            chunk = rows[:, lanes]  # each row contiguous
+            chunk = _view(chunk_at, len(coeffs), lanes.stop - lanes.start)
             np.matmul(coeffs, columns[:, lanes], out=chunk)
             lmat = np.moveaxis(chunk[:size].reshape(n, n, -1), -1, 0)
             mag[lanes] = np.abs(_pfaffian_batch(lmat, chunk[size:].T)) ** 2
@@ -806,7 +975,9 @@ def pfaffian_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
             )
         return mag
 
-    estimate, err = _simplex_integral(cfg, n, orders, "pfaffian", denominators)
+    batch = _largest_batch(cfg)
+    scratch = (len(coeffs), min(_SIMPLEX_LANES, batch)), (batch,)
+    estimate, err = _simplex_integral(cfg, n, orders, "pfaffian", denominators, *scratch)
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "pfaffian", time.perf_counter() - start
     )

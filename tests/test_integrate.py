@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +56,10 @@ def test_config_validation():
         IntegrationConfig(n_samples=999)
     with pytest.raises(ValidationError):
         IntegrationConfig(n_samples=10_000, seed=-1)
+    # a truthy non-bool would run scrambled Sobol and be reported as given
+    for qmc in ("no", 1, None):
+        with pytest.raises(ValidationError, match="qmc"):
+            IntegrationConfig(n_samples=10_000, qmc=qmc)
 
 
 def test_config_rejects_bool_counts():
@@ -201,8 +208,9 @@ def test_a_nan_weight_is_refused(monkeypatch, graph):
     def with_a_nan_lane(poly):
         evaluate = _poly_evaluator(poly)
 
-        def values(points):
-            out = evaluate(points)
+        @functools.wraps(evaluate)  # keeps evaluate.work_size
+        def values(points, *buffers):
+            out = evaluate(points, *buffers)
             out[5] = math.nan
             return out
 
@@ -226,8 +234,9 @@ def test_an_infinite_s2_is_refused(monkeypatch, graph):
     def with_an_infinite_lane(poly):
         evaluate = _poly_evaluator(poly)
 
-        def values(points):
-            out = evaluate(points)
+        @functools.wraps(evaluate)  # keeps evaluate.work_size
+        def values(points, *buffers):
+            out = evaluate(points, *buffers)
             out[5] = math.inf
             return out
 
@@ -581,6 +590,14 @@ def test_tropical_log_f_is_the_dominant_s2_monomial():
         assert np.allclose(sampler.log_f(uniform), expect, rtol=1e-12, atol=1e-12)
 
 
+def _mix(sampler, uniform, u):
+    """sampler.mix on fresh buffers: the uniform columns, then the draws
+    from u."""
+    columns = np.empty((sampler.n_edges, uniform.shape[1] + u.shape[1]))
+    columns[:, : uniform.shape[1]] = uniform
+    return sampler.mix(columns, u, np.empty(columns.shape[1]))
+
+
 def test_tropical_lanes_do_not_depend_on_where_the_chunks_start():
     from twistamp.integrate import _SIMPLEX_LANES
 
@@ -604,8 +621,8 @@ def test_tropical_lanes_do_not_depend_on_where_the_chunks_start():
         for start in (5, size - 1):
             assert np.array_equal(sampler.log_f(uniform[:, start:]), log_f[start:])
         # equal halves keep the uniform share at 1/2 when both are sliced
-        points, log_q = sampler.mix(uniform.T, u)
-        part_points, part_log_q = sampler.mix(uniform.T[5:], u[:, 5:])
+        points, log_q = _mix(sampler, uniform, u)
+        part_points, part_log_q = _mix(sampler, uniform[:, 5:], u[:, 5:])
         for whole, part in ((points, part_points), (log_q, part_log_q)):
             assert np.array_equal(part[: size - 5], whole[5:size])
             assert np.array_equal(part[size - 5 :], whole[size + 5 :])
@@ -970,3 +987,184 @@ def test_log_divergent_integrand_builder():
     assert integrand(2 * point) == pytest.approx(value / 64.0)
     with pytest.raises(UnsupportedTopology):
         log_divergent_integrand(box())
+
+
+# Pinned estimate and standard error of every method at 100 001 samples (a
+# partial last batch), seed 0, on the graphs of _pinned_graphs. A change to
+# how a stream is consumed, how batches or lane chunks are laid out, or a
+# read of a stale buffer moves them far more than the 1e-12 allowed for
+# platform rounding.
+PINNED = {
+    ("box", "direct", False): (0.022837925357596982, 7.300034848517342e-05),
+    ("box", "parametric", False): (0.0023208702725518457, 5.2351186775839555e-06),
+    ("box", "pfaffian", False): (0.0023076036773492536, 5.0134975505991845e-06),
+    ("box", "parametric", True): (0.0023151064124087833, 5.073355230309532e-06),
+    ("box", "pfaffian", True): (0.0023151163888868445, 5.113684315249479e-06),
+    ("bowtie", "direct", False): (1.4145582220008543, 0.0049860252840523206),
+    ("bowtie", "parametric", False): (0.014167589244746722, 0.0001354200182370855),
+    ("bowtie", "pfaffian", False): (0.014403704676819711, 0.00018992034609111567),
+    ("bowtie", "parametric", True): (0.01424257681757009, 0.000154031748666326),
+    ("bowtie", "pfaffian", True): (0.01468170475583564, 0.00034608118503133106),
+    ("theta", "direct", False): (1.0142348085227357, 0.004466153733764539),
+    ("theta", "parametric", False): (0.01039919745197912, 0.00011772152727266084),
+    ("theta", "pfaffian", False): (0.010288849516932786, 0.00012013728670715147),
+    ("theta", "parametric", True): (0.010340435891743145, 0.00011737706291771354),
+    ("theta", "pfaffian", True): (0.010440668102334343, 0.00016701364649591836),
+    ("loop3", "direct", False): (9.561855334515455, 0.04487640390858183),
+    ("loop3", "parametric", False): (0.009940913186448939, 0.00021571238954087377),
+    ("loop3", "pfaffian", False): (0.009820847464162763, 0.0001029000093895492),
+    ("loop3", "parametric", True): (0.00978816771086657, 0.00011740248161034083),
+    ("loop3", "pfaffian", True): (0.009873255136640825, 0.00012319458204588027),
+}
+
+
+def _pinned_graphs():
+    rnd = random.Random(41)
+    return {
+        "box": with_random_kinematics(box, rnd),
+        "bowtie": with_random_kinematics(bowtie, rnd),
+        "theta": multi_loop_graph("theta", rnd),
+        "loop3": multi_loop_graph("loop3", rnd),
+    }
+
+
+_RUNS = {
+    "direct": direct_amplitude,
+    "parametric": parametric_amplitude,
+    "pfaffian": pfaffian_amplitude,
+}
+
+
+def test_random_streams_are_pinned():
+    graphs = _pinned_graphs()
+    for (name, method, qmc), (estimate, std_error) in PINNED.items():
+        cfg = IntegrationConfig(n_samples=100_001, seed=0, qmc=qmc)
+        result = _RUNS[method](graphs[name], cfg)
+        assert result.estimate == pytest.approx(estimate, rel=1e-12), (name, method, qmc)
+        assert result.std_error == pytest.approx(std_error, rel=1e-12), (name, method, qmc)
+
+
+def _estimates(graphs, cfg):
+    """(graph index, method) -> float hex of (estimate, std error)."""
+    return {
+        (i, method): (result.estimate.hex(), result.std_error.hex())
+        for i, g in enumerate(graphs)
+        for method, run in _RUNS.items()
+        for result in [run(g, cfg)]
+    }
+
+
+def test_concurrent_threads_reproduce_the_serial_estimates():
+    # each thread has its own workspace; more threads than cores and a short
+    # switch interval interleave their batches
+    rnd = random.Random(31)
+    graphs = [with_random_kinematics(bowtie, rnd), multi_loop_graph("loop3", rnd)]
+    cfg = IntegrationConfig(n_samples=20_000, seed=2)
+    serial = _estimates(graphs, cfg)
+    results = {}
+
+    def run(i):
+        results[i] = _estimates(graphs[i % 2 :] + graphs[: i % 2], cfg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i in range(3):
+        rotated = {((g + i) % 2, method): value for (g, method), value in results[i].items()}
+        assert rotated == serial
+
+
+def test_interleaved_batch_generators_yield_what_each_yields_alone(monkeypatch):
+    # the second live generator, and an estimate run between batches, find
+    # the thread's workspace checked out and draw into their own arrays
+    from twistamp.integrate import _simplex_batches
+
+    monkeypatch.setattr("twistamp.integrate._BATCH_SIZE", 10_000)
+    g = multi_loop_graph("theta", random.Random(37))
+    n_edges, sampler = _tropical_setup(g)
+    cfgs = [IntegrationConfig(n_samples=25_000, seed=seed) for seed in (1, 2)]
+    expect = parametric_amplitude(g, cfgs[0])
+    for tropical in (sampler, None):
+
+        def batches(cfg, tropical=tropical):
+            for batch in _simplex_batches(cfg, n_edges, "parametric", tropical):
+                yield batch if tropical else (batch,)
+
+        alone = [[tuple(np.copy(a) for a in batch) for batch in batches(cfg)] for cfg in cfgs]
+        steps = 0
+        for pair in zip(*map(batches, cfgs)):
+            nested = parametric_amplitude(g, cfgs[0])
+            assert (nested.estimate, nested.std_error) == (expect.estimate, expect.std_error)
+            for batch, alone_batch in zip(pair, (alone[0][steps], alone[1][steps])):
+                assert len(batch) == len(alone_batch)
+                assert all(np.array_equal(a, b) for a, b in zip(batch, alone_batch))
+            steps += 1
+        assert steps == len(alone[0]) == 3
+
+
+def test_estimates_do_not_read_what_an_earlier_estimate_left_behind():
+    import twistamp.integrate as integrate
+
+    rnd = random.Random(43)
+    graphs = [with_random_kinematics(box, rnd), with_random_kinematics(bowtie, rnd)]
+    cfg = IntegrationConfig(n_samples=100_001, seed=4)
+    first = _estimates(graphs, cfg)
+    # loop4's pfaffian estimate grows the workspace and fills it; NaN then
+    # poisons every entry that a later estimate might read before writing
+    pfaffian_amplitude(multi_loop_graph("loop4", rnd), IntegrationConfig(n_samples=70_000))
+    integrate._arena().buffer.fill(math.nan)
+    assert _estimates(graphs, cfg) == first
+
+
+def test_a_second_estimate_reuses_the_thread_workspace():
+    import twistamp.integrate as integrate
+
+    g = multi_loop_graph("loop3", random.Random(47))
+    cfg = IntegrationConfig(n_samples=70_000, seed=0)
+    _estimates([g], cfg)
+    buffer = integrate._arena().buffer
+    assert buffer.size > 0
+    _estimates([g], cfg)
+    assert integrate._arena().buffer is buffer
+
+
+def test_weights_do_not_depend_on_the_lane_chunk_width(monkeypatch):
+    # narrow chunks cut the direct estimator's channel blocks at many places,
+    # some one lane past a chunk's end, and split every simplex batch; on
+    # loop3 an edge momentum can sum three chords, so the order of addition
+    # shows in the bits. 3 001 samples leave no one-lane chunk at these
+    # widths: the pfaffian's assembly matmul over one column takes another
+    # BLAS call.
+    import twistamp.integrate as integrate
+
+    mean = integrate._mean
+    weights_seen = []
+
+    def recording(method, batches, weights, factor=1.0):
+        def kept(batch):
+            values = weights(batch)
+            weights_seen.append(values.copy())
+            return values
+
+        return mean(method, batches, kept, factor)
+
+    monkeypatch.setattr(integrate, "_mean", recording)
+    rnd = random.Random(53)
+    graphs = [with_random_kinematics(bowtie, rnd), multi_loop_graph("loop3", rnd)]
+    cfg = IntegrationConfig(n_samples=3_001, seed=6)
+    _estimates(graphs, cfg)
+    expect = weights_seen[:]
+    for lanes in (7, 64):
+        monkeypatch.setattr(integrate, "_SIMPLEX_LANES", lanes)
+        weights_seen.clear()
+        _estimates(graphs, cfg)
+        assert len(weights_seen) == len(expect)
+        assert all(np.array_equal(a, b) for a, b in zip(weights_seen, expect))

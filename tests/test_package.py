@@ -76,16 +76,28 @@ def test_public_names_are_pinned_and_resolve():
         assert getattr(twistamp, name) is not None
 
 
-def test_import_loads_no_scipy():
-    # only --qmc and the N = 2 Feynman check use scipy, which takes about a
-    # second to import
+def _fresh_python(code: str) -> str:
+    """Standard output of `code` run by a new interpreter that imports this
+    checkout's package."""
     src = os.path.dirname(os.path.dirname(twistamp.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, twistamp; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # only --qmc and the N = 2 Feynman check use scipy, which takes about a
+    # second to import
+    code = "import sys, twistamp; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    assert _fresh_python(code) == "[]"
+
+
+def test_import_makes_no_batch_workspace():
+    # the first estimate in a thread makes that thread's workspace
+    code = "import twistamp.integrate as i; print(hasattr(i._threads, 'arena'))"
+    assert _fresh_python(code) == "False"
 
 
 def test_every_benchmark_span_target_resolves():
