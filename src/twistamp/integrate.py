@@ -12,22 +12,23 @@ parametric  integral over the unit simplex of 1 / S2(a)^2, with S2 evaluated
 pfaffian    integral over the unit simplex of 1 / |Pf(sum_e a_e Q_e)|^2,
             evaluated by the block factorization of the forms: with the
             loop block L (x) J, Pf = det L (b - c0^T (L^-1 (x) J) c1), det L
-            being S1 and the second factor S2 / S1. Each batch runs in
-            chunks of _SIMPLEX_LANES points: one real matmul maps a chunk
-            to L, b, c0 and c1, and an unpivoted elimination of L (positive
-            definite inside the simplex) gives both factors while the chunk
-            is still in cache (see _pfaffian_batch). The general
+            being S1 and the second factor S2 / S1. One real matmul maps a
+            lane chunk to L, b, c0 and c1, and an unpivoted elimination of L
+            (positive definite inside the simplex) gives both factors while
+            the chunk is still in cache (see _pfaffian_batch). The general
             Parlett-Reid kernel serves `algebra.pfaffian_numeric` only.
 
-The two simplex integrands blow up like 1/F_tr(a)^2 near the faces where S2
-vanishes, F_tr being the largest monomial of S2, so a uniform proposal gives
-them infinite variance once n >= 2. Each simplex batch is therefore half
-uniform and half drawn from Borinsky's tropical sampler (density
-1/(I_tr F_tr(a)^2), arXiv:2008.12310), and every sample is weighted by the
-balance heuristic f(a)/q(a) against the mixture density q; the weights are
-bounded by I_tr / ((1 - share) c_min^2), c_min the smallest coefficient of
-S2. The sampler draws and ranks each batch in the same lane chunks as the
-pfaffian estimator. One-loop graphs, where S2 has no zero on the closed
+The two simplex integrals are one estimate with two denominators
+(_simplex_integral), formed with their weights one chunk of _SIMPLEX_LANES
+points at a time, while the chunk is in cache. The integrands blow up like
+1/F_tr(a)^2 near the faces where S2 vanishes, F_tr being the largest
+monomial of S2, so a uniform proposal gives them infinite variance once
+n >= 2. Each simplex batch is therefore half uniform and half drawn from
+Borinsky's tropical sampler (density 1/(I_tr F_tr(a)^2), arXiv:2008.12310),
+and every sample is weighted by the balance heuristic f(a)/q(a) against the
+mixture density q; the weights are bounded by I_tr / ((1 - share) c_min^2),
+c_min the smallest coefficient of S2. The sampler draws and ranks in the
+same lane chunks. One-loop graphs, where S2 has no zero on the closed
 simplex, keep the plain uniform proposal. Graphs with a divergent subgraph
 are refused.
 
@@ -101,8 +102,8 @@ _UNIFORM_SHARE = 0.5
 _BATCH_SIZE = 65_536
 
 # Lanes per chunk of a batch. The tropical sampler draws and ranks, the
-# pfaffian estimator assembles and eliminates, and the direct estimator
-# evaluates its channels and logs, one chunk at a time, so that a chunk's
+# simplex integrands evaluate their denominators and weights, and the direct
+# estimator its channels and logs, one chunk at a time, so that a chunk's
 # rows stay in cache from one step to the next. On a
 # 2-vCPU Xeon with 2 MiB of L2 per core, assembly plus block kernel took
 # 22-27 ms per 65 536 loop4 points at 2 621 lanes (a 1 MiB working set),
@@ -190,13 +191,23 @@ def _rng(seed: int, method: str, batch_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, _METHOD_CODE[method], batch_index])
 
 
+def _pieces(lo: int, hi: int, width: int):
+    """Lanes lo..hi as consecutive (lo, hi) pieces of at most `width` lanes,
+    none of them one lane wide unless all of them are: numpy multiplies by a
+    single column through another BLAS call than by several, whose bits can
+    differ, and a sample's value must not depend on where its batch or its
+    channel's block is cut."""
+    while hi - lo > width:
+        step = width - 1 if hi - lo == width + 1 else width
+        yield lo, lo + step
+        lo += step
+    if hi > lo:
+        yield lo, hi
+
+
 def _lane_chunks(count: int):
-    """Slices of `_SIMPLEX_LANES` lanes covering range(count), the last one
-    partial; every slice stops at or before count."""
-    return (
-        slice(start, min(start + _SIMPLEX_LANES, count))
-        for start in range(0, count, _SIMPLEX_LANES)
-    )
+    """Slices of at most `_SIMPLEX_LANES` lanes covering range(count), as _pieces cuts it."""
+    return (slice(lo, hi) for lo, hi in _pieces(0, count, _SIMPLEX_LANES))
 
 
 def _largest_batch(cfg: IntegrationConfig) -> int:
@@ -463,35 +474,40 @@ def _mean(method: str, batches, weights, factor: float = 1.0):
     return acc.finalize(factor)
 
 
-def _simplex_integral(cfg: IntegrationConfig, n: int, orders, method: str, denominators, *scratch):
-    """Integral over the unit simplex of 1 / denominators(a), where the
-    denominator vanishes like S2^2 (so m(S) of `orders` governs it), with
-    its standard error. The estimate checks out one workspace for its draws
-    and for flat regions of the `scratch` shapes, which denominators(points,
-    regions) gets with each batch and may return its values in."""
+def _simplex_integral(cfg: IntegrationConfig, n: int, orders, method: str, integrand, *scratch):
+    """Integral over the unit simplex of 1 / d(a), where the denominator d
+    vanishes like S2^2 (so m(S) of `orders` governs it), with its standard
+    error. One workspace holds its draws, its weights and flat regions of
+    the `scratch` shapes. integrand(points, regions) is called once per
+    batch and returns denominators(lanes, out), which writes d at one lane
+    chunk into out; the chunk's weights are then formed in place, 1/d under
+    the uniform proposal and exp(-(log d + log q)) under the mixture q."""
     n_edges = 2 * n + 2
     tropical = _tropical_sampler(n, orders)
-    draws = _draw_shapes(_largest_batch(cfg), n_edges, tropical)
-    with _workspace(*draws, *scratch) as regions:
+    batch = _largest_batch(cfg)
+    draws = _draw_shapes(batch, n_edges, tropical)
+    with _workspace(*draws, (batch,), *scratch) as regions:
         batches = _simplex_batches(cfg, n_edges, method, tropical, regions[: len(draws)])
-        own = regions[len(draws) :]
-        if tropical is None:
+        weights_at, *own = regions[len(draws) :]
 
-            def weights(points):
-                values = denominators(points, own)
-                return np.divide(1.0, values, out=values)
+        def weights(draw):
+            points, log_q = (draw, None) if tropical is None else draw
+            values = _view(weights_at, len(points))
+            denominators = integrand(points, own)
+            for lanes in _lane_chunks(len(points)):
+                chunk = values[lanes]
+                denominators(lanes, chunk)
+                if log_q is None:
+                    np.divide(1.0, chunk, out=chunk)
+                else:
+                    np.log(chunk, out=chunk)
+                    chunk += log_q[lanes]
+                    np.negative(chunk, out=chunk)
+                    np.exp(chunk, out=chunk)
+            return values
 
-            return _mean(method, batches, weights, 1.0 / math.factorial(n_edges - 1))
-
-        def weights(draw):  # exp(-(log denominator + log q)), in place
-            points, log_q = draw
-            values = denominators(points, own)
-            np.log(values, out=values)
-            values += log_q
-            np.negative(values, out=values)
-            return np.exp(values, out=values)
-
-        return _mean(method, batches, weights)
+        factor = 1.0 if tropical else 1.0 / math.factorial(n_edges - 1)
+        return _mean(method, batches, weights, factor)
 
 
 def _horner_program(terms: list, nvars: int) -> tuple:
@@ -550,27 +566,19 @@ def _horner_program(terms: list, nvars: int) -> tuple:
     return program, constants, depth, index(result)
 
 
-# Lanes per chunk of the Horner evaluation. A plan touches its N input
-# columns and a few registers per chunk (16 rows, 2 MB, for the 4-loop F0),
-# which then stay in cache between instructions; shorter chunks pay more
-# per-instruction overhead. On a 2-vCPU Xeon with 2 MB of L2 per core,
-# F0 + (a.m^2) U on 65 536 4-loop points took 15.5 ms at 16 384 lanes,
-# 17.7 at 8 192, 20.3 at 32 768 and 23.9 unchunked.
-_HORNER_CHUNK = 16_384
-
-
 def _poly_evaluator(poly):
     """Vectorized float64 evaluation of a MultiPoly with real coefficients on
     batches of points (B, N).
 
     The polynomial is compiled once into a multivariate Horner plan (see
-    _horner_program), which then runs over chunks of `_HORNER_CHUNK` points:
-    the chunk is copied into contiguous columns, each instruction is one
-    numpy add or multiply over the chunk, and a unit factor is never
-    multiplied in. With nonnegative coefficients and points every operation
-    adds or multiplies nonnegative numbers, so the relative error stays a
-    few ulp. The values depend only on the points, not on their memory
-    layout or on how the batch splits into chunks.
+    _horner_program), which then runs over exactly the points it is given:
+    they are copied into contiguous columns, each instruction is one numpy
+    add or multiply over them, and a unit factor is never multiplied in.
+    Callers pass one lane chunk, whose columns and registers (16 rows, 1 MB
+    for the 4-loop F0) then stay in cache. With nonnegative coefficients
+    and points every operation adds or multiplies nonnegative numbers, so
+    the relative error stays a few ulp. The values depend only on the
+    points, not on their memory layout or on how many are evaluated at once.
 
     evaluate(points, out=None, work=None) writes the values into `out` (B)
     and runs in the flat region `work` of at least evaluate.work_size(B)
@@ -586,20 +594,16 @@ def _poly_evaluator(poly):
 
     def evaluate(points: np.ndarray, out=None, work=None) -> np.ndarray:
         count = len(points)
-        width = min(count, _HORNER_CHUNK)
         out = np.empty(count) if out is None else out
-        work = _view(np.empty(rows * width) if work is None else work, rows, width)
-        for start in range(0, count, _HORNER_CHUNK):
-            chunk = points[start : start + _HORNER_CHUNK]
-            lanes = work[:, : len(chunk)]
-            lanes[:nvars] = chunk.T
-            operands = [*lanes, *constants]
-            for ufunc, a, b, target in program:
-                ufunc(operands[a], operands[b], out=operands[target])
-            out[start : start + len(chunk)] = operands[result]
+        lanes = _view(np.empty(rows * count) if work is None else work, rows, count)
+        lanes[:nvars] = points.T
+        operands = [*lanes, *constants]
+        for ufunc, a, b, target in program:
+            ufunc(operands[a], operands[b], out=operands[target])
+        out[...] = operands[result]
         return out
 
-    evaluate.work_size = lambda count: rows * min(count, _HORNER_CHUNK)
+    evaluate.work_size = lambda count: rows * count
     return evaluate
 
 
@@ -692,20 +696,6 @@ def _tree_channels(g: Graph) -> tuple:
         maps.append(a_t)
         offsets.append(shifts - a_t @ shifts[chords])
     return np.array(maps), np.array(offsets)
-
-
-def _pieces(lo: int, hi: int, width: int):
-    """Lanes lo..hi as consecutive (lo, hi) pieces of at most `width` lanes,
-    none of them one lane wide unless all of them are: numpy multiplies by a
-    single column through another BLAS call than by several, whose bits can
-    differ, and a sample's value must not depend on where its channel's
-    block is cut."""
-    while hi - lo > width:
-        step = width - 1 if hi - lo == width + 1 else width
-        yield lo, lo + step
-        lo += step
-    if hi > lo:
-        yield lo, hi
 
 
 def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
@@ -852,25 +842,32 @@ def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     u_at = _poly_evaluator(first_symanzik_trees(g))
     mass_sq = np.array([float(e.mass * e.mass) for e in g.edges])
 
-    def denominators(batch, regions):
-        values_at, term_at, work = regions
-        count = len(batch)
-        values = u_at(batch, _view(values_at, count), work)
-        term = _view(term_at, count)
-        values *= np.matmul(batch, mass_sq, out=term)
-        values += f0_at(batch, term, work)
-        if np.any(values <= 0.0):
-            raise InvariantViolation(
-                "S2 <= 0 at an interior simplex sample; sign convention broken"
-            )
-        if np.any(values == math.inf):  # its weight would be exactly 0
-            raise InvariantViolation("S2 overflowed at an interior simplex sample")
-        return np.square(values, out=values)
+    def integrand(points, regions):
+        mass_at, f0_values_at, work = regions
+        # one matrix-vector product per batch: one per lane chunk can round
+        # differently, which would tie the estimate to the chunk width
+        mass = np.matmul(points, mass_sq, out=_view(mass_at, len(points)))
+
+        def denominators(lanes, out):
+            chunk = points[lanes]
+            u_at(chunk, out, work)
+            out *= mass[lanes]
+            out += f0_at(chunk, _view(f0_values_at, len(out)), work)
+            if np.any(out <= 0.0):
+                raise InvariantViolation(
+                    "S2 <= 0 at an interior simplex sample; sign convention broken"
+                )
+            if np.any(out == math.inf):  # its weight would be exactly 0
+                raise InvariantViolation("S2 overflowed at an interior simplex sample")
+            np.square(out, out=out)
+
+        return denominators
 
     batch = _largest_batch(cfg)
-    work = max(u_at.work_size(batch), f0_at.work_size(batch))
+    lanes = min(_SIMPLEX_LANES, batch)
+    work = max(u_at.work_size(lanes), f0_at.work_size(lanes))
     estimate, err = _simplex_integral(
-        cfg, n, orders, "parametric", denominators, (batch,), (batch,), (work,)
+        cfg, n, orders, "parametric", integrand, (batch,), (lanes,), (work,)
     )
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "parametric", time.perf_counter() - start
@@ -960,24 +957,24 @@ def pfaffian_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     coeffs = np.ascontiguousarray(_block_table([f.form for f in propagator_forms(g)], n).T)
     size = n * n
 
-    def denominators(batch, regions):
-        chunk_at, mag_at = regions
-        columns = batch.T  # (E, B)
-        mag = _view(mag_at, len(batch))
-        for lanes in _lane_chunks(len(batch)):
-            chunk = _view(chunk_at, len(coeffs), lanes.stop - lanes.start)
-            np.matmul(coeffs, columns[:, lanes], out=chunk)
-            lmat = np.moveaxis(chunk[:size].reshape(n, n, -1), -1, 0)
-            mag[lanes] = np.abs(_pfaffian_batch(lmat, chunk[size:].T)) ** 2
-        if np.any(mag == 0.0) or not np.all(np.isfinite(mag)):
-            raise InvariantViolation(
-                "pfaffian vanished (or overflowed) at an interior simplex sample"
-            )
-        return mag
+    def integrand(points, regions):
+        (chunk_at,) = regions
 
-    batch = _largest_batch(cfg)
-    scratch = (len(coeffs), min(_SIMPLEX_LANES, batch)), (batch,)
-    estimate, err = _simplex_integral(cfg, n, orders, "pfaffian", denominators, *scratch)
+        def denominators(lanes, out):
+            chunk = _view(chunk_at, len(coeffs), len(out))
+            np.matmul(coeffs, points[lanes].T, out=chunk)
+            lmat = np.moveaxis(chunk[:size].reshape(n, n, -1), -1, 0)
+            np.abs(_pfaffian_batch(lmat, chunk[size:].T), out=out)
+            np.square(out, out=out)
+            if np.any(out == 0.0) or not np.all(np.isfinite(out)):
+                raise InvariantViolation(
+                    "pfaffian vanished (or overflowed) at an interior simplex sample"
+                )
+
+        return denominators
+
+    scratch = (len(coeffs), min(_SIMPLEX_LANES, _largest_batch(cfg)))
+    estimate, err = _simplex_integral(cfg, n, orders, "pfaffian", integrand, scratch)
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "pfaffian", time.perf_counter() - start
     )
@@ -1060,8 +1057,8 @@ def extract_constants(
 
     Runs the three estimators on the same config (or reuses a precomputed
     (direct, parametric, pfaffian) triple). Refuses to report if any
-    component estimate has relative standard error above 5%; ratio errors
-    come from first-order propagation.
+    component estimate is zero or not finite, or has relative standard
+    error above 5%; ratio errors come from first-order propagation.
     """
     if results is not None:
         direct, parametric, pfaffian = results
@@ -1070,6 +1067,8 @@ def extract_constants(
         parametric = parametric_amplitude(g, cfg)
         pfaffian = pfaffian_amplitude(g, cfg)
     for res in (direct, parametric, pfaffian):
+        if res.estimate == 0.0 or not math.isfinite(res.estimate):
+            raise PrecisionError(f"no ratio with a {res.method} estimate of {res.estimate}")
         if res.std_error > 0.05 * abs(res.estimate):
             raise PrecisionError(
                 f"{res.method} estimate too noisy to extract constants "

@@ -15,6 +15,7 @@ from twistamp import (
     GaussianRational,
     Graph,
     IntegrationConfig,
+    IntegrationResult,
     InvariantViolation,
     PrecisionError,
     UnsupportedTopology,
@@ -248,6 +249,30 @@ def test_an_infinite_s2_is_refused(monkeypatch, graph):
         parametric_amplitude(g, IntegrationConfig(n_samples=1000, seed=0))
 
 
+@pytest.mark.parametrize("graph", [box, bowtie])
+def test_parametric_evaluates_s2_one_lane_chunk_at_a_time(monkeypatch, graph):
+    # the Horner plans run on one lane chunk of a batch, never on all of it
+    from twistamp.integrate import _SIMPLEX_LANES, _poly_evaluator
+
+    widths = []
+
+    def recording(poly):
+        evaluate = _poly_evaluator(poly)
+
+        @functools.wraps(evaluate)  # keeps evaluate.work_size
+        def values(points, *buffers):
+            widths.append(len(points))
+            return evaluate(points, *buffers)
+
+        return values
+
+    monkeypatch.setattr("twistamp.integrate._poly_evaluator", recording)
+    g = with_random_kinematics(graph, random.Random(4))
+    parametric_amplitude(g, IntegrationConfig(n_samples=70_000, seed=0))
+    assert sum(widths) == 2 * 70_000  # U and F0 once at every sample
+    assert max(widths) <= _SIMPLEX_LANES
+
+
 def test_pfaffian_matches_parametric():
     rnd = random.Random(41)
     g = with_random_kinematics(bowtie, rnd)
@@ -469,7 +494,7 @@ def test_poly_evaluator_matches_exact_evaluation_within_8_ulp():
 
 def test_horner_edge_cases_against_exact_evaluation():
     from twistamp import MultiPoly
-    from twistamp.integrate import _HORNER_CHUNK, _poly_evaluator
+    from twistamp.integrate import _SIMPLEX_LANES, _poly_evaluator
 
     rng = np.random.default_rng(8)
     cube = MultiPoly(3, {(3, 0, 0): 1})
@@ -481,17 +506,17 @@ def test_horner_edge_cases_against_exact_evaluation():
         (MultiPoly.zero(3), rng.random((5, 3))),
         (cube, rng.random((6, 3))),
         (mixed, rng.random((1, 3))),  # a batch of one
-        (mixed, rng.random((2 * _HORNER_CHUNK + 5, 3))),  # ends mid-chunk
+        (mixed, rng.random((2 * _SIMPLEX_LANES + 5, 3))),  # wider than two lane chunks
     ]
     for poly, points in cases:
         values = _poly_evaluator(poly)(points)
         assert values.shape == (len(points),)
-        # the exact oracle on a sample of the lanes, the last chunk included
+        # the exact oracle on a sample of the lanes, the last one included
         lanes = np.unique(np.r_[np.arange(0, len(points), 997), len(points) - 1])
         _assert_within_ulps(values[lanes], _exact_values(poly, points[lanes]), 8)
         # a second evaluator from the same polynomial returns the same bits
         assert np.array_equal(_poly_evaluator(poly)(points), values)
-    # each lane's value is independent of where the chunk boundaries fall
+    # each lane's value is independent of the lanes evaluated with it
     points = cases[-1][1]
     full = _poly_evaluator(mixed)(points)
     assert np.array_equal(_poly_evaluator(mixed)(points[3:]), full[3:])
@@ -976,6 +1001,19 @@ def test_extract_constants_refuses_noisy_runs():
         extract_constants(g, IntegrationConfig(n_samples=1000, seed=0))
 
 
+@pytest.mark.parametrize("estimate", [0.0, math.nan, math.inf])
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_extract_constants_refuses_a_zero_or_non_finite_estimate(estimate, which):
+    # direct and parametric read 0.0 at momenta near 1e150; no ratio is formed
+    g = box()
+    cfg = IntegrationConfig(n_samples=1000, seed=0)
+    methods = ("direct", "parametric", "pfaffian")
+    results = [IntegrationResult(1.0, 0.01, 1000, 0, method, 0.0) for method in methods]
+    results[which] = dataclasses.replace(results[which], estimate=estimate, std_error=0.0)
+    with pytest.raises(PrecisionError, match=f"no ratio with a {methods[which]} estimate"):
+        extract_constants(g, cfg, tuple(results))
+
+
 def test_log_divergent_integrand_builder():
     g = complete4()
     integrand = log_divergent_integrand(g)
@@ -1018,6 +1056,20 @@ PINNED = {
 }
 
 
+# The same at 73 729 samples under MC: the last batch has 8 193 lanes, which
+# the lane chunks must cut without a one-lane chunk.
+PINNED_TAIL = {
+    ("box", "parametric"): (0.0023233479425367252, 6.036307807673888e-06),
+    ("box", "pfaffian"): (0.0023076312251861337, 5.726352642649371e-06),
+    ("bowtie", "parametric"): (0.014143475509999134, 0.00015666785176578495),
+    ("bowtie", "pfaffian"): (0.014391207651727146, 0.0002243838523493793),
+    ("theta", "parametric"): (0.010407620497859225, 0.00014190118097881786),
+    ("theta", "pfaffian"): (0.010373306293577056, 0.00014597264070172425),
+    ("loop3", "parametric"): (0.01009989114195958, 0.00028252774430978685),
+    ("loop3", "pfaffian"): (0.009860039910036008, 0.00012334677980098668),
+}
+
+
 def _pinned_graphs():
     rnd = random.Random(41)
     return {
@@ -1042,6 +1094,10 @@ def test_random_streams_are_pinned():
         result = _RUNS[method](graphs[name], cfg)
         assert result.estimate == pytest.approx(estimate, rel=1e-12), (name, method, qmc)
         assert result.std_error == pytest.approx(std_error, rel=1e-12), (name, method, qmc)
+    for (name, method), (estimate, std_error) in PINNED_TAIL.items():
+        result = _RUNS[method](graphs[name], IntegrationConfig(n_samples=73_729, seed=0))
+        assert result.estimate == pytest.approx(estimate, rel=1e-12), (name, method)
+        assert result.std_error == pytest.approx(std_error, rel=1e-12), (name, method)
 
 
 def _estimates(graphs, cfg):
@@ -1140,9 +1196,10 @@ def test_weights_do_not_depend_on_the_lane_chunk_width(monkeypatch):
     # narrow chunks cut the direct estimator's channel blocks at many places,
     # some one lane past a chunk's end, and split every simplex batch; on
     # loop3 an edge momentum can sum three chords, so the order of addition
-    # shows in the bits. 3 001 samples leave no one-lane chunk at these
-    # widths: the pfaffian's assembly matmul over one column takes another
-    # BLAS call.
+    # shows in the bits. At 100, 1 000 and 1 500 lanes a batch of 3 001
+    # samples would end in a one-lane chunk, where the pfaffian's assembly
+    # matmul over one column takes another BLAS call; the chunks are cut so
+    # that none is one lane wide.
     import twistamp.integrate as integrate
 
     mean = integrate._mean
@@ -1162,7 +1219,7 @@ def test_weights_do_not_depend_on_the_lane_chunk_width(monkeypatch):
     cfg = IntegrationConfig(n_samples=3_001, seed=6)
     _estimates(graphs, cfg)
     expect = weights_seen[:]
-    for lanes in (7, 64):
+    for lanes in (7, 64, 100, 1_000, 1_500):
         monkeypatch.setattr(integrate, "_SIMPLEX_LANES", lanes)
         weights_seen.clear()
         _estimates(graphs, cfg)
