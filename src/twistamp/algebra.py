@@ -19,10 +19,12 @@ import math
 import numbers
 import operator
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import StructuralError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "as_fraction",
@@ -523,6 +525,8 @@ class AlternatingForm:
         return not self._upper
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[complex(x) for x in row] for row in self.rows()], dtype=complex)
 
     def rank(self) -> int:
@@ -626,6 +630,8 @@ def _parlett_reid_batch(mats) -> np.ndarray:
     congruence update. A matrix whose pivot column is exactly zero has
     Pf = 0.
     """
+    import numpy as np
+
     # astype always copies: for a batch of one matrix moveaxis returns a
     # view that already counts as C-contiguous
     A = np.moveaxis(np.asarray(mats), 0, -1).astype(complex, order="C")
@@ -667,6 +673,8 @@ def pfaffian_numeric(form) -> complex:
     `_parlett_reid_batch` on a batch of one; the Monte Carlo estimators do
     not use it (the pfaffian estimator has its own block kernel).
     """
+    import numpy as np
+
     if isinstance(form, AlternatingForm):
         A = form.to_numpy()
     else:

@@ -11,6 +11,10 @@ Graph files are JSON:
 Masses and momentum components may be JSON numbers or decimal/rational
 strings; strings are the recommended form since they parse to exact
 rationals with no binary-float detour.
+
+`symanzik` and `twistor-check` are exact and load no numpy; `integrate` and
+`feynman-check` import the Monte Carlo layer (and numpy) when they run.
+From a source checkout, `python -m twistamp` runs the same commands.
 """
 
 from __future__ import annotations
@@ -28,16 +32,7 @@ from .errors import (
     TwistampError,
     ValidationError,
 )
-from .graphs import Graph, cycle_basis, loop_number, route_momenta
-from .integrate import (
-    IntegrationConfig,
-    _is_int,
-    direct_amplitude,
-    extract_constants,
-    feynman_trick_check,
-    parametric_amplitude,
-    pfaffian_amplitude,
-)
+from .graphs import Graph, _is_int, cycle_basis, loop_number, route_momenta
 from .symanzik import first_symanzik_trees, second_symanzik
 from .twistor import pfaffian_symanzik_ratio, propagator_forms
 
@@ -188,6 +183,14 @@ def _error_entry(exc: TwistampError) -> dict:
 
 
 def cmd_integrate(args) -> int:
+    from .integrate import (
+        IntegrationConfig,
+        direct_amplitude,
+        extract_constants,
+        parametric_amplitude,
+        pfaffian_amplitude,
+    )
+
     g, digest = load_graph(args.graph)
     cfg = IntegrationConfig(n_samples=args.samples, seed=args.seed, qmc=args.qmc)
     methods = ["direct", "parametric", "pfaffian"] if args.method == "all" else [args.method]
@@ -256,6 +259,8 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_feynman_check(args) -> int:
+    from .integrate import IntegrationConfig, feynman_trick_check
+
     cfg = IntegrationConfig(n_samples=args.samples, seed=args.seed)
     result = feynman_trick_check(args.values, cfg)
     print(f"lhs = {result.lhs:.12g}")

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import as_fraction
 from .errors import StructuralError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FourVector",
@@ -76,6 +77,8 @@ class FourVector(NamedTuple):
         return not any(self)
 
     def floats(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([float(a) for a in self])
 
 
@@ -109,9 +112,10 @@ class Graph:
         vset = set(verts)
 
         edges = []
-        for raw in self.edges:
-            eid, src, dst, mass = raw
-            edges.append(Edge(int(eid), src, dst, as_fraction(mass)))
+        for eid, src, dst, mass in self.edges:
+            if not _is_int(eid):
+                raise ValidationError(f"edge id {eid!r} is not an integer")
+            edges.append(Edge(eid, src, dst, as_fraction(mass)))
         edges.sort(key=lambda e: e.id)
         if not edges:
             raise StructuralError("need at least one edge")
@@ -169,6 +173,11 @@ class Graph:
             return self._index[edge_id]
         except KeyError:
             raise StructuralError(f"no edge with id {edge_id!r}") from None
+
+
+def _is_int(value) -> bool:
+    # bool is a subclass of int, but True is neither an edge id nor a seed
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def loop_number(g: Graph) -> int:

@@ -69,7 +69,14 @@ from .errors import (
     UnsupportedTopology,
     ValidationError,
 )
-from .graphs import Graph, _fundamental_cycles, _subset_loop_numbers, loop_number, route_momenta
+from .graphs import (
+    Graph,
+    _fundamental_cycles,
+    _is_int,
+    _subset_loop_numbers,
+    loop_number,
+    route_momenta,
+)
 from .symanzik import (
     first_symanzik_det,
     first_symanzik_trees,
@@ -112,11 +119,6 @@ _BATCH_SIZE = 65_536
 _SIMPLEX_LANES = 8_192
 
 _METHOD_CODE = {"direct": 1, "parametric": 2, "pfaffian": 3, "feynman": 4}
-
-
-def _is_int(value) -> bool:
-    # bool is a subclass of int, but seed=True is not a seed
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import (
     AlternatingForm,
@@ -41,6 +39,9 @@ from .graphs import (
     route_momenta,
 )
 from .symanzik import SymanzikPair, second_symanzik
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # absolute tolerance of TwistorPoint.is_real_slice on w = (-conj z2, conj z1)
 _REAL_SLICE_TOL = 1e-12
@@ -107,6 +108,8 @@ class TwistorPoint:
     @classmethod
     def real_slice(cls, xs) -> "TwistorPoint":
         """Point of the euclidean slice built from per-loop real 4-vectors."""
+        import numpy as np
+
         arr = np.atleast_2d(np.asarray(xs, dtype=float))
         if arr.shape[1] != 4:
             raise ValidationError("loop vectors need 4 components")
@@ -117,6 +120,8 @@ class TwistorPoint:
         return len(self.blocks)
 
     def rows(self) -> np.ndarray:
+        import numpy as np
+
         dim = 2 * self.n + 2
         rows = np.zeros((2, dim), dtype=complex)
         rows[0, 0] = 1.0
@@ -217,6 +222,8 @@ def o_block_form(n: int) -> AlternatingForm:
 
 
 def _form_matrix(q) -> np.ndarray:
+    import numpy as np
+
     if isinstance(q, PropagatorForm):
         return q.form.to_numpy()
     if isinstance(q, AlternatingForm):
@@ -231,6 +238,8 @@ def pair(q, point) -> complex:
     For points on the real slice this is the euclidean propagator, a real
     number >= m^2.
     """
+    import numpy as np
+
     rows = point.rows() if isinstance(point, TwistorPoint) else np.asarray(point, dtype=complex)
     m = _form_matrix(q)
     if rows.shape != (2, m.shape[0]):

@@ -55,6 +55,13 @@ def test_rejects_nonconserving_momenta():
         box(momenta={1: [1, 0, 0, 0]})
 
 
+@pytest.mark.parametrize("eid", [1.9, 1.0, True, "1", Fraction(1), np.int64(1)])
+def test_rejects_edge_id_that_is_no_python_int(eid):
+    # int() used to read 1.9, True and "1" all as edge id 1
+    with pytest.raises(ValidationError, match="edge id"):
+        Graph.build([1, 2, 3], [(eid, 1, 2, 1), (2, 2, 3, 1), (3, 3, 1, 1)])
+
+
 def test_edges_sorted_by_id():
     g = Graph.build(
         [1, 2, 3],

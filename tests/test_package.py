@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import os
 import random
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import twistamp
+from twistamp.cli import graph_from_document
 from conftest import multi_loop_graph
 
 # the public names, in order; each module's __all__ lists its own share
@@ -76,28 +78,113 @@ def test_public_names_are_pinned_and_resolve():
         assert getattr(twistamp, name) is not None
 
 
-def _fresh_python(code: str) -> str:
-    """Standard output of `code` run by a new interpreter that imports this
-    checkout's package."""
+def _fresh_python(*args: str) -> str:
+    """Standard output of a new interpreter run with `args` (`-c` and code,
+    or `-m` and a module) that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(twistamp.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60, check=True
     )
     return done.stdout.strip()
+
+
+def test_integrate_names_are_looked_up_on_each_access(monkeypatch):
+    import twistamp.integrate as integrate
+
+    assert list(twistamp._INTEGRATE_NAMES) == integrate.__all__
+    star = {}
+    exec("from twistamp import *", star)
+    assert {name: star[name] for name in PUBLIC_NAMES} == {
+        name: getattr(twistamp, name) for name in PUBLIC_NAMES
+    }
+    assert set(PUBLIC_NAMES) <= set(dir(twistamp))
+    # the benchmark tracer patches twistamp.integrate and undoes the patch;
+    # the package must follow both steps
+    original = integrate.direct_amplitude
+
+    def traced(g, cfg):
+        return original(g, cfg)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(integrate, "direct_amplitude", traced)
+        assert twistamp.direct_amplitude is traced
+    assert twistamp.direct_amplitude is original
+    assert "direct_amplitude" not in vars(twistamp)
+    # the submodule stays an attribute of the package, as before it loaded lazily
+    code = "import twistamp; print(twistamp.integrate.IntegrationConfig.__module__)"
+    assert _fresh_python("-c", code) == "twistamp.integrate"
 
 
 def test_import_loads_no_scipy():
     # only --qmc and the N = 2 Feynman check use scipy, which takes about a
     # second to import
     code = "import sys, twistamp; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    assert _fresh_python(code) == "[]"
+    assert _fresh_python("-c", code) == "[]"
+
+
+BOX_DOCUMENT = {
+    "vertices": [1, 2, 3, 4],
+    "edges": [
+        {"id": e, "source": e, "target": e % 4 + 1, "mass": mass}
+        for e, mass in zip(range(1, 5), ["1/2", "1", "3/4", "1"])
+    ],
+    "external_momenta": {"1": ["1/2", "0", "1/3", "0"], "3": ["-1/2", "0", "-1/3", "0"]},
+}
+
+# prints which of the float layer's modules the code before it has loaded
+_FLOAT_LAYER_LOADED = (
+    "\nprint([m for m in ('numpy', 'twistamp.integrate') if m in sys.modules])"
+)
+
+
+def test_exact_pipeline_loads_no_numpy():
+    code = (
+        "import sys\n"
+        "from twistamp import Graph, cycle_basis, first_symanzik_trees, pfaffian_symanzik_ratio\n"
+        "from twistamp import pfaffian_symbolic, propagator_forms, route_momenta, second_symanzik\n"
+        "g = Graph.build([1, 2, 3, 4], [(1, 1, 2, 1), (2, 2, 3, '1/2'), (3, 3, 4, 2),"
+        " (4, 4, 1, 1)], {1: [1, 0, 0, 0], 3: [-1, 0, 0, 0]})\n"
+        "basis, routing = cycle_basis(g), route_momenta(g)\n"
+        "sym = second_symanzik(g, basis, routing)\n"
+        "assert sym.s1 == first_symanzik_trees(g)\n"
+        "pf = pfaffian_symbolic(f.form for f in propagator_forms(g, basis, routing))\n"
+        "assert pf in (sym.s2, -sym.s2)\n"
+        "assert pfaffian_symanzik_ratio(g, basis, routing).exact"
+    )
+    assert _fresh_python("-c", code + _FLOAT_LAYER_LOADED) == "[]"
+
+
+def test_exact_commands_load_no_numpy(tmp_path):
+    graph = tmp_path / "box.json"
+    graph.write_text(json.dumps(BOX_DOCUMENT))
+    for argv in (["symanzik", str(graph)], ["twistor-check", str(graph)], ["--version"]):
+        code = (
+            "import sys\n"
+            "from twistamp.cli import main\n"
+            "try:\n"
+            f"    assert main({argv!r}) == 0\n"
+            "except SystemExit as done:\n"
+            "    assert done.code == 0"
+        )
+        assert _fresh_python("-c", code + _FLOAT_LAYER_LOADED).splitlines()[-1] == "[]", argv
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    assert _fresh_python("-m", "twistamp", "--version") == f"twistamp {twistamp.__version__}"
+    graph = tmp_path / "box.json"
+    graph.write_text(json.dumps(BOX_DOCUMENT))
+    sym = twistamp.second_symanzik(graph_from_document(BOX_DOCUMENT))
+    assert _fresh_python("-m", "twistamp", "symanzik", str(graph)).splitlines() == [
+        f"S1 = {sym.s1.text()}",
+        f"S2 = {sym.s2.text()}",
+    ]
 
 
 def test_import_makes_no_batch_workspace():
     # the first estimate in a thread makes that thread's workspace
     code = "import twistamp.integrate as i; print(hasattr(i._threads, 'arena'))"
-    assert _fresh_python(code) == "False"
+    assert _fresh_python("-c", code) == "False"
 
 
 def test_every_benchmark_span_target_resolves():
