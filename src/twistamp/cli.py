@@ -125,38 +125,18 @@ def _symbolic_checks(g: Graph) -> dict:
     """Exact verdicts: Pf vs S2, matrix-tree match, propagator form ranks."""
     basis = cycle_basis(g)
     routing = route_momenta(g)
-    checks: dict = {}
-
-    # the ratio builds S2 itself; only N != 2n+2 graphs need their own
-    ratio = None
-    if g.n_edges == 2 * loop_number(g) + 2:
-        ratio = pfaffian_symanzik_ratio(g, basis, routing)
-        sym = ratio.symanzik
-    else:
-        sym = second_symanzik(g, basis)
-    checks["first_symanzik_match"] = bool(sym.s1 == first_symanzik_trees(g))
-
+    ratio = pfaffian_symanzik_ratio(g, basis, routing)  # builds S1 and S2 as well
+    checks = {"first_symanzik_match": bool(ratio.symanzik.s1 == first_symanzik_trees(g))}
     forms = propagator_forms(g, basis, routing)
-    ranks = []
-    expected = []
-    for f in forms:
-        ranks.append(f.form.rank())
-        expected.append(4 if any(f.alpha) else 2)
-    checks["propagator_ranks"] = {
-        "ranks": ranks,
-        "expected": expected,
-        "pass": ranks == expected,
+    ranks = [f.form.rank() for f in forms]
+    expected = [4 if any(f.alpha) else 2 for f in forms]
+    checks["propagator_ranks"] = {"ranks": ranks, "expected": expected, "pass": ranks == expected}
+    checks["pfaffian_symanzik"] = {
+        "lambda2": [ratio.lambda2.real, ratio.lambda2.imag],
+        "residual": ratio.residual,
+        "exact": ratio.exact,
+        "verdict": "PASS" if ratio.exact else "FAIL",
     }
-
-    if ratio is not None:
-        checks["pfaffian_symanzik"] = {
-            "lambda2": [ratio.lambda2.real, ratio.lambda2.imag],
-            "residual": ratio.residual,
-            "exact": ratio.exact,
-            "verdict": "PASS" if ratio.exact else "FAIL",
-        }
-    else:
-        checks["pfaffian_symanzik"] = {"verdict": "SKIPPED", "reason": "N != 2n+2"}
     return checks
 
 
@@ -288,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tw = sub.add_parser(
         "twistor-check",
-        help="verify Pf(sum a Q)^2 = lambda^2 S2^2 exactly (needs N = 2n+2)",
+        help="verify Pf(sum a Q)^2 = lambda^2 S2^2 exactly",
     )
     p_tw.add_argument("graph", help="path to the graph JSON file")
     p_tw.set_defaults(func=cmd_twistor_check)

@@ -139,7 +139,7 @@ class Graph:
         for v, q in dict(self.external_momenta or {}).items():
             if v not in vset:
                 raise ValidationError(f"external momentum attached to unknown vertex {v!r}")
-            momenta[v] = q if isinstance(q, FourVector) else FourVector.make(q)
+            momenta[v] = FourVector.make(q)
         total = sum(momenta.values(), FourVector.zero())
         if not total.is_zero():
             raise ValidationError("external momenta must sum to zero")
@@ -199,23 +199,6 @@ def _union(parent, a, b) -> bool:
         return False
     parent[ra] = rb
     return True
-
-
-def _subset_loop_numbers(g: Graph) -> list:
-    """Loop number L(S) of every edge subset S, indexed by the bitmask
-    sum over i in S of 2^i (i an edge position): the edges of S that close
-    a cycle when S is added in position order."""
-    out = []
-    for mask in range(1 << g.n_edges):
-        parent = {v: v for v in g.vertices}
-        out.append(
-            sum(
-                not _union(parent, e.source, e.target)
-                for i, e in enumerate(g.edges)
-                if mask >> i & 1
-            )
-        )
-    return out
 
 
 def _rooted_tree(g: Graph, tree=None):

@@ -56,6 +56,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import numbers
 import threading
 import time
 import warnings
@@ -73,7 +74,6 @@ from .graphs import (
     Graph,
     _fundamental_cycles,
     _is_int,
-    _subset_loop_numbers,
     loop_number,
     route_momenta,
 )
@@ -278,13 +278,12 @@ class _TropicalSampler:
     (bitmasks): omega(S) = |S| - 2 m(S), K(0) = 1,
     K(S) = sum_{e in S} K(S - e) / omega(S), and I_tr = sum_e K(E - e).
     A draw has density 1 / (I_tr F_tr(a)^2) on the simplex, where
-    F_tr(a) = max over the monomials a^k of S2. Points are held as columns,
-    shape (N, B). `orders` and `omega` are held as float64, so the per-lane
-    gathers need no conversion.
+    F_tr(a) = max over the monomials a^k of S2, of degree m(E). Points are
+    held as columns, shape (N, B). `orders` and `omega` are held as float64,
+    so the per-lane gathers need no conversion.
     """
 
-    def __init__(self, n: int, orders: np.ndarray):
-        self.n = n
+    def __init__(self, orders: np.ndarray):
         self.n_edges = n_edges = len(orders).bit_length() - 1
         self.full = full = len(orders) - 1
         self.orders = orders.astype(float)
@@ -292,7 +291,7 @@ class _TropicalSampler:
         self.bit_values = bits.astype(float)
         masks = np.arange(full + 1)
         member = (masks[:, None] & bits) != 0  # (2^N, N)
-        self.omega = member.sum(axis=1) - 2.0 * self.orders
+        self.omega = _sizes(orders) - 2.0 * self.orders
         k_table = [1.0] * (full + 1)
         for mask in range(1, full):
             k_table[mask] = math.fsum(
@@ -346,7 +345,7 @@ class _TropicalSampler:
         out[...] = log_a.reshape(count, n_edges).T
         total = out.sum(axis=0)
         out /= total
-        log_f -= (self.n + 1) * np.log(total)
+        log_f -= self.orders[self.full] * np.log(total)
         return log_f
 
     def log_f(self, columns: np.ndarray) -> np.ndarray:
@@ -390,11 +389,11 @@ class _TropicalSampler:
         return columns.T, log_q
 
 
-def _tropical_sampler(n: int, orders: np.ndarray):
+def _tropical_sampler(orders: np.ndarray):
     """The sampler, or None when m(S) = 0 for every proper subset: then S2
     has no zero on the closed simplex (for N = 2n + 2 exactly the one-loop
     graphs), uniform weights are already bounded and stay unmixed."""
-    return _TropicalSampler(n, orders) if orders[1:-1].any() else None
+    return _TropicalSampler(orders) if orders[1:-1].any() else None
 
 
 def _draw_shapes(count: int, dim: int, tropical) -> list:
@@ -476,7 +475,7 @@ def _mean(method: str, batches, weights, factor: float = 1.0):
     return acc.finalize(factor)
 
 
-def _simplex_integral(cfg: IntegrationConfig, n: int, orders, method: str, integrand, *scratch):
+def _simplex_integral(cfg: IntegrationConfig, orders, method: str, integrand, *scratch):
     """Integral over the unit simplex of 1 / d(a), where the denominator d
     vanishes like S2^2 (so m(S) of `orders` governs it), with its standard
     error. One workspace holds its draws, its weights and flat regions of
@@ -484,8 +483,8 @@ def _simplex_integral(cfg: IntegrationConfig, n: int, orders, method: str, integ
     batch and returns denominators(lanes, out), which writes d at one lane
     chunk into out; the chunk's weights are then formed in place, 1/d under
     the uniform proposal and exp(-(log d + log q)) under the mixture q."""
-    n_edges = 2 * n + 2
-    tropical = _tropical_sampler(n, orders)
+    n_edges = len(orders).bit_length() - 1
+    tropical = _tropical_sampler(orders)
     batch = _largest_batch(cfg)
     draws = _draw_shapes(batch, n_edges, tropical)
     with _workspace(*draws, (batch,), *scratch) as regions:
@@ -612,10 +611,28 @@ def _poly_evaluator(poly):
 def _vanishing_orders(g: Graph) -> np.ndarray:
     """m(S) for every edge subset S (bitmask over edge positions): the order
     at which S2 vanishes as the a_e with e in S go to 0. With every mass
-    positive this is the loop number L(S) for S != E and n + 1 for S = E."""
-    orders = np.array(_subset_loop_numbers(g))
+    positive this is the loop number L(S) for S != E and n + 1 for S = E.
+
+    L(S) = L(S - t) + 1 if the ends of the top edge t of S already share a
+    component of S - t, else L(S - t). Each subset's components are kept as
+    one label per vertex, so the masks with top edge t, 2^t..2^(t+1) - 1,
+    follow from those below 2^t in one step."""
+    position = {v: i for i, v in enumerate(g.vertices)}
+    orders = np.zeros(1 << g.n_edges, dtype=np.int64)
+    labels = np.empty((len(orders), g.n_vertices), dtype=np.min_scalar_type(g.n_vertices))
+    labels[0] = np.arange(g.n_vertices)
+    for t, e in enumerate(g.edges):
+        low = labels[: 1 << t]
+        source, target = low[:, position[e.source]], low[:, position[e.target]]
+        orders[1 << t : 2 << t] = orders[: 1 << t] + (source == target)
+        labels[1 << t : 2 << t] = np.where(low == source[:, None], target[:, None], low)
     orders[-1] = loop_number(g) + 1
     return orders
+
+
+def _sizes(orders: np.ndarray) -> np.ndarray:
+    """|S| for every edge subset S of the table `orders`."""
+    return np.bitwise_count(np.arange(len(orders)))
 
 
 def _double(value) -> float:
@@ -657,13 +674,14 @@ def _require_convergent(g: Graph) -> tuple:
     if n < 1:
         raise UnsupportedTopology("need at least one loop")
     orders = _vanishing_orders(g)
-    for mask in range(1, len(orders) - 1):
-        if mask.bit_count() <= 2 * orders[mask]:
-            ids = [e.id for i, e in enumerate(g.edges) if mask >> i & 1]
-            raise UnsupportedTopology(
-                f"edges {ids} form a divergent subgraph ({len(ids)} edges, "
-                f"{orders[mask]} loops); the integrals do not converge"
-            )
+    divergent = np.flatnonzero(_sizes(orders)[1:-1] <= 2 * orders[1:-1])
+    if divergent.size:
+        mask = int(divergent[0]) + 1
+        ids = [e.id for i, e in enumerate(g.edges) if mask >> i & 1]
+        raise UnsupportedTopology(
+            f"edges {ids} form a divergent subgraph ({len(ids)} edges, "
+            f"{orders[mask]} loops); the integrals do not converge"
+        )
     return n, n_edges, orders
 
 
@@ -672,12 +690,11 @@ def _tail_dof(n: int, orders: np.ndarray) -> float:
     half the largest value with 4|S| > (8 + nu) L(S) on every edge subset S
     that has a loop, capped at 1 (a Cauchy). L(S) is m(S) from `orders`,
     except L(E) = n. See direct_amplitude."""
-    loops = orders.tolist()
+    loops = orders.copy()
     loops[-1] = n
-    bound = min(
-        (4 * mask.bit_count() - 8 * s) / s for mask, s in enumerate(loops) if s
-    )
-    return min(1.0, 0.5 * bound)
+    cyclic = loops > 0
+    bound = np.min((4 * _sizes(orders)[cyclic] - 8 * loops[cyclic]) / loops[cyclic])
+    return min(1.0, 0.5 * float(bound))
 
 
 def _tree_channels(g: Graph) -> tuple:
@@ -839,7 +856,7 @@ def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     that is not positive, or that overflows (its weight would read exactly
     0), is refused with InvariantViolation."""
     start = time.perf_counter()
-    n, _, orders = _require_convergent(g)
+    *_, orders = _require_convergent(g)
     f0_at = _poly_evaluator(two_forest_polynomial(g))
     u_at = _poly_evaluator(first_symanzik_trees(g))
     mass_sq = np.array([float(e.mass * e.mass) for e in g.edges])
@@ -869,7 +886,7 @@ def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     lanes = min(_SIMPLEX_LANES, batch)
     work = max(u_at.work_size(lanes), f0_at.work_size(lanes))
     estimate, err = _simplex_integral(
-        cfg, n, orders, "parametric", integrand, (batch,), (lanes,), (work,)
+        cfg, orders, "parametric", integrand, (batch,), (lanes,), (work,)
     )
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "parametric", time.perf_counter() - start
@@ -976,7 +993,7 @@ def pfaffian_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
         return denominators
 
     scratch = (len(coeffs), min(_SIMPLEX_LANES, _largest_batch(cfg)))
-    estimate, err = _simplex_integral(cfg, n, orders, "pfaffian", integrand, scratch)
+    estimate, err = _simplex_integral(cfg, orders, "pfaffian", integrand, scratch)
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "pfaffian", time.perf_counter() - start
     )
@@ -1001,7 +1018,13 @@ def feynman_trick_check(values, cfg: IntegrationConfig | None = None) -> Feynman
     Monte Carlo (the (N-1)! and the simplex volume cancel, so the estimator
     is just the sample mean of (sum a A)^(-N)).
     """
-    A = [float(v) for v in values]
+    try:
+        A = list(values)
+    except TypeError:
+        raise ValidationError("values must be an iterable of real numbers") from None
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in A):
+        raise ValidationError("every value must be a real number")
+    A = [float(v) for v in A]
     if len(A) < 2:
         raise ValidationError("need at least two values")
     if any(not math.isfinite(v) for v in A):

@@ -23,19 +23,13 @@ from .algebra import (
     matrix_rank,
     pfaffian_symbolic,
 )
-from .errors import (
-    DegenerateInput,
-    StructuralError,
-    UnsupportedTopology,
-    ValidationError,
-)
+from .errors import DegenerateInput, StructuralError, ValidationError
 from .graphs import (
     CycleBasis,
     FourVector,
     Graph,
     MomentumRouting,
     cycle_basis,
-    loop_number,
     route_momenta,
 )
 from .symanzik import SymanzikPair, second_symanzik
@@ -303,13 +297,15 @@ def pfaffian_symanzik_ratio(
     and Pf = 0 as well. When the identity holds the residual is exactly 0;
     otherwise it is the worst relative value of Pf^2 - lambda^2 S2^2 over
     _N_PROBE random rational points, computed exactly there.
+
+    The identity needs no relation between N and n. Every Q_e has the shape
+    [[b J, C], [-C^T, L (x) J]] with J = [[0, 1], [-1, 0]] and L the n x n
+    loop matrix alpha_e alpha_e^T, and the block factorization of
+    integrate._pfaffian_batch gives Pf = det L (b - c0^T (L^-1 (x) J) c1)
+    for the summed form: det L is S1 and the second factor S2 / S1. On a
+    tree L is empty and Pf = b = S2.
     """
-    n = loop_number(g)
     n_edges = g.n_edges
-    if n_edges != 2 * n + 2:
-        raise UnsupportedTopology(
-            f"pfaffian form of S2 needs N = 2n+2 edges; got N={n_edges}, n={n}"
-        )
     basis = basis or cycle_basis(g)
     routing = routing or route_momenta(g)
     forms = propagator_forms(g, basis, routing)

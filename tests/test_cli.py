@@ -106,11 +106,12 @@ def test_twistor_check_box_passes(tmp_path, capsys):
     assert "lambda^2 = +1+0i" in out
 
 
-def test_twistor_check_rejects_wrong_topology(tmp_path, capsys):
+def test_twistor_check_passes_off_n_equals_2n_plus_2(tmp_path, capsys):
     path = _write(tmp_path, "five.json", FIVE_EDGE_TWO_LOOP)
-    assert main(["twistor-check", path]) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert "N = 2n+2" in err
+    assert main(["twistor-check", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "PASS" in out
+    assert "lambda^2 = +1+0i" in out
 
 
 def test_twistor_check_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -186,6 +187,21 @@ def test_integrate_unsupported_topology_in_report(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["direct"]["error"]["type"] == "UnsupportedTopology"
+
+
+def test_integrate_exact_passes_where_the_estimators_refuse(tmp_path, capsys):
+    # the exact identity holds on the N = 5, n = 2 graph; the integrals need N = 2n+2
+    path = _write(tmp_path, "five.json", FIVE_EDGE_TWO_LOOP)
+    code = main(["integrate", path, "--method", "all", "--samples", "1000", "--exact"])
+    assert code == EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().out)
+    for method in ("direct", "parametric", "pfaffian"):
+        assert report["results"][method]["error"]["type"] == "UnsupportedTopology"
+    checks = report["symbolic_checks"]
+    assert checks["pfaffian_symanzik"]["verdict"] == "PASS"
+    assert checks["pfaffian_symanzik"]["residual"] == 0.0
+    assert checks["first_symanzik_match"] is True
+    assert checks["propagator_ranks"]["pass"] is True
 
 
 # K4 on 1..4 plus the path 1-5-6-7-2: N = 2n+2 with n = 4, but the K4 is a

@@ -11,6 +11,7 @@ from twistamp import (
     ValidationError,
     bowtie,
     box,
+    complete4,
     cycle_basis,
     loop_number,
     route_momenta,
@@ -48,6 +49,30 @@ def test_rejects_nonpositive_mass():
         triangle(masses=(1, 0, 1))
     with pytest.raises(ValidationError):
         triangle(masses=(1, Fraction(-1, 2), 1))
+
+
+@pytest.mark.parametrize("factory", [triangle, box, bowtie, complete4])
+def test_catalog_refuses_a_mass_count_off_the_edge_count(factory):
+    n_edges = factory().n_edges
+    for count in (n_edges - 1, n_edges + 1):
+        with pytest.raises(StructuralError, match="masses"):
+            factory(masses=(1,) * count)
+    for masses in (1, None):
+        with pytest.raises(ValidationError, match="masses"):
+            factory(masses=masses)
+    assert factory(masses=np.ones(n_edges)) == factory()
+
+
+def test_four_vector_momenta_are_read_exactly():
+    # a FourVector holding floats used to be kept as given, binary expansions
+    # and all, while the same components in a list read 0.1 as 1/10
+    given = {1: FourVector(0.1, 0.2, 0, 0), 3: FourVector(-0.1, -0.2, 0, 0)}
+    listed = {1: [0.1, 0.2, 0, 0], 3: [-0.1, -0.2, 0, 0]}
+    g = box(momenta=given)
+    assert g == box(momenta=listed)
+    assert g.momentum(1) == FourVector(Fraction(1, 10), Fraction(1, 5), 0, 0)
+    with pytest.raises(ValidationError):
+        box(momenta={1: FourVector("a", 0, 0, 0), 3: FourVector(0, 0, 0, 0)})
 
 
 def test_rejects_nonconserving_momenta():

@@ -153,6 +153,21 @@ def _subdivided_k4_with_a_path():
     )
 
 
+def _loop4_with_paths(count):
+    """loop4 plus the first `count` of the paths 7-8-3, 1-9-2, 4-10-5 and
+    6-11-1, each adding one loop and two edges: N = 10 + 2 count, unit masses,
+    q = +/-(1/2, 0, 1/3, 0) on vertices 1 and 2."""
+    from conftest import MULTI_LOOP_TOPOLOGIES
+
+    q = [Fraction(1, 2), 0, Fraction(1, 3), 0]
+    vertices, edges = MULTI_LOOP_TOPOLOGIES["loop4"]
+    vertices, edges = list(vertices), list(edges)
+    for new, (u, v) in zip(range(8, 8 + count), [(7, 3), (1, 2), (4, 5), (6, 1)]):
+        vertices.append(new)
+        edges += [(len(edges) + 1, u, new), (len(edges) + 2, new, v)]
+    return Graph.build(vertices, [(i, s, t, 1) for i, s, t in edges], {1: q, 2: [-c for c in q]})
+
+
 def test_tail_dof_follows_the_power_counting():
     from conftest import MULTI_LOOP_TOPOLOGIES
 
@@ -441,7 +456,7 @@ def test_pfaffian_estimate_equals_mean_of_inverse_s2_squared_on_same_draws(monke
     result = pfaffian_amplitude(g, cfg)
     s2_at = _poly_evaluator(second_symanzik(g).s2)
     n, n_edges, orders = _require_convergent(g)
-    draws = _simplex_batches(cfg, n_edges, "pfaffian", _tropical_sampler(n, orders))
+    draws = _simplex_batches(cfg, n_edges, "pfaffian", _tropical_sampler(orders))
     # each draw a carries weight 1 / (S2(a)^2 q(a)), q the mixture density
     weights = np.concatenate(
         [1.0 / np.square(s2_at(points)) / np.exp(log_q) for points, log_q in draws]
@@ -571,6 +586,39 @@ def test_vanishing_orders_are_the_s2_monomial_minima():
         assert np.array_equal(_vanishing_orders(g), expect)
 
 
+def _subset_loop_numbers(g):
+    """L(S) of every edge subset S by one union-find pass per subset: the
+    edges of S that close a cycle when S is added in position order."""
+    from twistamp.graphs import _union
+
+    out = []
+    for mask in range(1 << g.n_edges):
+        parent = {v: v for v in g.vertices}
+        out.append(
+            sum(
+                not _union(parent, e.source, e.target)
+                for i, e in enumerate(g.edges)
+                if mask >> i & 1
+            )
+        )
+    return out
+
+
+def test_vanishing_orders_are_the_subset_loop_numbers():
+    from twistamp.integrate import _vanishing_orders
+
+    rnd = random.Random(12)
+    graphs = [random_connected_graph(rnd, max_edges=12) for _ in range(10)]
+    graphs.append(_loop4_with_paths(2))
+    assert max(g.n_edges for g in graphs) == 14
+    assert sum(g.n_edges > 8 for g in graphs) >= 3
+    for g in graphs:
+        orders = _vanishing_orders(g)
+        loops = _subset_loop_numbers(g)
+        assert orders.tolist()[:-1] == loops[:-1]
+        assert orders[-1] == loops[-1] + 1 == g.n_edges - g.n_vertices + 2
+
+
 def test_tropical_normalisation_is_the_hepp_sum_over_orderings():
     import itertools
 
@@ -586,14 +634,14 @@ def test_tropical_normalisation_is_the_hepp_sum_over_orderings():
                 subset ^= 1 << e
                 term /= subset.bit_count() - 2 * int(orders[subset])
             total += term
-        assert _TropicalSampler(n, orders).i_tr == pytest.approx(float(total), rel=1e-12)
+        assert _TropicalSampler(orders).i_tr == pytest.approx(float(total), rel=1e-12)
 
 
 def _tropical_setup(g):
     from twistamp.integrate import _require_convergent, _tropical_sampler
 
     n, n_edges, orders = _require_convergent(g)
-    return n_edges, _tropical_sampler(n, orders)
+    return n_edges, _tropical_sampler(orders)
 
 
 def test_tropical_log_f_is_the_dominant_s2_monomial():
@@ -892,15 +940,17 @@ def test_simplex_estimators_times_pi_to_the_2n_match_direct():
             assert z < 3
 
 
-@pytest.mark.parametrize("name", ["loop3", "loop4", "subdivided_k4"])
+@pytest.mark.parametrize("name", ["loop3", "loop4", "subdivided_k4", "loop5"])
 def test_extract_constants_gives_pi_to_the_2n_on_three_and_four_loops(name):
-    # c(n) = C(n) = pi^(2n) for n = 3, 4; on loop4 the direct estimate used
-    # to be too noisy for extract_constants at this sample count, and the
-    # subdivided K4 runs the direct proposal with nu = 2/3
+    # c(n) = C(n) = pi^(2n) for n = 3, 4 and 5; on loop4 the direct estimate
+    # used to be too noisy for extract_constants at this sample count, and
+    # the subdivided K4 runs the direct proposal with nu = 2/3
     from conftest import MULTI_LOOP_TOPOLOGIES
 
     if name == "subdivided_k4":
         g = _subdivided_k4_with_a_path()
+    elif name == "loop5":
+        g = _loop4_with_paths(1)
     else:
         q = [Fraction(1, 2), 0, Fraction(1, 3), 0]
         vertices, edges = MULTI_LOOP_TOPOLOGIES[name]
@@ -970,6 +1020,12 @@ def test_feynman_trick_validation():
     for values in ([1.0, math.inf], [1.0, math.nan, 2.0]):
         with pytest.raises(ValidationError):
             feynman_trick_check(values)
+    # entries that are no real number, and an argument that is no iterable;
+    # True used to run as 1.0
+    for values in (["x", 1, 2], [None, 1], [True, 2, 3], [1.0, np.bool_(True)], 5, None):
+        with pytest.raises(ValidationError):
+            feynman_trick_check(values)
+    assert feynman_trick_check([1, Fraction(1, 2)]).rel_gap < 1e-10
     # 1/prod A underflows to 0, the N = 2 integrand overflows, or the Monte
     # Carlo integrand underflows to 0
     for values in ([1e200, 1e200], [1e200] * 4, [1e160, 1e-160], [1e100, 1e100, 1e-100, 1e-100]):

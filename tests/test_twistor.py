@@ -8,17 +8,19 @@ from twistamp import (
     AlternatingForm,
     DegenerateInput,
     GaussianRational,
+    Graph,
     MultiPoly,
     SymanzikPair,
     TwistorPoint,
-    UnsupportedTopology,
     ValidationError,
     bowtie,
     box,
     build_propagator_form,
+    complete4,
     cycle_basis,
     embed4,
     first_symanzik_trees,
+    loop_number,
     o_block_form,
     pair,
     pfaffian_numeric,
@@ -32,6 +34,7 @@ from twistamp import (
 )
 from conftest import (
     multi_loop_graph,
+    random_connected_graph,
     random_fraction,
     random_momenta,
     random_positive_fraction,
@@ -270,9 +273,46 @@ def test_ratio_bowtie_generic_kinematics():
     assert result.lambda2_exact == 1
 
 
-def test_ratio_rejects_wrong_topology():
-    with pytest.raises(UnsupportedTopology):
-        pfaffian_symanzik_ratio(triangle())
+def _with_unit_masses(vertices, pairs):
+    q = [Fraction(1, 2), 0, Fraction(1, 3), 0]
+    edges = [(i, u, v, 1) for i, (u, v) in enumerate(pairs, start=1)]
+    return Graph.build(vertices, edges, {vertices[0]: q, vertices[1]: [-c for c in q]})
+
+
+def _cycle(k):
+    return _with_unit_masses(list(range(1, k + 1)), [(i, i % k + 1) for i in range(1, k + 1)])
+
+
+def test_ratio_is_exact_whatever_the_edge_count():
+    # Pf = S1 (S2 / S1) by the block factorization needs no N = 2n+2; on a
+    # tree (n = 0) the loop block is empty and Pf = S2 outright
+    graphs = [
+        _with_unit_masses([1, 2, 3, 4], [(1, 3), (3, 4), (4, 2)]),  # path, n = 0
+        triangle(),
+        _cycle(3),
+        _cycle(5),
+        _cycle(6),
+        _with_unit_masses([1, 2, 3, 4], [(1, 3), (3, 2), (1, 4), (4, 2), (1, 2)]),  # theta(2,2,1)
+        _with_unit_masses(  # double box, N = 7, n = 2
+            list(range(1, 7)), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (2, 5)]
+        ),
+        complete4(momenta={1: [1, 0, 0, 0], 2: [-1, 0, 0, 0]}),  # K4, N = 2n
+    ]
+    rnd = random.Random(58)
+    for _ in range(30):
+        skeleton = random_connected_graph(rnd)
+        graphs.append(
+            Graph.build(
+                skeleton.vertices,
+                [(e.id, e.source, e.target, e.mass) for e in skeleton.edges],
+                random_momenta(rnd, skeleton.vertices),
+            )
+        )
+    assert {g.n_edges - 2 * loop_number(g) for g in graphs} >= {0, 1, 2, 3, 4}
+    for g in graphs:
+        result = pfaffian_symanzik_ratio(g)
+        assert result.exact and result.residual == 0.0
+        assert result.lambda2_exact == 1
 
 
 def test_ratio_reports_pf_equals_s2_at_points():
