@@ -49,6 +49,15 @@ largest one (14-16 MB at 4 loops). A call that finds its thread's
 arena checked out, such as a second live batch generator or an estimate
 run between another's batches, draws into a private array instead, with the
 same numbers. Which buffers are used never changes an estimate's bits.
+
+An estimator's set-up lives on the graph, in its prepared problem (see
+_problem): the vanishing-order table and convergence check, the tropical
+sampler, the Horner plans of U and F0, the direct estimator's tree channels
+and proposal constants, and the pfaffian's block table. Each piece is built
+by the first estimate that reads it and kept on the Graph object, so it
+lives as long as the graph does, and extract_constants, `integrate --method
+all` or a seed sweep on one graph build each piece once. Nothing is kept at
+module level: a graph built anew, even an equal one, builds its own.
 """
 
 from __future__ import annotations
@@ -140,7 +149,11 @@ class IntegrationConfig:
 
 @dataclass
 class IntegrationResult:
-    """Estimate with its standard error and full reproducibility tags."""
+    """Estimate with its standard error and full reproducibility tags.
+
+    wall_time_s is the wall time of the estimator call. The first estimate
+    on a graph also builds the set-up that later estimates on that graph
+    share (see _problem), so it carries that cost and they do not."""
 
     estimate: float
     std_error: float
@@ -317,6 +330,8 @@ class _TropicalSampler:
             mass[masks, heavy] -= 1.0 - mass[masks, light]
         self.prob = prob.ravel()
         self.alias = alias.ravel()
+        for table in (self.orders, self.bit_values, self.omega, self.prob, self.alias):
+            _read_only(table)
 
     def draw(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Tropical points into the columns `out` (N, B) and their log F_tr,
@@ -475,16 +490,17 @@ def _mean(method: str, batches, weights, factor: float = 1.0):
     return acc.finalize(factor)
 
 
-def _simplex_integral(cfg: IntegrationConfig, orders, method: str, integrand, *scratch):
+def _simplex_integral(cfg: IntegrationConfig, problem, method: str, integrand, *scratch):
     """Integral over the unit simplex of 1 / d(a), where the denominator d
-    vanishes like S2^2 (so m(S) of `orders` governs it), with its standard
-    error. One workspace holds its draws, its weights and flat regions of
-    the `scratch` shapes. integrand(points, regions) is called once per
-    batch and returns denominators(lanes, out), which writes d at one lane
-    chunk into out; the chunk's weights are then formed in place, 1/d under
-    the uniform proposal and exp(-(log d + log q)) under the mixture q."""
-    n_edges = len(orders).bit_length() - 1
-    tropical = _tropical_sampler(orders)
+    vanishes like S2^2 (so the vanishing orders of the prepared `problem`
+    govern it), with its standard error. One workspace holds its draws, its
+    weights and flat regions of the `scratch` shapes. integrand(points,
+    regions) is called once per batch and returns denominators(lanes, out),
+    which writes d at one lane chunk into out; the chunk's weights are then
+    formed in place, 1/d under the uniform proposal and exp(-(log d +
+    log q)) under the mixture q."""
+    n_edges = problem.n_edges
+    tropical = problem.sampler
     batch = _largest_batch(cfg)
     draws = _draw_shapes(batch, n_edges, tropical)
     with _workspace(*draws, (batch,), *scratch) as regions:
@@ -523,7 +539,9 @@ def _horner_program(terms: list, nvars: int) -> tuple:
     registers, then the constants; an instruction (ufunc, a, b, out) sets
     operand out to ufunc(a, b). Q is computed in register d and R in d + 1;
     x_v does not occur in R, so every step up a register drops a variable:
-    at most N + 1 registers."""
+    at most N + 1 registers. Each term's exponents are kept as a dict of
+    its nonzero powers, so a node counts its variables in one pass over
+    its terms, touching only the variables each holds."""
     constants: list = []
     program: list = []
     depth = 0
@@ -539,25 +557,35 @@ def _horner_program(terms: list, nvars: int) -> tuple:
         return ("r", d)
 
     def factor(terms, d):
-        counts = [sum(1 for exps, _ in terms if exps[v]) for v in range(nvars)]
+        counts = [0] * nvars
+        for powers, _ in terms:
+            for v in powers:
+                counts[v] += 1
         top = max(counts, default=0)
         if not top:  # only the constant term is left
             return const(terms[0][1] if terms else 0.0)
         v = counts.index(top)
-        q = factor(
-            [(exps[:v] + (exps[v] - 1,) + exps[v + 1 :], c) for exps, c in terms if exps[v]], d
-        )
+        quotient, rest = [], []
+        for powers, c in terms:
+            if v in powers:
+                powers = dict(powers)
+                powers[v] -= 1
+                if not powers[v]:
+                    del powers[v]
+                quotient.append((powers, c))
+            else:
+                rest.append((powers, c))
+        q = factor(quotient, d)
         x = ("x", v)
         if q[0] == "c" and constants[q[1]] == 1.0:  # 1 * x is x exactly
             t = x
         else:
             t = emit(np.multiply, x, q, d)
-        rest = [(exps, c) for exps, c in terms if not exps[v]]
         if not rest:
             return t
         return emit(np.add, t, factor(rest, d + 1 if t[0] == "r" else d), d)
 
-    result = factor(terms, 0)
+    result = factor([({v: k for v, k in enumerate(exps) if k}, c) for exps, c in terms], 0)
     offset = {"x": 0, "r": nvars, "c": nvars + depth}
 
     def index(operand):
@@ -717,6 +745,124 @@ def _tree_channels(g: Graph) -> tuple:
     return np.array(maps), np.array(offsets)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """The array, marked read-only."""
+    array.flags.writeable = False
+    return array
+
+
+class _Memo(dict):
+    """The pieces of a prepared problem built so far, by name. A copy or a
+    pickle of the graph that holds it starts with none."""
+
+    def __reduce__(self):
+        return _Memo, ()
+
+
+# Held while a graph's memo is attached or one of its pieces is built, so
+# that threads racing on one graph build each piece once.
+_BUILDING = threading.RLock()
+
+
+class _Problem:
+    """The estimators' set-up on one graph, shared by every estimate on it
+    (see _problem). Each piece is built on first use and kept in the graph's
+    memo; its builders are looked up in this module when they run, so a
+    patched builder is seen. A problem is made only for a graph that passes
+    _require_convergent: n, N and the vanishing orders are read first. A
+    refusal is raised and not kept, so every call raises it again. Every
+    array in the memo is read-only, and the memo keeps neither the graph
+    nor anything exact (no MultiPoly or Fraction)."""
+
+    def __init__(self, g: Graph, memo: _Memo):
+        self.graph = g
+        self._memo = memo
+
+        def shape():
+            n, n_edges, orders = _require_convergent(g)
+            return n, n_edges, _read_only(orders)
+
+        self.n, self.n_edges, self.orders = self._piece("shape", shape)
+
+    def _piece(self, name: str, build):
+        memo = self._memo
+        if name not in memo:
+            with _BUILDING:
+                if name not in memo:
+                    memo[name] = build()
+        return memo[name]
+
+    @property
+    def proposal(self) -> tuple:
+        """(nu, scale, m^2) of the direct estimator: its Student-t degrees of
+        freedom and scale, and each float(m_e)^2 in an (N, 1) column."""
+
+        def build():
+            masses = [float(e.mass) for e in self.graph.edges]
+            scale = math.exp(sum(math.log(m) for m in masses) / self.n_edges)
+            mass_sq = _read_only(np.array([[m**2] for m in masses]))
+            return _tail_dof(self.n, self.orders), scale, mass_sq
+
+        return self._piece("proposal", build)
+
+    @property
+    def channels(self) -> tuple:
+        """The direct estimator's tree channels (see _tree_channels)."""
+        return self._piece(
+            "channels", lambda: tuple(map(_read_only, _tree_channels(self.graph)))
+        )
+
+    @property
+    def u_plan(self):
+        """The Horner plan of U, the spanning-tree sum."""
+        return self._piece("u_plan", lambda: _poly_evaluator(first_symanzik_trees(self.graph)))
+
+    @property
+    def f0_plan(self):
+        """The Horner plan of F0, the 2-forest momentum sum."""
+        return self._piece("f0_plan", lambda: _poly_evaluator(two_forest_polynomial(self.graph)))
+
+    @property
+    def mass_sq(self) -> np.ndarray:
+        """float(m_e^2) per edge, the mass term of S2."""
+        edges = self.graph.edges
+        return self._piece(
+            "mass_sq", lambda: _read_only(np.array([float(e.mass * e.mass) for e in edges]))
+        )
+
+    @property
+    def sampler(self):
+        """The tropical sampler of the vanishing orders, or None."""
+        return self._piece("sampler", lambda: _tropical_sampler(self.orders))
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """The block table of the propagator forms, transposed and
+        contiguous, for the pfaffian estimator's assembly matmul."""
+
+        def build():
+            forms = [f.form for f in propagator_forms(self.graph)]
+            table = _block_table(forms, self.n)
+            return _read_only(np.ascontiguousarray(table.T))
+
+        return self._piece("blocks", build)
+
+
+def _problem(g: Graph) -> _Problem:
+    """The prepared problem of g, the set-up its estimators share, once g
+    passes the convergence check. Its memo is kept on the graph, as the
+    graph keeps its edge index, so the set-up lives as long as the graph
+    does; equal graphs built apart each build their own."""
+    memo = vars(g).get("_problem")
+    if memo is None:
+        with _BUILDING:
+            memo = vars(g).get("_problem")
+            if memo is None:
+                memo = _Memo()
+                object.__setattr__(g, "_problem", memo)
+    return _Problem(g, memo)
+
+
 def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     """Monte Carlo estimate of the momentum-space integral
     int d^{4n}x / prod_e [(sum_k alpha_k(e) x_k + s_e)^2 + m_e^2].
@@ -750,16 +896,14 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     another's, are not covered by this count.
     """
     start = time.perf_counter()
-    n, n_edges, orders = _require_convergent(g)
+    problem = _problem(g)
+    n, n_edges = problem.n, problem.n_edges
     if cfg.qmc:
         raise ValidationError("qmc sampling is only wired up for the simplex methods")
-    maps, offsets = _tree_channels(g)
-    u_at = _poly_evaluator(first_symanzik_trees(g))
+    maps, offsets = problem.channels
+    u_at = problem.u_plan
     n_trees = len(maps)
-    mass_sq = np.array([float(e.mass) ** 2 for e in g.edges])[:, None]
-    scale = math.exp(sum(math.log(float(e.mass)) for e in g.edges) / n_edges)
-
-    nu = _tail_dof(n, orders)
+    nu, scale, mass_sq = problem.proposal
     log_norm = (  # log of the Student-t density at q = 0
         math.lgamma((nu + 4.0) / 2.0)
         - math.lgamma(nu / 2.0)
@@ -856,10 +1000,8 @@ def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     that is not positive, or that overflows (its weight would read exactly
     0), is refused with InvariantViolation."""
     start = time.perf_counter()
-    *_, orders = _require_convergent(g)
-    f0_at = _poly_evaluator(two_forest_polynomial(g))
-    u_at = _poly_evaluator(first_symanzik_trees(g))
-    mass_sq = np.array([float(e.mass * e.mass) for e in g.edges])
+    problem = _problem(g)
+    f0_at, u_at, mass_sq = problem.f0_plan, problem.u_plan, problem.mass_sq
 
     def integrand(points, regions):
         mass_at, f0_values_at, work = regions
@@ -872,12 +1014,13 @@ def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
             u_at(chunk, out, work)
             out *= mass[lanes]
             out += f0_at(chunk, _view(f0_values_at, len(out)), work)
-            if np.any(out <= 0.0):
-                raise InvariantViolation(
-                    "S2 <= 0 at an interior simplex sample; sign convention broken"
-                )
-            if np.any(out == math.inf):  # its weight would be exactly 0
-                raise InvariantViolation("S2 overflowed at an interior simplex sample")
+            if not np.all((out > 0.0) & (out < math.inf)):  # one check while all is well
+                if np.any(out <= 0.0):
+                    raise InvariantViolation(
+                        "S2 <= 0 at an interior simplex sample; sign convention broken"
+                    )
+                if np.any(out == math.inf):  # its weight would be exactly 0
+                    raise InvariantViolation("S2 overflowed at an interior simplex sample")
             np.square(out, out=out)
 
         return denominators
@@ -886,7 +1029,7 @@ def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     lanes = min(_SIMPLEX_LANES, batch)
     work = max(u_at.work_size(lanes), f0_at.work_size(lanes))
     estimate, err = _simplex_integral(
-        cfg, orders, "parametric", integrand, (batch,), (lanes,), (work,)
+        cfg, problem, "parametric", integrand, (batch,), (lanes,), (work,)
     )
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "parametric", time.perf_counter() - start
@@ -972,8 +1115,9 @@ def pfaffian_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     _block_table and _pfaffian_batch), not as a general pfaffian. Each lane
     chunk is assembled and handed to the kernel while it is still in cache."""
     start = time.perf_counter()
-    n, _, orders = _require_convergent(g)
-    coeffs = np.ascontiguousarray(_block_table([f.form for f in propagator_forms(g)], n).T)
+    problem = _problem(g)
+    n = problem.n
+    coeffs = problem.blocks
     size = n * n
 
     def integrand(points, regions):
@@ -993,7 +1137,7 @@ def pfaffian_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
         return denominators
 
     scratch = (len(coeffs), min(_SIMPLEX_LANES, _largest_batch(cfg)))
-    estimate, err = _simplex_integral(cfg, orders, "pfaffian", integrand, scratch)
+    estimate, err = _simplex_integral(cfg, problem, "pfaffian", integrand, scratch)
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "pfaffian", time.perf_counter() - start
     )
@@ -1080,8 +1224,9 @@ def extract_constants(
 ) -> ExtractedConstants:
     """c_hat := direct / parametric and C_hat := direct / pfaffian.
 
-    Runs the three estimators on the same config (or reuses a precomputed
-    (direct, parametric, pfaffian) triple). Refuses to report if any
+    Runs the three estimators on the same config, which share the graph's
+    set-up (see _problem), or reuses a precomputed (direct, parametric,
+    pfaffian) triple. Refuses to report if any
     component estimate is zero or not finite, or has relative standard
     error above 5%; ratio errors come from first-order propagation.
     """

@@ -105,3 +105,34 @@ def multi_loop_graph(name: str, rnd: random.Random) -> Graph:
         [(i, s, t, random_positive_fraction(rnd)) for i, s, t in edges],
         random_momenta(rnd, vertices[:4]),
     )
+
+
+# Calls to each set-up builder of the three estimators when every estimate on
+# one graph builds its pieces once: U and F0 are the two Horner plans.
+SET_UP_ONCE = {
+    "_vanishing_orders": 1,
+    "_tropical_sampler": 1,
+    "_poly_evaluator": 2,
+    "_tree_channels": 1,
+    "_block_table": 1,
+}
+
+
+def count_set_up_builds(monkeypatch) -> dict:
+    """Wraps each builder named in SET_UP_ONCE in twistamp.integrate with a
+    call counter; returns the counts by name, all 0 to begin with."""
+    import twistamp.integrate as integrate
+
+    calls = dict.fromkeys(SET_UP_ONCE, 0)
+
+    def counted(name, build):
+        def wrapper(*args):
+            calls[name] += 1  # builders run under the set-up lock, one at a time
+            return build(*args)
+
+        wrapper.__name__ = build.__name__
+        return wrapper
+
+    for name in SET_UP_ONCE:
+        monkeypatch.setattr(integrate, name, counted(name, getattr(integrate, name)))
+    return calls

@@ -5,6 +5,7 @@ import pytest
 
 from twistamp.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 import twistamp.cli as cli_module
+from conftest import SET_UP_ONCE, count_set_up_builds
 
 
 TRIANGLE = {
@@ -360,3 +361,28 @@ def test_integrate_keeps_momenta_whose_square_fits(tmp_path, capsys):
         assert main(args + ["pfaffian"]) == EXIT_NUMERIC
     error = json.loads(capsys.readouterr().out)["results"]["pfaffian"]["error"]
     assert error["type"] == "InvariantViolation"
+
+
+def test_integrate_all_builds_each_set_up_piece_once(tmp_path, monkeypatch, capsys):
+    # the three estimators and the constants share one prepared problem
+    calls = count_set_up_builds(monkeypatch)
+    path = _write(tmp_path, "box.json", BOX)
+    assert main(["integrate", path, "--method", "all", "--samples", "20000"]) == EXIT_OK
+    assert "constants" in json.loads(capsys.readouterr().out)
+    assert calls == SET_UP_ONCE
+
+
+def test_exact_commands_build_no_prepared_problem(tmp_path, monkeypatch, capsys):
+    loaded = []
+    load = cli_module.load_graph
+
+    def recording(path):
+        loaded.append(load(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli_module, "load_graph", recording)
+    path = _write(tmp_path, "box.json", BOX)
+    for command in ("symanzik", "twistor-check"):
+        assert main([command, path]) == EXIT_OK
+    assert len(loaded) == 2
+    assert not any("_problem" in vars(g) for g, _ in loaded)

@@ -40,6 +40,8 @@ from twistamp import (
     two_forest_polynomial,
 )
 from conftest import (
+    SET_UP_ONCE,
+    count_set_up_builds,
     multi_loop_graph,
     random_connected_graph,
     random_momenta,
@@ -535,6 +537,56 @@ def test_horner_edge_cases_against_exact_evaluation():
     points = cases[-1][1]
     full = _poly_evaluator(mixed)(points)
     assert np.array_equal(_poly_evaluator(mixed)(points[3:]), full[3:])
+
+
+# (graph, polynomial) -> (instruction count, SHA-256) of its Horner plan. A
+# plan fixes the order of every add and multiply, and so the bits of every
+# evaluation; a compiler change that alters any plan shows here.
+_HORNER_PLANS = {
+    ("box", "U"): (3, "0e1f87d0ddec5f889bd50a732ab4127515ae9b448864f50dab01449733288c7b"),
+    ("box", "F0"): (14, "e2b8d6ccd2e6974b10622660d870f9603e5baa21864083cea23873e1c3a7bdcb"),
+    ("box", "S2"): (21, "0def514b672b8f4b3be5600d3ba44d814e5f7e13741dc8524e56e511db69185c"),
+    ("bowtie", "U"): (11, "3c4dd71e22188ef90866a549c89a58ac71b362f3c47f1a0e1e638120084432e3"),
+    ("bowtie", "F0"): (46, "de49e22cbc6d5157c57664b3f8f14e6db1eb877469ffa411bb619b9c69d42066"),
+    ("bowtie", "S2"): (74, "606bcde60e56d5833bc49773e832e16b8e27a4a9dfcf3ee65d74759adc4685bc"),
+    ("theta", "U"): (15, "56eca06ae19889a151bdc7b194903ea6ed50d80fb2b8812325457dbc93b17d8b"),
+    ("theta", "F0"): (40, "fd150c762862e04273ae3f857f50a2ab9bbd7520222954549d20560bd4c67f39"),
+    ("theta", "S2"): (91, "1559f10f101168589947e3dc4a656ec37f7e17d500461d721dc0082cf2647b68"),
+    ("loop3", "U"): (50, "2937473c66a612d657c076512624674a62bb83126a5240afdde028b92aaf1157"),
+    ("loop3", "F0"): (106, "d1a17cf88bdca2161380ef5065a8be41a551b6062413d21267ab11d270e0c383"),
+    ("loop3", "S2"): (357, "0b03cc0e2572d7281893db6c4a423ea7c1bb7263ccd5a3e979aecb085600a625"),
+    ("loop4", "U"): (165, "08ed4deaea894c9ccfd417a41ec31dc632eaaca8e6400c835fb7c33dfc10a160"),
+    ("loop4", "F0"): (325, "e1cce75afa13eff4a8e9f3c7ef01d79cf7ab996699e336cc6ac645155422ce42"),
+    ("loop4", "S2"): (1390, "dbbb623fefddf1668e48412e11958dffefb24cab8188116a299417cceeeb60a6"),
+}
+
+
+def test_horner_plans_are_pinned_on_the_benchmark_shapes():
+    import hashlib
+
+    from twistamp.integrate import _horner_program
+
+    graphs = {
+        "box": with_random_kinematics(box, random.Random(5)),
+        "bowtie": with_random_kinematics(bowtie, random.Random(5)),
+        **{name: multi_loop_graph(name, random.Random(5)) for name in ("theta", "loop3", "loop4")},
+    }
+    for name, g in graphs.items():
+        polys = {
+            "U": first_symanzik_trees(g),
+            "F0": two_forest_polynomial(g),
+            "S2": second_symanzik(g).s2,
+        }
+        for which, poly in polys.items():
+            program, constants, depth, result = _horner_program(
+                [(exps, float(c.re)) for exps, c in poly.terms()], poly.nvars
+            )
+            text = repr((
+                [(f.__name__, a, b, out) for f, a, b, out in program],
+                [c.hex() for c in constants], depth, result,
+            ))
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert (len(program), digest) == _HORNER_PLANS[name, which], (name, which)
 
 
 def test_two_forests_plus_mass_times_trees_is_the_expanded_s2():
@@ -1281,3 +1333,123 @@ def test_weights_do_not_depend_on_the_lane_chunk_width(monkeypatch):
         _estimates(graphs, cfg)
         assert len(weights_seen) == len(expect)
         assert all(np.array_equal(a, b) for a, b in zip(weights_seen, expect))
+
+
+# -- the prepared problem: one set-up per graph ------------------------------
+
+def test_a_second_estimate_on_a_graph_repeats_the_first_and_a_fresh_graph():
+    cfg = IntegrationConfig(n_samples=30_001, seed=8)
+    for make in (lambda: with_random_kinematics(bowtie, random.Random(59)),
+                 lambda: multi_loop_graph("loop3", random.Random(59))):
+        g = make()
+        first = _estimates([g], cfg)
+        assert _estimates([g], cfg) == first
+        assert _estimates([make()], cfg) == first
+
+
+def test_extract_constants_builds_each_piece_once(monkeypatch):
+    calls = count_set_up_builds(monkeypatch)
+    g = multi_loop_graph("theta", random.Random(61))
+    cfg = IntegrationConfig(n_samples=20_000, seed=1)
+    extract_constants(g, cfg)
+    assert calls == SET_UP_ONCE
+    extract_constants(g, cfg)
+    assert calls == SET_UP_ONCE
+    # a second graph, equal to the first, builds its own
+    extract_constants(multi_loop_graph("theta", random.Random(61)), cfg)
+    assert calls == {name: 2 * count for name, count in SET_UP_ONCE.items()}
+
+
+@pytest.mark.parametrize(
+    "graph, message",
+    [(_k4_with_a_path(), "divergent subgraph"), (triangle(), "N = 2n[+]2")],
+    ids=["divergent-subgraph", "N-not-2n+2"],
+)
+def test_a_refused_graph_is_refused_on_every_call(monkeypatch, graph, message):
+    calls = count_set_up_builds(monkeypatch)
+    cfg = IntegrationConfig(n_samples=1000, seed=0)
+    for _ in range(2):
+        for run in (direct_amplitude, parametric_amplitude, pfaffian_amplitude):
+            with pytest.raises(UnsupportedTopology, match=message):
+                run(graph, cfg)
+    assert not vars(graph).get("_problem")  # nothing was kept
+    built = {"_vanishing_orders": 6} if message == "divergent subgraph" else {}
+    assert calls == {**dict.fromkeys(SET_UP_ONCE, 0), **built}
+
+
+def test_threads_racing_on_one_fresh_graph_reproduce_the_serial_bits(monkeypatch):
+    cfg = IntegrationConfig(n_samples=20_000, seed=3)
+    serial = _estimates([multi_loop_graph("loop3", random.Random(67))], cfg)
+    g = multi_loop_graph("loop3", random.Random(67))  # equal, and with nothing built
+    calls = count_set_up_builds(monkeypatch)
+    results = {}
+
+    def run(i):
+        results[i] = _estimates([g], cfg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [results[i] for i in range(3)] == [serial] * 3
+    assert calls == SET_UP_ONCE
+
+
+def _kept(value, seen=None):
+    """Everything reachable from a memo value through containers, object
+    attributes and closure cells."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    yield value
+    if isinstance(value, dict):
+        children = list(value.values())
+    elif isinstance(value, (list, tuple)):
+        children = list(value)
+    elif callable(value) and hasattr(value, "__closure__"):
+        children = [cell.cell_contents for cell in value.__closure__ or ()]
+        children += list(vars(value).values())
+    elif hasattr(value, "__dict__") and not isinstance(value, type):
+        children = list(vars(value).values())
+    else:
+        children = []
+    for child in children:
+        yield from _kept(child, seen)
+
+
+def test_the_memo_keeps_read_only_arrays_and_nothing_exact():
+    from twistamp import MultiPoly
+
+    g = multi_loop_graph("loop3", random.Random(71))
+    _estimates([g], IntegrationConfig(n_samples=1000, seed=2))
+    memo = vars(g)["_problem"]
+    assert set(memo) >= {"shape", "sampler", "u_plan", "f0_plan", "channels", "blocks"}
+    kept = list(_kept(memo))
+    arrays = [value for value in kept if isinstance(value, np.ndarray)]
+    assert len(arrays) >= 10
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
+    exact = (MultiPoly, Fraction, GaussianRational, Graph)
+    assert not [value for value in kept if isinstance(value, exact)]
+
+
+def test_a_copied_or_pickled_graph_starts_with_nothing_built():
+    import copy
+    import pickle
+
+    g = with_random_kinematics(bowtie, random.Random(73))
+    cfg = IntegrationConfig(n_samples=20_000, seed=5)
+    first = _estimates([g], cfg)
+    for other in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert other == g and not vars(other)["_problem"]
+        assert _estimates([other], cfg) == first
