@@ -53,11 +53,11 @@ same numbers. Which buffers are used never changes an estimate's bits.
 An estimator's set-up lives on the graph, in its prepared problem (see
 _problem): the vanishing-order table and convergence check, the tropical
 sampler, the Horner plans of U and F0, the direct estimator's tree channels
-and proposal constants, and the pfaffian's block table. Each piece is built
-by the first estimate that reads it and kept on the Graph object, so it
-lives as long as the graph does, and extract_constants, `integrate --method
-all` or a seed sweep on one graph build each piece once. Nothing is kept at
-module level: a graph built anew, even an equal one, builds its own.
+and the pfaffian's block table. Each piece is built by the first estimate
+that reads it and kept on the Graph object, so it lives as long as the
+graph does, and extract_constants, `integrate --method all` or a seed sweep
+on one graph build each piece once. Nothing is kept at module level: a
+graph built anew, even an equal one, builds its own.
 """
 
 from __future__ import annotations
@@ -752,16 +752,18 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 class _Memo(dict):
-    """The pieces of a prepared problem built so far, by name. A copy or a
-    pickle of the graph that holds it starts with none."""
+    """The pieces of a prepared problem built so far, by name, and the lock
+    held while one of them is built, so that threads racing on one graph
+    build each piece once. The lock is the graph's own: a thread building a
+    piece holds up only the threads that need a piece of the same graph. A
+    copy or a pickle of the graph that holds the memo starts with none."""
+
+    def __init__(self):
+        super().__init__()
+        self.building = threading.RLock()
 
     def __reduce__(self):
         return _Memo, ()
-
-
-# Held while a graph's memo is attached or one of its pieces is built, so
-# that threads racing on one graph build each piece once.
-_BUILDING = threading.RLock()
 
 
 class _Problem:
@@ -787,23 +789,10 @@ class _Problem:
     def _piece(self, name: str, build):
         memo = self._memo
         if name not in memo:
-            with _BUILDING:
+            with memo.building:
                 if name not in memo:
                     memo[name] = build()
         return memo[name]
-
-    @property
-    def proposal(self) -> tuple:
-        """(nu, scale, m^2) of the direct estimator: its Student-t degrees of
-        freedom and scale, and each float(m_e)^2 in an (N, 1) column."""
-
-        def build():
-            masses = [float(e.mass) for e in self.graph.edges]
-            scale = math.exp(sum(math.log(m) for m in masses) / self.n_edges)
-            mass_sq = _read_only(np.array([[m**2] for m in masses]))
-            return _tail_dof(self.n, self.orders), scale, mass_sq
-
-        return self._piece("proposal", build)
 
     @property
     def channels(self) -> tuple:
@@ -821,14 +810,6 @@ class _Problem:
     def f0_plan(self):
         """The Horner plan of F0, the 2-forest momentum sum."""
         return self._piece("f0_plan", lambda: _poly_evaluator(two_forest_polynomial(self.graph)))
-
-    @property
-    def mass_sq(self) -> np.ndarray:
-        """float(m_e^2) per edge, the mass term of S2."""
-        edges = self.graph.edges
-        return self._piece(
-            "mass_sq", lambda: _read_only(np.array([float(e.mass * e.mass) for e in edges]))
-        )
 
     @property
     def sampler(self):
@@ -855,11 +836,8 @@ def _problem(g: Graph) -> _Problem:
     does; equal graphs built apart each build their own."""
     memo = vars(g).get("_problem")
     if memo is None:
-        with _BUILDING:
-            memo = vars(g).get("_problem")
-            if memo is None:
-                memo = _Memo()
-                object.__setattr__(g, "_problem", memo)
+        # one atomic dict call, so threads racing on g attach one memo
+        memo = vars(g).setdefault("_problem", _Memo())
     return _Problem(g, memo)
 
 
@@ -903,7 +881,10 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     maps, offsets = problem.channels
     u_at = problem.u_plan
     n_trees = len(maps)
-    nu, scale, mass_sq = problem.proposal
+    mass_sq = np.array([float(e.mass) ** 2 for e in g.edges])[:, None]
+    scale = math.exp(sum(math.log(float(e.mass)) for e in g.edges) / n_edges)
+
+    nu = _tail_dof(n, problem.orders)
     log_norm = (  # log of the Student-t density at q = 0
         math.lgamma((nu + 4.0) / 2.0)
         - math.lgamma(nu / 2.0)
@@ -1001,7 +982,8 @@ def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     0), is refused with InvariantViolation."""
     start = time.perf_counter()
     problem = _problem(g)
-    f0_at, u_at, mass_sq = problem.f0_plan, problem.u_plan, problem.mass_sq
+    f0_at, u_at = problem.f0_plan, problem.u_plan
+    mass_sq = np.array([float(e.mass * e.mass) for e in g.edges])
 
     def integrand(points, regions):
         mass_at, f0_values_at, work = regions
@@ -1014,13 +996,12 @@ def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
             u_at(chunk, out, work)
             out *= mass[lanes]
             out += f0_at(chunk, _view(f0_values_at, len(out)), work)
-            if not np.all((out > 0.0) & (out < math.inf)):  # one check while all is well
-                if np.any(out <= 0.0):
-                    raise InvariantViolation(
-                        "S2 <= 0 at an interior simplex sample; sign convention broken"
-                    )
-                if np.any(out == math.inf):  # its weight would be exactly 0
-                    raise InvariantViolation("S2 overflowed at an interior simplex sample")
+            if np.any(out <= 0.0):
+                raise InvariantViolation(
+                    "S2 <= 0 at an interior simplex sample; sign convention broken"
+                )
+            if np.any(out == math.inf):  # its weight would be exactly 0
+                raise InvariantViolation("S2 overflowed at an interior simplex sample")
             np.square(out, out=out)
 
         return denominators

@@ -127,7 +127,7 @@ def count_set_up_builds(monkeypatch) -> dict:
 
     def counted(name, build):
         def wrapper(*args):
-            calls[name] += 1  # builders run under the set-up lock, one at a time
+            calls[name] += 1  # one graph's builders run under its lock, one at a time
             return build(*args)
 
         wrapper.__name__ = build.__name__

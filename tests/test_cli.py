@@ -370,19 +370,3 @@ def test_integrate_all_builds_each_set_up_piece_once(tmp_path, monkeypatch, caps
     assert main(["integrate", path, "--method", "all", "--samples", "20000"]) == EXIT_OK
     assert "constants" in json.loads(capsys.readouterr().out)
     assert calls == SET_UP_ONCE
-
-
-def test_exact_commands_build_no_prepared_problem(tmp_path, monkeypatch, capsys):
-    loaded = []
-    load = cli_module.load_graph
-
-    def recording(path):
-        loaded.append(load(path))
-        return loaded[-1]
-
-    monkeypatch.setattr(cli_module, "load_graph", recording)
-    path = _write(tmp_path, "box.json", BOX)
-    for command in ("symanzik", "twistor-check"):
-        assert main([command, path]) == EXIT_OK
-    assert len(loaded) == 2
-    assert not any("_problem" in vars(g) for g, _ in loaded)

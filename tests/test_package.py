@@ -187,17 +187,6 @@ def test_import_makes_no_batch_workspace():
     assert _fresh_python("-c", code) == "False"
 
 
-def test_import_makes_no_prepared_problem():
-    # a graph's prepared problem is made by its first estimate
-    code = (
-        "import gc, twistamp, twistamp.integrate as i\n"
-        "g = twistamp.box()\n"
-        "made = [o for o in gc.get_objects() if isinstance(o, (i._Memo, i._Problem))]\n"
-        "print(len(made), hasattr(g, '_problem'))"
-    )
-    assert _fresh_python("-c", code) == "0 False"
-
-
 def test_every_benchmark_span_target_resolves():
     # the benchmark tracer reports a target the package lacks as absent, with
     # value 0, instead of failing the run; its TARGETS are read, not imported
