@@ -227,8 +227,11 @@ def cmd_integrate(args) -> int:
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.output}: {exc}") from exc
     else:
         print(text)
 

@@ -43,12 +43,12 @@ Every batch is drawn and evaluated in a workspace (see _workspace): each
 thread has one flat float64 arena, made by its first estimate, grown but
 never shrunk, and kept for the life of the thread, so its pages are faulted
 once and not once per batch. An estimate checks the arena out once, sized
-for its largest batch, and carves its draws and scratch from it; since
-estimates in a thread run one at a time, the arena ends the size of the
-largest one (14-16 MB at 4 loops). A call that finds its thread's
-arena checked out, such as a second live batch generator or an estimate
-run between another's batches, draws into a private array instead, with the
-same numbers. Which buffers are used never changes an estimate's bits.
+for its largest batch, in a plain `with` block of its own frame, and carves
+its draws and scratch from it; the batch generators only draw into the
+regions they are handed. So an exception always gives the arena back, and
+since a thread runs one estimate at a time, the arena ends the size of the
+largest one (14-16 MB at 4 loops). A second checkout while one is held
+raises RuntimeError. Which buffers are used never changes an estimate's bits.
 
 An estimator's set-up lives on the graph, in its prepared problem (see
 _problem): the vanishing-order table and convergence check, the tropical
@@ -229,52 +229,39 @@ def _largest_batch(cfg: IntegrationConfig) -> int:
     return min(_BATCH_SIZE, cfg.n_samples)
 
 
-class _Arena:
-    """One thread's workspace: a flat float64 buffer that only grows, and
-    whether an estimate has it checked out."""
+class _Arena(threading.local):
+    """Each thread's workspace: a flat float64 buffer that only grows, and
+    whether an estimate has it checked out. A thread's first use makes its
+    own, empty, and the thread keeps it for its life."""
 
     def __init__(self):
         self.buffer = np.empty(0)
         self.busy = False
 
 
-_threads = threading.local()
-
-
-def _arena() -> _Arena:
-    """The calling thread's arena, made on first use and kept for the life
-    of the thread."""
-    arena = getattr(_threads, "arena", None)
-    if arena is None:
-        arena = _threads.arena = _Arena()
-    return arena
+_arena = _Arena()
 
 
 @contextlib.contextmanager
 def _workspace(*shapes):
     """Flat float64 regions, one per shape and each of its size, laid end to
     end in the calling thread's arena (grown first if it is too small), for
-    one estimate. While the arena is checked out (two live batch
-    generators, a nested call) the regions come from a private array
-    instead. They hold whatever their last user left in them."""
+    one estimate. A thread holds at most one checkout: a second one raises
+    RuntimeError. The regions hold whatever their last user left in them."""
+    if _arena.busy:
+        raise RuntimeError("this thread's workspace is already checked out")
     sizes = [math.prod(shape) for shape in shapes]
     total = sum(sizes)
-    arena = _arena()
-    claimed = not arena.busy
-    if claimed:
-        if arena.buffer.size < total:
-            arena.buffer = np.empty(0)  # free the old pages before taking new ones
-            arena.buffer = np.empty(total)
-        arena.busy = True
-        buffer = arena.buffer
-    else:
-        buffer = np.empty(total)
+    if _arena.buffer.size < total:
+        _arena.buffer = np.empty(0)  # free the old pages before taking new ones
+        _arena.buffer = np.empty(total)
+    _arena.busy = True
+    buffer = _arena.buffer
     ends = itertools.accumulate(sizes)
     try:
         yield [buffer[end - size : end] for size, end in zip(sizes, ends)]
     finally:
-        if claimed:
-            arena.busy = False
+        _arena.busy = False
 
 
 def _view(region: np.ndarray, *shape) -> np.ndarray:
@@ -421,7 +408,7 @@ def _draw_shapes(count: int, dim: int, tropical) -> list:
     return [(dim, count), (count,), (2 * dim - 2, n_drawn)]
 
 
-def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical=None, regions=None):
+def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical, regions):
     """Uniform (Dirichlet) or scrambled-Sobol batches on the unit simplex.
 
     With a tropical sampler, each batch is its first `_UNIFORM_SHARE` drawn
@@ -430,11 +417,10 @@ def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical=Non
     each sample: the uniform part maps its first N coordinates, the tropical
     part uses all of them.
 
-    Every batch is drawn into `regions`, flat regions of the
-    `_draw_shapes` at the largest batch, or into a workspace checked out
-    here when none are given; so a batch holds only until the next one is
-    drawn. The Dirichlet part is drawn in lane chunks, which consume the
-    stream as one draw of the whole part does.
+    Every batch is drawn into `regions`, the caller's flat regions of the
+    `_draw_shapes` at the largest batch, so a batch holds only until the
+    next one is drawn. The Dirichlet part is drawn in lane chunks, which
+    consume the stream as one draw of the whole part does.
     """
     width = dim if tropical is None else 2 * dim - 2
     if cfg.qmc:
@@ -442,35 +428,30 @@ def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical=Non
 
         sobol = qmc.Sobol(d=width, scramble=True, seed=_rng(cfg.seed, method, 0))
     alpha = np.ones(dim)
-    if regions is None:
-        owned = _workspace(*_draw_shapes(_largest_batch(cfg), dim, tropical))
-    else:
-        owned = contextlib.nullcontext(regions)
-    with owned as regions:
-        for index, count in _batches(cfg.n_samples):
-            n_uniform = count if tropical is None else int(count * _UNIFORM_SHARE)
-            batch = [
-                _view(region, *shape)
-                for region, shape in zip(regions, _draw_shapes(count, dim, tropical))
-            ]
-            uniform = batch[0] if tropical is None else batch[0][:, :n_uniform].T
-            if cfg.qmc:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")  # non power-of-two draws
-                    u = sobol.random(count)
-                e = -np.log(np.clip(1.0 - u[:n_uniform, :dim], 1e-16, 1.0))
-                np.divide(e, e.sum(axis=1, keepdims=True), out=uniform)
-                u = u[n_uniform:].T
-            else:
-                rng = _rng(cfg.seed, method, index)
-                for lanes in _lane_chunks(n_uniform):
-                    uniform[lanes] = rng.dirichlet(alpha, size=lanes.stop - lanes.start)
-                if tropical is not None:
-                    u = rng.random(out=batch[2])
-            if tropical is None:
-                yield uniform
-            else:
-                yield tropical.mix(batch[0], u, batch[1])
+    for index, count in _batches(cfg.n_samples):
+        n_uniform = count if tropical is None else int(count * _UNIFORM_SHARE)
+        batch = [
+            _view(region, *shape)
+            for region, shape in zip(regions, _draw_shapes(count, dim, tropical))
+        ]
+        uniform = batch[0] if tropical is None else batch[0][:, :n_uniform].T
+        if cfg.qmc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # non power-of-two draws
+                u = sobol.random(count)
+            e = -np.log(np.clip(1.0 - u[:n_uniform, :dim], 1e-16, 1.0))
+            np.divide(e, e.sum(axis=1, keepdims=True), out=uniform)
+            u = u[n_uniform:].T
+        else:
+            rng = _rng(cfg.seed, method, index)
+            for lanes in _lane_chunks(n_uniform):
+                uniform[lanes] = rng.dirichlet(alpha, size=lanes.stop - lanes.start)
+            if tropical is not None:
+                u = rng.random(out=batch[2])
+        if tropical is None:
+            yield uniform
+        else:
+            yield tropical.mix(batch[0], u, batch[1])
 
 
 def _mean(method: str, batches, weights, factor: float = 1.0):
@@ -1183,7 +1164,9 @@ def feynman_trick_check(values, cfg: IntegrationConfig | None = None) -> Feynman
             raise PrecisionError("simplex integrand underflowed to 0 or is not finite")
         return out
 
-    rhs, err = _mean("feynman", _simplex_batches(cfg, n_vals, "feynman"), weights)
+    with _workspace(*_draw_shapes(_largest_batch(cfg), n_vals, None)) as regions:
+        batches = _simplex_batches(cfg, n_vals, "feynman", None, regions)
+        rhs, err = _mean("feynman", batches, weights)
     return FeynmanTrickResult(lhs, rhs, abs(rhs - lhs) / lhs, err, "mc", cfg.n_samples)
 
 

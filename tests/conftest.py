@@ -1,5 +1,6 @@
 """Shared helpers: random rational kinematics, random graphs, random forms."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -136,3 +137,14 @@ def count_set_up_builds(monkeypatch) -> dict:
     for name in SET_UP_ONCE:
         monkeypatch.setattr(integrate, name, counted(name, getattr(integrate, name)))
     return calls
+
+
+def simplex_batches(cfg, dim: int, method: str, tropical=None):
+    """twistamp.integrate._simplex_batches drawing into regions of its own,
+    allocated here at the shapes of the config's largest batch, so that the
+    thread's workspace stays free for the estimates a test runs meanwhile."""
+    from twistamp.integrate import _draw_shapes, _largest_batch, _simplex_batches
+
+    shapes = _draw_shapes(_largest_batch(cfg), dim, tropical)
+    regions = [np.empty(math.prod(shape)) for shape in shapes]
+    return _simplex_batches(cfg, dim, method, tropical, regions)

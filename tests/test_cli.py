@@ -170,6 +170,17 @@ def test_integrate_reports_reproducible(tmp_path):
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+def test_integrate_unwritable_output_is_validation_error(tmp_path, capsys):
+    path = _write(tmp_path, "box.json", BOX)
+    out = tmp_path / "missing" / "r.json"
+    args = ["integrate", path, "--samples", "2000", "--output", str(out)]
+    assert main(args) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err
+    assert not out.parent.exists()
+
+
 def test_integrate_exact_embeds_symbolic_verdicts(tmp_path, capsys):
     path = _write(tmp_path, "box.json", BOX)
     assert main(["integrate", path, "--samples", "5000", "--seed", "1", "--exact"]) == EXIT_OK

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import functools
 import math
@@ -12,6 +13,7 @@ from scipy.integrate import quad
 
 from twistamp import (
     AlternatingForm,
+    FourVector,
     GaussianRational,
     Graph,
     IntegrationConfig,
@@ -46,6 +48,7 @@ from conftest import (
     random_connected_graph,
     random_momenta,
     random_positive_fraction,
+    simplex_batches,
     with_random_kinematics,
 )
 
@@ -443,12 +446,7 @@ def test_block_table_refuses_forms_outside_the_block_shape(monkeypatch, key, val
 
 
 def test_pfaffian_estimate_equals_mean_of_inverse_s2_squared_on_same_draws(monkeypatch):
-    from twistamp.integrate import (
-        _poly_evaluator,
-        _require_convergent,
-        _simplex_batches,
-        _tropical_sampler,
-    )
+    from twistamp.integrate import _poly_evaluator, _require_convergent, _tropical_sampler
 
     rnd = random.Random(73)
     g = with_random_kinematics(bowtie, rnd)
@@ -458,7 +456,7 @@ def test_pfaffian_estimate_equals_mean_of_inverse_s2_squared_on_same_draws(monke
     result = pfaffian_amplitude(g, cfg)
     s2_at = _poly_evaluator(second_symanzik(g).s2)
     n, n_edges, orders = _require_convergent(g)
-    draws = _simplex_batches(cfg, n_edges, "pfaffian", _tropical_sampler(orders))
+    draws = simplex_batches(cfg, n_edges, "pfaffian", _tropical_sampler(orders))
     # each draw a carries weight 1 / (S2(a)^2 q(a)), q the mixture density
     weights = np.concatenate(
         [1.0 / np.square(s2_at(points)) / np.exp(log_q) for points, log_q in draws]
@@ -819,8 +817,6 @@ def test_mixture_density_is_normalised():
     # under draws from the mixture q, the uniform density (N-1)! over q has
     # mean 1 (and is bounded by 1 / share); a wrong I_tr, F_tr or share in
     # either half of q moves the mean
-    from twistamp.integrate import _simplex_batches
-
     rnd = random.Random(19)
     for g in (with_random_kinematics(bowtie, rnd), multi_loop_graph("loop3", rnd)):
         n_edges, sampler = _tropical_setup(g)
@@ -829,14 +825,14 @@ def test_mixture_density_is_normalised():
             ratio = np.concatenate(
                 [
                     np.exp(math.lgamma(n_edges) - log_q)
-                    for _, log_q in _simplex_batches(cfg, n_edges, "parametric", sampler)
+                    for _, log_q in simplex_batches(cfg, n_edges, "parametric", sampler)
                 ]
             )
             assert abs(ratio.mean() - 1.0) < 3 * ratio.std() / math.sqrt(ratio.size)
 
 
 def test_mixture_weights_stay_below_the_tropical_bound(monkeypatch):
-    from twistamp.integrate import _UNIFORM_SHARE, _poly_evaluator, _simplex_batches
+    from twistamp.integrate import _UNIFORM_SHARE, _poly_evaluator
 
     rnd = random.Random(23)
     graphs = [with_random_kinematics(bowtie, rnd)] + [
@@ -852,13 +848,13 @@ def test_mixture_weights_stay_below_the_tropical_bound(monkeypatch):
         bound = sampler.i_tr / ((1.0 - _UNIFORM_SHARE) * c_min**2)
         for qmc in (False, True):
             cfg = IntegrationConfig(n_samples=60_000, seed=7, qmc=qmc)
-            for points, log_q in _simplex_batches(cfg, n_edges, "parametric", sampler):
+            for points, log_q in simplex_batches(cfg, n_edges, "parametric", sampler):
                 weights = 1.0 / np.square(s2_at(points)) / np.exp(log_q)
                 assert weights.max() <= bound * (1.0 + 1e-12)
 
 
 def test_one_loop_graphs_keep_the_uniform_proposal(monkeypatch):
-    from twistamp.integrate import _poly_evaluator, _simplex_batches
+    from twistamp.integrate import _poly_evaluator
 
     g = with_random_kinematics(box, random.Random(29))
     n_edges, sampler = _tropical_setup(g)
@@ -867,7 +863,7 @@ def test_one_loop_graphs_keep_the_uniform_proposal(monkeypatch):
     cfg = IntegrationConfig(n_samples=20_000, seed=3)
     s2_at = _poly_evaluator(second_symanzik(g).s2)
     weights = np.concatenate(
-        [1.0 / np.square(s2_at(batch)) for batch in _simplex_batches(cfg, n_edges, "parametric")]
+        [1.0 / np.square(s2_at(batch)) for batch in simplex_batches(cfg, n_edges, "parametric")]
     )
     expect = math.fsum(weights) / weights.size / math.factorial(n_edges - 1)
     assert parametric_amplitude(g, cfg).estimate == pytest.approx(expect, rel=1e-12)
@@ -1031,6 +1027,26 @@ def test_direct_on_spread_masses_bowtie_agrees_with_pi_to_the_4_parametric():
     )
     assert z < 3
     assert direct.std_error < 0.01 * direct.estimate
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="FOUND line 30 of CHANGES.md: the direct proposal's geometric-mean scale "
+    "(1e-25 here) sits far below the other masses; ROADMAP items 9 and 13",
+)
+def test_direct_on_a_box_with_one_tiny_mass_agrees_with_pi_squared_parametric():
+    # reads 2.5e-39 +- 2.3e-39 against 2.57 (z = -57.6)
+    q = FourVector.make([1, 0, 0, 0])
+    g = box(masses=("1e-100", 1, 1, 1), momenta={1: q, 3: -q})
+    cfg = IntegrationConfig(n_samples=20_000, seed=0)
+    direct = direct_amplitude(g, cfg)
+    parametric = parametric_amplitude(g, cfg)
+    c = math.pi**2
+    z = _combined_gap(
+        direct.estimate, c * parametric.estimate, direct.std_error, c * parametric.std_error
+    )
+    assert z < 3
 
 
 def test_qmc_tropical_mixture_agrees_with_mc():
@@ -1247,10 +1263,8 @@ def test_concurrent_threads_reproduce_the_serial_estimates():
 
 
 def test_interleaved_batch_generators_yield_what_each_yields_alone(monkeypatch):
-    # the second live generator, and an estimate run between batches, find
-    # the thread's workspace checked out and draw into their own arrays
-    from twistamp.integrate import _simplex_batches
-
+    # two live generators, each drawing into regions of its own, and an
+    # estimate run between batches in the thread's workspace
     monkeypatch.setattr("twistamp.integrate._BATCH_SIZE", 10_000)
     g = multi_loop_graph("theta", random.Random(37))
     n_edges, sampler = _tropical_setup(g)
@@ -1259,7 +1273,7 @@ def test_interleaved_batch_generators_yield_what_each_yields_alone(monkeypatch):
     for tropical in (sampler, None):
 
         def batches(cfg, tropical=tropical):
-            for batch in _simplex_batches(cfg, n_edges, "parametric", tropical):
+            for batch in simplex_batches(cfg, n_edges, "parametric", tropical):
                 yield batch if tropical else (batch,)
 
         alone = [[tuple(np.copy(a) for a in batch) for batch in batches(cfg)] for cfg in cfgs]
@@ -1284,7 +1298,7 @@ def test_estimates_do_not_read_what_an_earlier_estimate_left_behind():
     # loop4's pfaffian estimate grows the workspace and fills it; NaN then
     # poisons every entry that a later estimate might read before writing
     pfaffian_amplitude(multi_loop_graph("loop4", rnd), IntegrationConfig(n_samples=70_000))
-    integrate._arena().buffer.fill(math.nan)
+    integrate._arena.buffer.fill(math.nan)
     assert _estimates(graphs, cfg) == first
 
 
@@ -1294,10 +1308,46 @@ def test_a_second_estimate_reuses_the_thread_workspace():
     g = multi_loop_graph("loop3", random.Random(47))
     cfg = IntegrationConfig(n_samples=70_000, seed=0)
     _estimates([g], cfg)
-    buffer = integrate._arena().buffer
+    buffer = integrate._arena.buffer
     assert buffer.size > 0
     _estimates([g], cfg)
-    assert integrate._arena().buffer is buffer
+    assert integrate._arena.buffer is buffer
+
+
+def test_a_refused_feynman_check_gives_the_workspace_back():
+    # the held refusal references the frames of the check and of its batch
+    # loop; the next estimate must still grow and use the thread's arena.
+    # A fresh thread starts with an empty arena.
+    import twistamp.integrate as integrate
+
+    g = with_random_kinematics(bowtie, random.Random(53))
+
+    def run():
+        with pytest.raises(PrecisionError) as refusal:
+            feynman_trick_check([1e150, 1e150, 1e-10], IntegrationConfig(n_samples=2000, seed=0))
+        seen = {"busy": integrate._arena.busy, "check": integrate._arena.buffer.size}
+        parametric_amplitude(g, IntegrationConfig(n_samples=2000, seed=0))
+        seen["estimate"] = integrate._arena.buffer.size
+        assert refusal.value.__traceback__ is not None
+        return seen
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        seen = pool.submit(run).result(timeout=60)
+    assert not seen["busy"]
+    assert seen["check"] == 6_000  # 2 000 points of 3 coordinates
+    assert seen["estimate"] > 6_000
+
+
+def test_a_second_workspace_checkout_in_one_thread_is_refused():
+    import twistamp.integrate as integrate
+
+    with integrate._workspace((10,), (3, 4)) as regions:
+        assert [region.size for region in regions] == [10, 12]
+        with pytest.raises(RuntimeError, match="already checked out"):
+            with integrate._workspace((10,)):
+                pass
+        assert integrate._arena.busy
+    assert not integrate._arena.busy
 
 
 def test_weights_do_not_depend_on_the_lane_chunk_width(monkeypatch):

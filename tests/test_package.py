@@ -182,9 +182,9 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 
 
 def test_import_makes_no_batch_workspace():
-    # the first estimate in a thread makes that thread's workspace
-    code = "import twistamp.integrate as i; print(hasattr(i._threads, 'arena'))"
-    assert _fresh_python("-c", code) == "False"
+    # the first estimate in a thread grows that thread's workspace
+    code = "import twistamp.integrate as i; print(i._arena.buffer.size, i._arena.busy)"
+    assert _fresh_python("-c", code) == "0 False"
 
 
 def test_every_benchmark_span_target_resolves():
