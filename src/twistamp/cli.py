@@ -20,6 +20,7 @@ From a source checkout, `python -m twistamp` runs the same commands.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -162,17 +163,45 @@ def _error_entry(exc: TwistampError) -> dict:
     return {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
+@contextlib.contextmanager
+def _report_file(path):
+    """The report's destination: the file at `path`, opened at once, or
+    stdout without one. An unwritable path is a ValidationError."""
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_integrate(args) -> int:
+    from .integrate import IntegrationConfig
+
+    g, digest = load_graph(args.graph)
+    cfg = IntegrationConfig(n_samples=args.samples, seed=args.seed)
+    # opened before any estimate runs, so an unwritable path costs no run
+    with _report_file(args.output) as handle:
+        report, failures = _integrate(args, g, digest, cfg)
+        handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    if failures:
+        validation = any(isinstance(f, ValidationError) for f in failures)
+        return EXIT_VALIDATION if validation else EXIT_NUMERIC
+    return EXIT_OK
+
+
+def _integrate(args, g: Graph, digest: str, cfg) -> tuple:
+    """The `integrate` report of g on cfg, and the estimators' refusals."""
     from .integrate import (
-        IntegrationConfig,
+        _REPLICATES,
         direct_amplitude,
         extract_constants,
         parametric_amplitude,
         pfaffian_amplitude,
     )
 
-    g, digest = load_graph(args.graph)
-    cfg = IntegrationConfig(n_samples=args.samples, seed=args.seed, qmc=args.qmc)
     methods = ["direct", "parametric", "pfaffian"] if args.method == "all" else [args.method]
     runners = {
         "direct": direct_amplitude,
@@ -200,7 +229,7 @@ def cmd_integrate(args) -> int:
         "graph": {"edges": g.n_edges, "vertices": g.n_vertices, "loops": loop_number(g)},
         "seed": cfg.seed,
         "samples": cfg.n_samples,
-        "qmc": cfg.qmc,
+        "replicates": _REPLICATES,
         "method": args.method,
         "results": results,
     }
@@ -225,20 +254,7 @@ def cmd_integrate(args) -> int:
         except TwistampError as exc:
             report["symbolic_checks"] = _error_entry(exc)
 
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            raise ValidationError(f"cannot write {args.output}: {exc}") from exc
-    else:
-        print(text)
-
-    if failures:
-        validation = any(isinstance(f, ValidationError) for f in failures)
-        return EXIT_VALIDATION if validation else EXIT_NUMERIC
-    return EXIT_OK
+    return report, failures
 
 
 def cmd_feynman_check(args) -> int:
@@ -285,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_int.add_argument("--samples", type=int, default=1_000_000)
     p_int.add_argument("--seed", type=int, default=0)
-    p_int.add_argument("--qmc", action="store_true", help="scrambled-Sobol simplex sampling")
     p_int.add_argument(
         "--exact",
         action="store_true",

@@ -23,21 +23,28 @@ The two simplex integrals are one estimate with two denominators
 points at a time, while the chunk is in cache. The integrands blow up like
 1/F_tr(a)^2 near the faces where S2 vanishes, F_tr being the largest
 monomial of S2, so a uniform proposal gives them infinite variance once
-n >= 2. Each simplex batch is therefore half uniform and half drawn from
-Borinsky's tropical sampler (density 1/(I_tr F_tr(a)^2), arXiv:2008.12310),
-and every sample is weighted by the balance heuristic f(a)/q(a) against the
-mixture density q; the weights are bounded by I_tr / ((1 - share) c_min^2),
-c_min the smallest coefficient of S2. The sampler draws and ranks in the
-same lane chunks. One-loop graphs, where S2 has no zero on the closed
-simplex, keep the plain uniform proposal. Graphs with a divergent subgraph
-are refused.
+n >= 2. Each simplex replicate is therefore half uniform and half drawn
+from Borinsky's tropical sampler (density 1/(I_tr F_tr(a)^2),
+arXiv:2008.12310), and every sample is weighted by the balance heuristic
+f(a)/q(a) against the mixture density q; the weights are bounded by
+I_tr / ((1 - share) c_min^2), c_min the smallest coefficient of S2. The
+sampler draws and ranks in the same lane chunks. One-loop graphs, where S2
+has no zero on the closed simplex, keep the plain uniform proposal. Graphs
+with a divergent subgraph are refused.
 
-All samplers derive their random stream deterministically from
-(seed, method, batch index). One loop, _mean, serves every Monte Carlo
-estimate (the three above and the Feynman check): it evaluates each batch's
-weights, refuses a non-finite one, and merges each batch's count, mean and
-sum of squared deviations in batch order, so a fixed config reproduces
-bit-identical estimates.
+The simplex estimates (and the Feynman check) are randomized quasi-Monte
+Carlo: _REPLICATES independent scrambles of a Sobol sequence, drawn with
+numpy (see _Sobol), replicate r seeded by (seed, method, r). The estimate
+is the mean of the replicate means and its error their standard error
+(Owen, "Monte Carlo theory, methods and examples", ch. 17), which stays
+honest where the i.i.d. formula would overstate the error of a
+low-discrepancy sample. The direct estimator is plain Monte Carlo, its
+stream seeded by (seed, method, batch index). One loop, _mean, serves every
+estimate: it evaluates each batch's weights, refuses a non-finite one, and
+merges count, mean and sum of squared deviations into each replicate's
+accumulator in a fixed order, so a fixed config reproduces bit-identical
+estimates; a simplex estimate's bits depend on neither the batch size nor
+the lane chunks.
 
 Every batch is drawn and evaluated in a workspace (see _workspace): each
 thread has one flat float64 arena, made by its first estimate, grown but
@@ -56,19 +63,20 @@ sampler, the Horner plans of U and F0, the direct estimator's tree channels
 and the pfaffian's block table. Each piece is built by the first estimate
 that reads it and kept on the Graph object, so it lives as long as the
 graph does, and extract_constants, `integrate --method all` or a seed sweep
-on one graph build each piece once. Nothing is kept at module level: a
-graph built anew, even an equal one, builds its own.
+on one graph build each piece once. Nothing of a graph is kept at module
+level (only the Sobol direction numbers, the same for every graph): a graph
+built anew, even an equal one, builds its own.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import numbers
 import threading
 import time
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -107,15 +115,27 @@ __all__ = [
     "log_divergent_integrand",
 ]
 
-# Share of each simplex batch drawn uniformly; the tropical sampler draws the
-# rest. Any share below 1 bounds the weights; the uniform half keeps the
+# Share of each simplex replicate drawn uniformly; the tropical sampler draws
+# the rest. Any share below 1 bounds the weights; the uniform half keeps the
 # weights small where S2 is far from zero.
 _UNIFORM_SHARE = 0.5
 
-# Samples per batch. The batch index seeds each batch's random stream, so the
-# batch size is part of the estimate; it is fixed so that the fields a report
-# records (method, samples, seed, qmc) reproduce its numbers.
+# Samples per batch. The direct estimator seeds each batch's random stream by
+# the batch index, so for it the batch size is part of the estimate; it is
+# fixed so that the fields a report records (method, samples, seed,
+# replicates) reproduce its numbers. No simplex estimate depends on it.
 _BATCH_SIZE = 65_536
+
+# Independent scrambles of every simplex estimate (randomized QMC; Owen,
+# "Monte Carlo theory, methods and examples", ch. 17). The estimate is the
+# mean of the replicate means and its error their standard error, which
+# itself is uncertain by about 1 / sqrt(2 (R - 1)), 18% at 16.
+_REPLICATES = 16
+
+# Points per block. A replicate is cut into blocks from its start; a block
+# is drawn and accumulated whole and batches hold whole blocks, so neither
+# the batch size nor the lane chunks move a bit of a simplex estimate.
+_BLOCK = 8_192
 
 # Lanes per chunk of a batch. The tropical sampler draws and ranks, the
 # simplex integrands evaluate their denominators and weights, and the direct
@@ -129,6 +149,49 @@ _SIMPLEX_LANES = 8_192
 
 _METHOD_CODE = {"direct": 1, "parametric": 2, "pfaffian": 3, "feynman": 4}
 
+# Joe and Kuo's Sobol direction numbers (new-joe-kuo-6.21201), the first 64
+# dimensions, as in scipy's _sobol_direction_numbers.npz: per dimension the
+# primitive polynomial, its coefficients as bits with the leading one, and the
+# initial direction integers m_1..m_s (s its degree, 1 for the first two).
+_JOE_KUO = (
+    (1, (1,)), (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)), (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)), (41, (1, 1, 5, 5, 5)),
+    (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)), (59, (1, 1, 1, 3, 11)),
+    (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)), (91, (1, 1, 1, 15, 21, 21)),
+    (97, (1, 3, 1, 13, 27, 49)), (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)), (143, (1, 1, 3, 13, 7, 35, 63)),
+    (145, (1, 3, 5, 9, 1, 25, 53)), (157, (1, 3, 1, 13, 9, 35, 107)),
+    (167, (1, 3, 1, 5, 27, 61, 31)), (171, (1, 1, 5, 11, 19, 41, 61)),
+    (185, (1, 3, 5, 3, 3, 13, 69)), (191, (1, 1, 7, 13, 1, 19, 1)),
+    (193, (1, 3, 7, 5, 13, 19, 59)), (203, (1, 1, 3, 9, 25, 29, 41)),
+    (211, (1, 3, 5, 13, 23, 1, 55)), (213, (1, 3, 7, 3, 13, 59, 17)),
+    (229, (1, 3, 1, 3, 5, 53, 69)), (239, (1, 1, 5, 5, 23, 33, 13)),
+    (241, (1, 1, 7, 7, 1, 61, 123)), (247, (1, 1, 7, 9, 13, 61, 49)),
+    (253, (1, 3, 3, 5, 3, 55, 33)), (285, (1, 3, 1, 15, 31, 13, 49, 245)),
+    (299, (1, 3, 5, 15, 31, 59, 63, 97)), (301, (1, 3, 1, 11, 11, 11, 77, 249)),
+    (333, (1, 3, 1, 11, 27, 43, 71, 9)), (351, (1, 1, 7, 15, 21, 11, 81, 45)),
+    (355, (1, 3, 7, 3, 25, 31, 65, 79)), (357, (1, 3, 1, 1, 19, 11, 3, 205)),
+    (361, (1, 1, 5, 9, 19, 21, 29, 157)), (369, (1, 3, 7, 11, 1, 33, 89, 185)),
+    (391, (1, 3, 3, 3, 15, 9, 79, 71)), (397, (1, 3, 7, 11, 15, 39, 119, 27)),
+    (425, (1, 1, 3, 1, 11, 31, 97, 225)), (451, (1, 1, 1, 3, 23, 43, 57, 177)),
+    (463, (1, 3, 7, 7, 17, 17, 37, 71)), (487, (1, 3, 1, 5, 27, 63, 123, 213)),
+    (501, (1, 1, 3, 5, 11, 43, 53, 133)), (529, (1, 3, 5, 5, 29, 17, 47, 173, 479)),
+    (539, (1, 3, 3, 11, 3, 1, 109, 9, 69)), (545, (1, 1, 1, 5, 17, 39, 23, 5, 343)),
+    (557, (1, 3, 1, 5, 25, 15, 31, 103, 499)), (563, (1, 1, 1, 11, 11, 17, 63, 105, 183)),
+    (601, (1, 1, 5, 11, 9, 29, 97, 231, 363)), (607, (1, 1, 5, 15, 19, 45, 41, 7, 383)),
+    (617, (1, 3, 7, 7, 31, 19, 83, 137, 221)), (623, (1, 1, 1, 3, 23, 15, 111, 223, 83)),
+    (631, (1, 1, 5, 13, 31, 15, 55, 25, 161)), (637, (1, 1, 3, 13, 25, 47, 39, 87, 257)),
+)
+
+# Binary digits of every Sobol coordinate: a point is an integer below 2^53
+# and its coordinate that integer times 2^-53, a double in [0, 1).
+_SOBOL_BITS = 53
+
+# Low index bits of a Sobol point taken from a per-replicate table (see
+# _Sobol.draw).
+_SOBOL_LOW = 7
+
 
 @dataclass(frozen=True)
 class IntegrationConfig:
@@ -136,15 +199,12 @@ class IntegrationConfig:
 
     n_samples: int = 100_000
     seed: int = 0
-    qmc: bool = False
 
     def __post_init__(self):
         if not _is_int(self.n_samples) or self.n_samples < 1000:
             raise ValidationError("sample count must be an integer >= 1000")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
-        if not isinstance(self.qmc, bool):
-            raise ValidationError("qmc must be True or False")
 
 
 @dataclass
@@ -202,8 +262,9 @@ def _batches(total: int):
         done += count
 
 
-def _rng(seed: int, method: str, batch_index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, _METHOD_CODE[method], batch_index])
+def _rng(seed: int, method: str, index: int) -> np.random.Generator:
+    """The random stream of a direct batch or of a simplex replicate."""
+    return np.random.default_rng([seed, _METHOD_CODE[method], index])
 
 
 def _pieces(lo: int, hi: int, width: int):
@@ -226,7 +287,128 @@ def _lane_chunks(count: int):
 
 
 def _largest_batch(cfg: IntegrationConfig) -> int:
-    return min(_BATCH_SIZE, cfg.n_samples)
+    """Points in the largest batch an estimate on cfg can have: a batch holds
+    at most _BATCH_SIZE points, or one block where a block is larger."""
+    return min(max(_BATCH_SIZE, _BLOCK), cfg.n_samples)
+
+
+def _simplex_plan(total: int) -> list:
+    """The batches of a simplex estimate over `total` samples, each a list
+    of blocks (replicate r, its size, lo, hi) for its points lo..hi.
+    Replicate r holds total // R points, one more when r < total % R, and is
+    cut every _BLOCK points from its start. A batch takes the next blocks
+    while their points fit in _BATCH_SIZE, and at least one."""
+    base, extra = divmod(total, _REPLICATES)
+    plan = [[]]
+    count = 0
+    for r in range(_REPLICATES):
+        size = base + (r < extra)
+        for lo in range(0, size, _BLOCK):
+            hi = min(lo + _BLOCK, size)
+            if plan[-1] and count + hi - lo > _BATCH_SIZE:
+                plan.append([])
+                count = 0
+            plan[-1].append((r, size, lo, hi))
+            count += hi - lo
+    return plan
+
+
+@functools.cache
+def _direction_numbers() -> np.ndarray:
+    """The Sobol direction numbers v[j, k] of the dimensions j of _JOE_KUO,
+    for the index bits k < _SOBOL_BITS, as integers m_k 2^(B - 1 - k) (B =
+    _SOBOL_BITS). m_k follows Bratley and Fox's recurrence from Joe and
+    Kuo's m_1..m_s; the first dimension is van der Corput's, m_k = 1."""
+    bits = _SOBOL_BITS
+    rows = []
+    for poly, initial in _JOE_KUO:
+        degree = poly.bit_length() - 1
+        m = [1] * bits if degree == 0 else list(initial)
+        while len(m) < bits:
+            k = len(m)
+            new = m[k - degree] ^ (m[k - degree] << degree)
+            for i in range(1, degree):
+                if poly >> (degree - i) & 1:
+                    new ^= m[k - i] << i
+            m.append(new)
+        rows.append([mk << (bits - 1 - k) for k, mk in enumerate(m)])
+    return _read_only(np.array(rows, dtype=np.uint64))
+
+
+def _trailing_zeros(t: np.ndarray) -> np.ndarray:
+    """The number of trailing zero bits of each positive int64 in t."""
+    return np.bitwise_count((t & -t) - 1)
+
+
+class _Sobol:
+    """One replicate's scrambled Sobol sequence in `dim` dimensions, drawn
+    with numpy alone.
+
+    Point i is the XOR of the direction numbers at the set bits of its Gray
+    code i ^ (i >> 1), the order scipy draws in. The direction numbers are
+    scrambled by a random lower-triangular binary matrix per dimension
+    (each digit of a number gains a random sum of the more significant
+    ones) and every point is XORed with a random digital shift: Matousek's
+    linear matrix scramble and shift (Owen, ch. 17), drawn from `rng`. So
+    each point is uniform on [0, 1)^dim, the first 2^k points still form a
+    (t, k, dim)-net, and a point depends on rng and its index alone. Only
+    the direction numbers that the first `count` points use are scrambled.
+    With rng None the points are the unscrambled sequence.
+    """
+
+    def __init__(self, rng: np.random.Generator | None, dim: int, count: int):
+        if dim > len(_JOE_KUO):
+            raise UnsupportedTopology(
+                f"scrambled Sobol points have at most {len(_JOE_KUO)} coordinates; "
+                f"this needs {dim}"
+            )
+        one = np.uint64(1)
+        digits = np.arange(_SOBOL_BITS, dtype=np.uint64)
+        # row b of the matrix: digit b and random digits above it
+        if rng is None:
+            rows = np.zeros((dim, _SOBOL_BITS), dtype=np.uint64)
+            self.shift = np.zeros(dim, dtype=np.uint64)
+        else:
+            rows = rng.integers(0, 1 << _SOBOL_BITS, size=(dim, _SOBOL_BITS), dtype=np.uint64)
+            self.shift = rng.integers(0, 1 << _SOBOL_BITS, size=dim, dtype=np.uint64)
+        rows &= ~((one << (digits + one)) - one)
+        rows |= one << digits
+        width = max(_SOBOL_LOW, (count - 1).bit_length())
+        direction = _direction_numbers()[:dim, :width]
+        # digit b of a scrambled number: the parity of row b AND the number;
+        # the digits sum exactly in float64, being distinct powers of two
+        parity = np.bitwise_count(rows & direction.T[:, :, None]) & np.uint8(1)
+        self.v = np.ascontiguousarray((parity @ 2.0 ** np.arange(_SOBOL_BITS)).T.astype(np.uint64))
+        # the unshifted points 0 .. 2^L - 1 (L = _SOBOL_LOW)
+        self.low = np.zeros((dim, 1 << _SOBOL_LOW), dtype=np.uint64)
+        steps = self.v[:, _trailing_zeros(np.arange(1, 1 << _SOBOL_LOW))]
+        np.bitwise_xor.accumulate(steps, axis=1, out=self.low[:, 1:])
+
+    def draw(self, start: int, out: np.ndarray) -> None:
+        """The first k coordinates of points start .. start + w - 1 into the
+        columns of out (k, w). The Gray code is linear over aligned blocks:
+        gray(a + j) = gray(a) ^ gray(j) when a is a multiple of 2^L and
+        j < 2^L, so point a + j is the point at a XOR the table entry j.
+        From one block start to the next the Gray code changes in bit L - 1
+        and in bit L + (trailing zeros of the next block's number), so the
+        block starts follow by one cumulative XOR."""
+        low = _SOBOL_LOW
+        k, w = out.shape
+        v = self.v[:k]
+        first, last = start >> low, (start + w - 1) >> low
+        starts = np.empty((k, last - first + 1), dtype=np.uint64)
+        index = first << low
+        gray = index ^ index >> 1
+        starts[:, 0] = self.shift[:k]
+        for b in range(gray.bit_length()):
+            if gray >> b & 1:
+                starts[:, 0] ^= v[:, b]
+        blocks = np.arange(first + 1, last + 1)
+        np.bitwise_xor(v[:, _trailing_zeros(blocks) + low], v[:, low - 1, None], out=starts[:, 1:])
+        np.bitwise_xor.accumulate(starts, axis=1, out=starts)
+        points = np.bitwise_xor(starts[:, :, None], self.low[:k, None, :]).reshape(k, -1)
+        offset = start - (first << low)
+        np.multiply(points[:, offset : offset + w], 2.0**-_SOBOL_BITS, out=out)
 
 
 class _Arena(threading.local):
@@ -369,26 +551,13 @@ class _TropicalSampler:
             out += exponent * np.log(np.maximum(columns[e], np.finfo(float).tiny))
         return out
 
-    def mix(self, columns: np.ndarray, u: np.ndarray, log_q: np.ndarray):
-        """Completes a batch of columns (N, B) whose first B - u.shape[1]
-        lanes hold uniform points: the rest get the tropical draws from u,
-        and log_q (B) the log of the mixture density q = share (N-1)! +
-        (1 - share) / (I_tr F_tr^2), share the uniform part. Both parts run
-        in chunks of `_SIMPLEX_LANES` lanes. Returns (points, log_q), the
-        points being the rows of columns.T."""
-        count = columns.shape[1]
-        n_uniform = count - u.shape[1]
-        for lanes in _lane_chunks(n_uniform):
-            log_q[lanes] = self.log_f(columns[:, lanes])
-        drawn, drawn_log_f = columns[:, n_uniform:], log_q[n_uniform:]
-        for lanes in _lane_chunks(u.shape[1]):
-            drawn_log_f[lanes] = self.draw(u[:, lanes], drawn[:, lanes])
-        share = n_uniform / count
-        log_uniform = math.log(share) + math.lgamma(self.n_edges) if share else -math.inf
-        log_q *= -2.0
-        log_q += math.log((1.0 - share) / self.i_tr)
-        np.logaddexp(log_uniform, log_q, out=log_q)
-        return columns.T, log_q
+    def mixture(self, log_f: np.ndarray, share: float) -> None:
+        """Turns log F_tr (B) in place into the log of the mixture density
+        q = share (N-1)! + (1 - share) / (I_tr F_tr^2), where `share` of the
+        samples are uniform and the rest tropical."""
+        log_f *= -2.0
+        log_f += math.log((1.0 - share) / self.i_tr)
+        np.logaddexp(math.log(share) + math.lgamma(self.n_edges), log_f, out=log_f)
 
 
 def _tropical_sampler(orders: np.ndarray):
@@ -399,66 +568,96 @@ def _tropical_sampler(orders: np.ndarray):
 
 
 def _draw_shapes(count: int, dim: int, tropical) -> list:
-    """Shapes of a batch of `count` simplex samples: the points (B, N), or
-    with a tropical sampler the columns (N, B), log q (B) and the tropical
-    part's uniforms (2N - 2, B - B_uniform)."""
+    """Shapes of a batch of `count` simplex samples: the points as columns
+    (N, B), and with a tropical sampler log q (B) and the uniforms of one
+    lane chunk of tropical draws (2N - 2, lanes)."""
     if tropical is None:
-        return [(count, dim)]
-    n_drawn = count - int(count * _UNIFORM_SHARE)
-    return [(dim, count), (count,), (2 * dim - 2, n_drawn)]
+        return [(dim, count)]
+    return [(dim, count), (count,), (2 * dim - 2, min(_SIMPLEX_LANES, count))]
 
 
 def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical, regions):
-    """Uniform (Dirichlet) or scrambled-Sobol batches on the unit simplex.
+    """Randomized-QMC batches on the unit simplex, yielded as (draw, runs):
+    draw is the points (B, N), or with a tropical sampler (points, log of the
+    mixture density), and runs the (replicate, lanes) of the uniform and
+    the tropical part of each of the batch's blocks, block by block (see
+    _simplex_plan and _mean).
 
-    With a tropical sampler, each batch is its first `_UNIFORM_SHARE` drawn
-    uniformly and the rest tropically, yielded as (points, log of the
-    mixture density). Under QMC one Sobol point of dimension 2N - 2 feeds
-    each sample: the uniform part maps its first N coordinates, the tropical
-    part uses all of them.
+    Replicate r is one scrambled Sobol sequence (see _Sobol) seeded by
+    (seed, method, r), of dimension N, or 2N - 2 with a tropical sampler;
+    its sample i is its point i. Its first `_UNIFORM_SHARE` of samples (all
+    of them without a tropical sampler) are uniform on the simplex: -log(1 -
+    u) of the point's first N coordinates, normalised to sum 1, is a
+    Dirichlet(1, ..., 1) point. The rest are tropical draws fed all 2N - 2
+    coordinates.
 
-    Every batch is drawn into `regions`, the caller's flat regions of the
-    `_draw_shapes` at the largest batch, so a batch holds only until the
-    next one is drawn. The Dirichlet part is drawn in lane chunks, which
-    consume the stream as one draw of the whole part does.
+    A batch lays the uniform parts of its blocks end to end, then their
+    tropical parts, so that every step runs over whole lane chunks however
+    small the replicates are. It is drawn one lane chunk at a time into
+    `regions`, the caller's flat regions of the `_draw_shapes` at the
+    largest batch, and holds only until the next batch is drawn.
     """
     width = dim if tropical is None else 2 * dim - 2
-    if cfg.qmc:
-        from scipy.stats import qmc  # scipy loads only on the paths that use it
-
-        sobol = qmc.Sobol(d=width, scramble=True, seed=_rng(cfg.seed, method, 0))
-    alpha = np.ones(dim)
-    for index, count in _batches(cfg.n_samples):
-        n_uniform = count if tropical is None else int(count * _UNIFORM_SHARE)
-        batch = [
-            _view(region, *shape)
-            for region, shape in zip(regions, _draw_shapes(count, dim, tropical))
+    sobols = {}
+    for batch in _simplex_plan(cfg.n_samples):
+        blocks = len(batch)
+        uniform, drawn = [], []  # (replicate, its points a..b, uniform share)
+        for r, size, lo, hi in batch:
+            if lo == 0:
+                sobols[r] = _Sobol(_rng(cfg.seed, method, r), width, size)
+            n_uniform = size if tropical is None else int(size * _UNIFORM_SHARE)
+            cut = min(max(lo, n_uniform), hi)
+            uniform.append((r, lo, cut, n_uniform / size))
+            drawn.append((r, cut, hi, n_uniform / size))
+        parts = uniform + drawn
+        starts = list(itertools.accumulate((b - a for _, a, b, _ in parts), initial=0))
+        count, split = starts[-1], starts[blocks]  # the tropical parts start at split
+        columns = _view(regions[0], dim, count)
+        for (r, a, b, _), start in zip(parts[:blocks], starts):
+            for p, q in _pieces(a, b, _SIMPLEX_LANES):
+                sobols[r].draw(p, columns[:, start + p - a : start + q - a])
+        runs = [
+            (parts[i][0], slice(starts[i], starts[i + 1]))
+            for block in range(blocks)
+            for i in (block, blocks + block)
+            if starts[i + 1] > starts[i]
         ]
-        uniform = batch[0] if tropical is None else batch[0][:, :n_uniform].T
-        if cfg.qmc:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # non power-of-two draws
-                u = sobol.random(count)
-            e = -np.log(np.clip(1.0 - u[:n_uniform, :dim], 1e-16, 1.0))
-            np.divide(e, e.sum(axis=1, keepdims=True), out=uniform)
-            u = u[n_uniform:].T
-        else:
-            rng = _rng(cfg.seed, method, index)
-            for lanes in _lane_chunks(n_uniform):
-                uniform[lanes] = rng.dirichlet(alpha, size=lanes.stop - lanes.start)
+        log_q = None if tropical is None else _view(regions[1], count)
+        for lanes in _lane_chunks(split):
+            points = columns[:, lanes]
+            np.negative(points, out=points)
+            np.log1p(points, out=points)
+            points /= points.sum(axis=0)
             if tropical is not None:
-                u = rng.random(out=batch[2])
+                log_q[lanes] = tropical.log_f(points)
         if tropical is None:
-            yield uniform
-        else:
-            yield tropical.mix(batch[0], u, batch[1])
+            yield columns.T, runs
+            continue
+        for lanes in _lane_chunks(count - split):
+            lo, hi = split + lanes.start, split + lanes.stop
+            u = _view(regions[2], width, hi - lo)
+            for (r, a, b, _), start in zip(parts[blocks:], starts[blocks:]):
+                first, last = max(start, lo), min(start + b - a, hi)
+                if first < last:
+                    sobols[r].draw(a + first - start, u[:, first - lo : last - lo])
+            log_q[lo:hi] = tropical.draw(u, columns[:, lo:hi])
+        # one share per replicate size, two sizes at most: few runs of lanes
+        for share, group in itertools.groupby(zip(parts, starts, starts[1:]), lambda x: x[0][3]):
+            group = list(group)
+            tropical.mixture(log_q[group[0][1] : group[-1][2]], share)
+        yield (columns.T, log_q), runs
 
 
 def _mean(method: str, batches, weights, factor: float = 1.0):
-    """factor * mean of weights(batch) over the batches, with its standard
-    error. Every weight must be finite."""
-    acc = _Accumulator()
-    for index, batch in enumerate(batches):
+    """factor * the mean of the weights, with its standard error. batches
+    yields (batch, runs): weights(batch) gives the batch's weights, and runs
+    the (replicate, lanes) whose weights go to that replicate's accumulator,
+    in the order listed. With one replicate the error is the i.i.d. one over
+    all the weights; with R, the estimate is the mean of the R replicate
+    means, taken in replicate order, and the error their standard deviation
+    over sqrt(R). Every weight must be finite."""
+    replicates = {}
+    for index, (batch, runs) in enumerate(batches):
         values = weights(batch)
         finite = np.isfinite(values)
         if not finite.all():
@@ -466,9 +665,16 @@ def _mean(method: str, batches, weights, factor: float = 1.0):
                 f"non-finite {method}-method sample in batch {index} "
                 f"(sample {int(np.argmin(finite))})"
             )
-        acc.add(values)
+        for replicate, lanes in runs:
+            replicates.setdefault(replicate, _Accumulator()).add(values[lanes])
         del values, finite  # hold neither while the next batch is drawn
-    return acc.finalize(factor)
+    if len(replicates) == 1:
+        (acc,) = replicates.values()
+        return acc.finalize(factor)
+    means = [replicates[r].finalize()[0] for r in sorted(replicates)]
+    mean = math.fsum(means) / len(means)
+    variance = math.fsum((m - mean) ** 2 for m in means) / (len(means) - 1)
+    return factor * mean, factor * math.sqrt(variance / len(means))
 
 
 def _simplex_integral(cfg: IntegrationConfig, problem, method: str, integrand, *scratch):
@@ -857,8 +1063,6 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     start = time.perf_counter()
     problem = _problem(g)
     n, n_edges = problem.n, problem.n_edges
-    if cfg.qmc:
-        raise ValidationError("qmc sampling is only wired up for the simplex methods")
     maps, offsets = problem.channels
     u_at = problem.u_plan
     n_trees = len(maps)
@@ -944,7 +1148,7 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
                         q.sum(axis=0, out=p2_chunk[:, lo - base : hi - base])
                         stop = hi
                 finish(log_w[base:stop], stop - base)
-                yield log_w
+                yield log_w, ((0, slice(0, count)),)  # one i.i.d. replicate
 
         estimate, err = _mean("direct", log_weights(), lambda log_w: np.exp(log_w, out=log_w))
     return IntegrationResult(
@@ -953,7 +1157,7 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
 
 
 def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
-    """Monte Carlo estimate of int_simplex delta(1 - sum a) da / S2(a)^2.
+    """Randomized-QMC estimate of int_simplex delta(1 - sum a) da / S2(a)^2.
 
     S2 is never expanded: it is evaluated as F0(a) + (sum_e m_e^2 a_e) U(a)
     (Bogner-Weinzierl arXiv:1002.3458), with F0 the 2-forest momentum sum
@@ -968,15 +1172,18 @@ def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
 
     def integrand(points, regions):
         mass_at, f0_values_at, work = regions
-        # one matrix-vector product per batch: one per lane chunk can round
-        # differently, which would tie the estimate to the chunk width
-        mass = np.matmul(points, mass_sq, out=_view(mass_at, len(points)))
 
         def denominators(lanes, out):
             chunk = points[lanes]
+            # sum_e m_e^2 a_e edge by edge: a matrix-vector product rounds a
+            # lane by where it sits in the batch
+            mass, term = _view(mass_at, len(out)), _view(f0_values_at, len(out))
+            np.multiply(chunk[:, 0], mass_sq[0], out=mass)
+            for e in range(1, len(mass_sq)):
+                mass += np.multiply(chunk[:, e], mass_sq[e], out=term)
             u_at(chunk, out, work)
-            out *= mass[lanes]
-            out += f0_at(chunk, _view(f0_values_at, len(out)), work)
+            out *= mass
+            out += f0_at(chunk, term, work)
             if np.any(out <= 0.0):
                 raise InvariantViolation(
                     "S2 <= 0 at an interior simplex sample; sign convention broken"
@@ -987,11 +1194,10 @@ def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
 
         return denominators
 
-    batch = _largest_batch(cfg)
-    lanes = min(_SIMPLEX_LANES, batch)
+    lanes = min(_SIMPLEX_LANES, _largest_batch(cfg))
     work = max(u_at.work_size(lanes), f0_at.work_size(lanes))
     estimate, err = _simplex_integral(
-        cfg, problem, "parametric", integrand, (batch,), (lanes,), (work,)
+        cfg, problem, "parametric", integrand, (lanes,), (lanes,), (work,)
     )
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "parametric", time.perf_counter() - start
@@ -1071,7 +1277,7 @@ def _pfaffian_batch(lmat: np.ndarray, border: np.ndarray) -> np.ndarray:
 
 
 def pfaffian_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
-    """Monte Carlo estimate of int_simplex delta(1 - sum a) da / |Pf(sum a Q)|^2.
+    """Randomized-QMC estimate of int_simplex delta(1 - sum a) da / |Pf(sum a Q)|^2.
 
     Pf(sum_e a_e Q_e) is evaluated from the block shape of the forms (see
     _block_table and _pfaffian_batch), not as a general pfaffian. Each lane
@@ -1120,9 +1326,10 @@ class FeynmanTrickResult:
 def feynman_trick_check(values, cfg: IntegrationConfig | None = None) -> FeynmanTrickResult:
     """Check the simplex identity for positive A_1..A_N.
 
-    N = 2 evaluates the 1-d integral by adaptive quadrature; larger N uses
-    Monte Carlo (the (N-1)! and the simplex volume cancel, so the estimator
-    is just the sample mean of (sum a A)^(-N)).
+    N = 2 evaluates the 1-d integral by adaptive quadrature; larger N, up
+    to 64, uses the simplex estimate's randomized QMC (the (N-1)! and the
+    simplex volume cancel, so the estimator is the mean of (sum a A)^(-N)
+    over uniform simplex points, with the replicates' error bar).
     """
     try:
         A = list(values)
@@ -1137,6 +1344,8 @@ def feynman_trick_check(values, cfg: IntegrationConfig | None = None) -> Feynman
         raise ValidationError("all values must be finite")
     if any(not v > 0 for v in A):
         raise ValidationError("all values must be strictly positive")
+    if len(A) > len(_JOE_KUO):
+        raise ValidationError(f"at most {len(_JOE_KUO)} values can be checked")
     lhs = 1.0 / math.prod(A)
     if not 0.0 < lhs < math.inf:
         raise PrecisionError("1 / prod A is not a positive finite double")
@@ -1156,10 +1365,14 @@ def feynman_trick_check(values, cfg: IntegrationConfig | None = None) -> Feynman
         return FeynmanTrickResult(lhs, rhs, abs(rhs - lhs) / lhs, abserr, "quadrature", 0)
 
     cfg = cfg or IntegrationConfig(n_samples=200_000, seed=0)
-    arr = np.array(A)
 
-    def weights(batch):
-        out = (batch @ arr) ** (-n_vals)
+    def weights(points):
+        # sum_k a_k A_k coordinate by coordinate: a matrix-vector product
+        # rounds a lane by where it sits in the batch
+        total = np.zeros(len(points))
+        for k, value in enumerate(A):
+            total += points[:, k] * value
+        out = total ** (-n_vals)
         if not np.all((out > 0.0) & (out < math.inf)):
             raise PrecisionError("simplex integrand underflowed to 0 or is not finite")
         return out

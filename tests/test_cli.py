@@ -134,7 +134,7 @@ def test_integrate_rejects_zero_samples(tmp_path, capsys):
 
 def test_integrate_has_no_sampler_flags_the_report_does_not_record(tmp_path, capsys):
     path = _write(tmp_path, "box.json", BOX)
-    for flag in (["--scale", "1"], ["--batch-size", "5"]):
+    for flag in (["--scale", "1"], ["--batch-size", "5"], ["--qmc"]):
         with pytest.raises(SystemExit) as exc:
             main(["integrate", path, *flag])
         assert exc.value.code == EXIT_VALIDATION
@@ -148,6 +148,7 @@ def test_integrate_single_method(tmp_path, capsys):
     assert set(report["results"]) == {"parametric"}
     assert report["results"]["parametric"]["estimate"] > 0
     assert report["input_hash"].startswith("sha256:")
+    assert report["replicates"] == 16 and "qmc" not in report
 
 
 def _strip_timing(obj):
@@ -179,6 +180,21 @@ def test_integrate_unwritable_output_is_validation_error(tmp_path, capsys):
     assert err.startswith(f"error: cannot write {out}: ")
     assert "Traceback" not in err
     assert not out.parent.exists()
+
+
+def test_integrate_refuses_an_unwritable_output_before_any_estimate(
+    tmp_path, capsys, monkeypatch
+):
+    import twistamp.integrate as integrate
+
+    called = []
+    for name in ("direct_amplitude", "parametric_amplitude", "pfaffian_amplitude"):
+        monkeypatch.setattr(integrate, name, lambda g, cfg, name=name: called.append(name))
+    path = _write(tmp_path, "box.json", BOX)
+    out = tmp_path / "missing" / "r.json"
+    assert main(["integrate", path, "--output", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert called == []
 
 
 def test_integrate_exact_embeds_symbolic_verdicts(tmp_path, capsys):

@@ -43,6 +43,7 @@ from twistamp import (
 )
 from conftest import (
     SET_UP_ONCE,
+    box_simplex_integral,
     count_set_up_builds,
     multi_loop_graph,
     random_connected_graph,
@@ -62,10 +63,9 @@ def test_config_validation():
         IntegrationConfig(n_samples=999)
     with pytest.raises(ValidationError):
         IntegrationConfig(n_samples=10_000, seed=-1)
-    # a truthy non-bool would run scrambled Sobol and be reported as given
-    for qmc in ("no", 1, None):
-        with pytest.raises(ValidationError, match="qmc"):
-            IntegrationConfig(n_samples=10_000, qmc=qmc)
+    # randomized QMC is the only simplex sampler: there is no switch
+    with pytest.raises(TypeError):
+        IntegrationConfig(n_samples=10_000, qmc=True)
 
 
 def test_config_rejects_bool_counts():
@@ -96,11 +96,9 @@ def test_direct_scaling_in_mass():
     assert z < 3
 
 
-def test_direct_rejects_wrong_topology_and_qmc():
+def test_direct_rejects_wrong_topology():
     with pytest.raises(UnsupportedTopology):
         direct_amplitude(triangle(), IntegrationConfig(n_samples=1000, seed=0))
-    with pytest.raises(ValidationError):
-        direct_amplitude(box(), IntegrationConfig(n_samples=1000, seed=0, qmc=True))
 
 
 def test_tree_channels_conserve_momentum_and_fix_the_chords():
@@ -457,13 +455,24 @@ def test_pfaffian_estimate_equals_mean_of_inverse_s2_squared_on_same_draws(monke
     s2_at = _poly_evaluator(second_symanzik(g).s2)
     n, n_edges, orders = _require_convergent(g)
     draws = simplex_batches(cfg, n_edges, "pfaffian", _tropical_sampler(orders))
-    # each draw a carries weight 1 / (S2(a)^2 q(a)), q the mixture density
-    weights = np.concatenate(
-        [1.0 / np.square(s2_at(points)) / np.exp(log_q) for points, log_q in draws]
-    )
+    # each draw a carries weight 1 / (S2(a)^2 q(a)), q the mixture density;
     # lambda^2 = 1: |Pf|^2 = S2^2 point by point
-    expect = math.fsum(weights) / weights.size
+    expect = _replicate_mean(
+        (1.0 / np.square(s2_at(points)) / np.exp(log_q), runs)
+        for (points, log_q), runs in draws
+    )
     assert result.estimate == pytest.approx(expect, rel=1e-12)
+
+
+def _replicate_mean(weighted):
+    """The mean over replicates of each replicate's mean weight, from
+    (weights, runs) per batch as _simplex_batches lays them out."""
+    by_replicate = {}
+    for weights, runs in weighted:
+        for replicate, lanes in runs:
+            by_replicate.setdefault(replicate, []).extend(weights[lanes].tolist())
+    assert sorted(by_replicate) == list(range(len(by_replicate)))
+    return math.fsum(math.fsum(w) / len(w) for w in by_replicate.values()) / len(by_replicate)
 
 
 def _exact_values(poly, points):
@@ -713,14 +722,6 @@ def test_tropical_log_f_is_the_dominant_s2_monomial():
         assert np.allclose(sampler.log_f(uniform), expect, rtol=1e-12, atol=1e-12)
 
 
-def _mix(sampler, uniform, u):
-    """sampler.mix on fresh buffers: the uniform columns, then the draws
-    from u."""
-    columns = np.empty((sampler.n_edges, uniform.shape[1] + u.shape[1]))
-    columns[:, : uniform.shape[1]] = uniform
-    return sampler.mix(columns, u, np.empty(columns.shape[1]))
-
-
 def test_tropical_lanes_do_not_depend_on_where_the_chunks_start():
     from twistamp.integrate import _SIMPLEX_LANES
 
@@ -743,12 +744,11 @@ def test_tropical_lanes_do_not_depend_on_where_the_chunks_start():
         log_f = sampler.log_f(uniform)
         for start in (5, size - 1):
             assert np.array_equal(sampler.log_f(uniform[:, start:]), log_f[start:])
-        # equal halves keep the uniform share at 1/2 when both are sliced
-        points, log_q = _mix(sampler, uniform, u)
-        part_points, part_log_q = _mix(sampler, uniform[:, 5:], u[:, 5:])
-        for whole, part in ((points, part_points), (log_q, part_log_q)):
-            assert np.array_equal(part[: size - 5], whole[5:size])
-            assert np.array_equal(part[size - 5 :], whole[size + 5 :])
+        # the mixture density is formed lane by lane
+        log_q, part = log_f.copy(), log_f[5:].copy()
+        sampler.mixture(log_q, 0.5)
+        sampler.mixture(part, 0.5)
+        assert np.array_equal(part, log_q[5:])
 
 
 def _log_f_by_sorting(sampler, columns):
@@ -813,6 +813,81 @@ def test_accumulator_keeps_a_spread_far_below_the_mean():
     assert whole.finalize(2.0) == pytest.approx((mean, err), rel=1e-9)
 
 
+def test_sobol_points_are_scipys_and_the_direction_numbers_its_table():
+    # the embedded Joe-Kuo rows are scipy's, and the unscrambled points
+    # 0 .. 2^k - 1 are scipy's in every dimension N or 2N - 2 up to 4 loops
+    from pathlib import Path
+
+    import scipy.stats._qmc
+    from scipy.stats import qmc
+
+    from twistamp.integrate import _JOE_KUO, _Sobol
+
+    table = np.load(Path(scipy.stats._qmc.__file__).with_name("_sobol_direction_numbers.npz"))
+    for j, (poly, initial) in enumerate(_JOE_KUO):
+        row = np.zeros(table["vinit"].shape[1], dtype=np.int64)
+        row[: len(initial)] = initial
+        assert poly == table["poly"][j] and np.array_equal(row, table["vinit"][j]), j
+    k = 10
+    for dim in range(2, 19):
+        points = np.empty((dim, 1 << k))
+        _Sobol(None, dim, 1 << k).draw(0, points)
+        expect = qmc.Sobol(dim, scramble=False).random_base2(k)
+        assert set(map(tuple, points.T.tolist())) == set(map(tuple, expect.tolist())), dim
+
+
+def test_scrambled_sobol_points_are_nets_wherever_the_draws_are_cut():
+    from twistamp.integrate import _Sobol
+
+    k, count = 10, 3_000
+    for dim in (4, 18):
+        sobol = _Sobol(np.random.default_rng(dim), dim, count)
+        whole = np.empty((dim, count))
+        sobol.draw(0, whole)
+        # the scramble keeps the net: each coordinate of the first 2^k points
+        # falls once in each interval [i, i + 1) / 2^k
+        for row in whole[:, : 1 << k]:
+            assert np.array_equal(np.sort(np.floor(row * 2**k)), np.arange(2**k))
+        cuts = (0, 1, 127, 128, 129, 1_000, count - 1, count)
+        pieces = np.empty((dim, count))
+        for lo, hi in zip(cuts, cuts[1:]):
+            sobol.draw(lo, pieces[:, lo:hi])
+        assert np.array_equal(pieces, whole)
+        # the first coordinates alone, as the uniform part draws them
+        first = np.empty((3, 300))
+        sobol.draw(1_000, first)
+        assert np.array_equal(first, whole[:3, 1_000:1_300])
+        other = np.empty((dim, count))
+        _Sobol(np.random.default_rng(dim + 1), dim, count).draw(0, other)
+        assert not np.isin(other, whole).any()
+
+
+def test_box_simplex_estimates_against_the_gauss_legendre_reference():
+    # deterministic references, converged to 1e-10 by doubling the rule,
+    # make the box's replicate error bars falsifiable: about 2e-5 relative
+    # at 65 536 samples on the first box, 7e-4 on the random one
+    q1 = [Fraction(1, 4), Fraction(-1, 2), 0, Fraction(1, 4)]
+    q2 = [Fraction(-1, 4), Fraction(1, 4), Fraction(1, 2), 0]
+    q3 = [0, Fraction(1, 4), Fraction(-1, 4), Fraction(-1, 2)]
+    q4 = [-(a + b + c) for a, b, c in zip(q1, q2, q3)]
+    graphs = [
+        box(
+            masses=(Fraction(7, 8), Fraction(5, 4), 1, Fraction(3, 4)),
+            momenta={1: q1, 2: q2, 3: q3, 4: q4},
+        ),
+        with_random_kinematics(box, random.Random(13)),
+    ]
+    for g in graphs:
+        reference = box_simplex_integral(g, 96)
+        assert box_simplex_integral(g, 48) == pytest.approx(reference, rel=1e-10)
+        for run in (parametric_amplitude, pfaffian_amplitude):
+            for seed in range(8):
+                result = run(g, IntegrationConfig(n_samples=65_536, seed=seed))
+                z = (result.estimate - reference) / result.std_error
+                assert abs(z) < 4, (run.__name__, seed, z)
+                assert result.std_error < 1e-3 * reference
+
+
 def test_mixture_density_is_normalised():
     # under draws from the mixture q, the uniform density (N-1)! over q has
     # mean 1 (and is bounded by 1 / share); a wrong I_tr, F_tr or share in
@@ -820,15 +895,14 @@ def test_mixture_density_is_normalised():
     rnd = random.Random(19)
     for g in (with_random_kinematics(bowtie, rnd), multi_loop_graph("loop3", rnd)):
         n_edges, sampler = _tropical_setup(g)
-        for qmc in (False, True):
-            cfg = IntegrationConfig(n_samples=200_000, seed=19, qmc=qmc)
-            ratio = np.concatenate(
-                [
-                    np.exp(math.lgamma(n_edges) - log_q)
-                    for _, log_q in simplex_batches(cfg, n_edges, "parametric", sampler)
-                ]
-            )
-            assert abs(ratio.mean() - 1.0) < 3 * ratio.std() / math.sqrt(ratio.size)
+        cfg = IntegrationConfig(n_samples=200_000, seed=19)
+        ratio = np.concatenate(
+            [
+                np.exp(math.lgamma(n_edges) - log_q)
+                for (_, log_q), _ in simplex_batches(cfg, n_edges, "parametric", sampler)
+            ]
+        )
+        assert abs(ratio.mean() - 1.0) < 3 * ratio.std() / math.sqrt(ratio.size)
 
 
 def test_mixture_weights_stay_below_the_tropical_bound(monkeypatch):
@@ -838,7 +912,8 @@ def test_mixture_weights_stay_below_the_tropical_bound(monkeypatch):
     graphs = [with_random_kinematics(bowtie, rnd)] + [
         multi_loop_graph(name, rnd) for name in ("theta", "loop3")
     ]
-    # an odd batch size puts one more sample in the tropical part
+    # batches of five replicates of an odd size, 3 751: the tropical part
+    # of each has one sample more than the uniform part
     monkeypatch.setattr("twistamp.integrate._BATCH_SIZE", 20_001)
     for g in graphs:
         n_edges, sampler = _tropical_setup(g)
@@ -846,11 +921,10 @@ def test_mixture_weights_stay_below_the_tropical_bound(monkeypatch):
         s2_at = _poly_evaluator(s2)
         c_min = min(float(c.re) for _, c in s2.terms())
         bound = sampler.i_tr / ((1.0 - _UNIFORM_SHARE) * c_min**2)
-        for qmc in (False, True):
-            cfg = IntegrationConfig(n_samples=60_000, seed=7, qmc=qmc)
-            for points, log_q in simplex_batches(cfg, n_edges, "parametric", sampler):
-                weights = 1.0 / np.square(s2_at(points)) / np.exp(log_q)
-                assert weights.max() <= bound * (1.0 + 1e-12)
+        cfg = IntegrationConfig(n_samples=60_016, seed=7)
+        for (points, log_q), _ in simplex_batches(cfg, n_edges, "parametric", sampler):
+            weights = 1.0 / np.square(s2_at(points)) / np.exp(log_q)
+            assert weights.max() <= bound * (1.0 + 1e-12)
 
 
 def test_one_loop_graphs_keep_the_uniform_proposal(monkeypatch):
@@ -862,10 +936,11 @@ def test_one_loop_graphs_keep_the_uniform_proposal(monkeypatch):
     monkeypatch.setattr("twistamp.integrate._BATCH_SIZE", 7_000)
     cfg = IntegrationConfig(n_samples=20_000, seed=3)
     s2_at = _poly_evaluator(second_symanzik(g).s2)
-    weights = np.concatenate(
-        [1.0 / np.square(s2_at(batch)) for batch in simplex_batches(cfg, n_edges, "parametric")]
+    expect = _replicate_mean(
+        (1.0 / np.square(s2_at(points)), runs)
+        for points, runs in simplex_batches(cfg, n_edges, "parametric")
     )
-    expect = math.fsum(weights) / weights.size / math.factorial(n_edges - 1)
+    expect /= math.factorial(n_edges - 1)
     assert parametric_amplitude(g, cfg).estimate == pytest.approx(expect, rel=1e-12)
 
 
@@ -909,10 +984,13 @@ def test_multi_batch_run_is_bit_reproducible(monkeypatch):
 
 
 def test_std_error_scales_like_sqrt_n():
+    # the direct estimator's i.i.d. error bar; a simplex estimate's bar is
+    # the spread of 16 replicate means, itself uncertain by about 18%, and
+    # randomized QMC makes it fall faster than 1 / sqrt(n) where it can
     rnd = random.Random(9)
     g = with_random_kinematics(box, rnd)
-    small = parametric_amplitude(g, IntegrationConfig(n_samples=100_000, seed=21))
-    large = parametric_amplitude(g, IntegrationConfig(n_samples=200_000, seed=22))
+    small = direct_amplitude(g, IntegrationConfig(n_samples=100_000, seed=21))
+    large = direct_amplitude(g, IntegrationConfig(n_samples=200_000, seed=22))
     ratio = small.std_error / large.std_error
     assert ratio == pytest.approx(math.sqrt(2), rel=0.2)
 
@@ -956,14 +1034,6 @@ def test_change_of_cycle_basis_leaves_estimates_alone():
             for basis in (loops, flipped, mixed):
                 formula = basis.T @ np.linalg.inv(basis[:, chords].T)
                 np.testing.assert_allclose(a_t, formula, rtol=0.0, atol=1e-12)
-
-
-def test_qmc_parametric_agrees():
-    rnd = random.Random(71)
-    g = with_random_kinematics(box, rnd)
-    plain = parametric_amplitude(g, IntegrationConfig(n_samples=100_000, seed=51))
-    sobol = parametric_amplitude(g, IntegrationConfig(n_samples=100_000, seed=52, qmc=True))
-    assert sobol.estimate == pytest.approx(plain.estimate, rel=5e-3)
 
 
 def test_simplex_estimators_times_pi_to_the_2n_match_direct():
@@ -1049,15 +1119,6 @@ def test_direct_on_a_box_with_one_tiny_mass_agrees_with_pi_squared_parametric():
     assert z < 3
 
 
-def test_qmc_tropical_mixture_agrees_with_mc():
-    rnd = random.Random(72)
-    g = with_random_kinematics(bowtie, rnd)
-    for run in (parametric_amplitude, pfaffian_amplitude):
-        plain = run(g, IntegrationConfig(n_samples=100_000, seed=53))
-        sobol = run(g, IntegrationConfig(n_samples=100_000, seed=54, qmc=True))
-        assert _combined_gap(plain.estimate, sobol.estimate, plain.std_error, sobol.std_error) < 3
-
-
 def test_feynman_trick_constant_case():
     result = feynman_trick_check([1.0, 1.0, 1.0, 1.0], IntegrationConfig(n_samples=1000, seed=0))
     assert result.lhs == 1.0
@@ -1093,6 +1154,10 @@ def test_feynman_trick_validation():
     for values in (["x", 1, 2], [None, 1], [True, 2, 3], [1.0, np.bool_(True)], 5, None):
         with pytest.raises(ValidationError):
             feynman_trick_check(values)
+    # the Sobol points have 64 coordinates at most
+    assert feynman_trick_check([1.0] * 64, IntegrationConfig(n_samples=1000)).rel_gap < 1e-12
+    with pytest.raises(ValidationError, match="at most 64"):
+        feynman_trick_check([1.0] * 65)
     assert feynman_trick_check([1, Fraction(1, 2)]).rel_gap < 1e-10
     # 1/prod A underflows to 0, the N = 2 integrand overflows, or the Monte
     # Carlo integrand underflows to 0
@@ -1152,45 +1217,38 @@ def test_log_divergent_integrand_builder():
 
 
 # Pinned estimate and standard error of every method at 100 001 samples (a
-# partial last batch), seed 0, on the graphs of _pinned_graphs. A change to
-# how a stream is consumed, how batches or lane chunks are laid out, or a
-# read of a stale buffer moves them far more than the 1e-12 allowed for
+# partial last batch for direct, replicates of 6 251 and 6 250 points for
+# the simplex methods), seed 0, on the graphs of _pinned_graphs. A change to
+# how a stream is consumed, how batches, blocks or lane chunks are laid out,
+# or a read of a stale buffer moves them far more than the 1e-12 allowed for
 # platform rounding.
 PINNED = {
-    ("box", "direct", False): (0.022837925357596982, 7.300034848517342e-05),
-    ("box", "parametric", False): (0.0023208702725518457, 5.2351186775839555e-06),
-    ("box", "pfaffian", False): (0.0023076036773492536, 5.0134975505991845e-06),
-    ("box", "parametric", True): (0.0023151064124087833, 5.073355230309532e-06),
-    ("box", "pfaffian", True): (0.0023151163888868445, 5.113684315249479e-06),
-    ("bowtie", "direct", False): (1.4145582220008543, 0.0049860252840523206),
-    ("bowtie", "parametric", False): (0.014167589244746722, 0.0001354200182370855),
-    ("bowtie", "pfaffian", False): (0.014403704676819711, 0.00018992034609111567),
-    ("bowtie", "parametric", True): (0.01424257681757009, 0.000154031748666326),
-    ("bowtie", "pfaffian", True): (0.01468170475583564, 0.00034608118503133106),
-    ("theta", "direct", False): (1.0142348085227357, 0.004466153733764539),
-    ("theta", "parametric", False): (0.01039919745197912, 0.00011772152727266084),
-    ("theta", "pfaffian", False): (0.010288849516932786, 0.00012013728670715147),
-    ("theta", "parametric", True): (0.010340435891743145, 0.00011737706291771354),
-    ("theta", "pfaffian", True): (0.010440668102334343, 0.00016701364649591836),
-    ("loop3", "direct", False): (9.561855334515455, 0.04487640390858183),
-    ("loop3", "parametric", False): (0.009940913186448939, 0.00021571238954087377),
-    ("loop3", "pfaffian", False): (0.009820847464162763, 0.0001029000093895492),
-    ("loop3", "parametric", True): (0.00978816771086657, 0.00011740248161034083),
-    ("loop3", "pfaffian", True): (0.009873255136640825, 0.00012319458204588027),
+    ("box", "direct"): (0.022837925357596982, 7.300034848517342e-05),
+    ("bowtie", "direct"): (1.4145582220008543, 0.0049860252840523206),
+    ("theta", "direct"): (1.0142348085227357, 0.004466153733764539),
+    ("loop3", "direct"): (9.561855334515455, 0.04487640390858183),
+    ("box", "parametric"): (0.0023171689344739315, 8.822841208852194e-07),
+    ("box", "pfaffian"): (0.002316147336901054, 8.015987109153928e-07),
+    ("bowtie", "parametric"): (0.014259178812478025, 0.00010635939173189252),
+    ("bowtie", "pfaffian"): (0.0143858311277879, 0.00015918102802130405),
+    ("theta", "parametric"): (0.010218211466933937, 4.844180015297129e-05),
+    ("theta", "pfaffian"): (0.010309146987459005, 7.927814747037276e-05),
+    ("loop3", "parametric"): (0.009729731893110856, 6.934848327014081e-05),
+    ("loop3", "pfaffian"): (0.009831152218406664, 8.093927684841995e-05),
 }
 
 
-# The same at 73 729 samples under MC: the last batch has 8 193 lanes, which
-# the lane chunks must cut without a one-lane chunk.
+# The simplex methods at 131 088 samples: replicates of 8 193 points, each
+# ending in a one-lane block of one tropical draw.
 PINNED_TAIL = {
-    ("box", "parametric"): (0.0023233479425367252, 6.036307807673888e-06),
-    ("box", "pfaffian"): (0.0023076312251861337, 5.726352642649371e-06),
-    ("bowtie", "parametric"): (0.014143475509999134, 0.00015666785176578495),
-    ("bowtie", "pfaffian"): (0.014391207651727146, 0.0002243838523493793),
-    ("theta", "parametric"): (0.010407620497859225, 0.00014190118097881786),
-    ("theta", "pfaffian"): (0.010373306293577056, 0.00014597264070172425),
-    ("loop3", "parametric"): (0.01009989114195958, 0.00028252774430978685),
-    ("loop3", "pfaffian"): (0.009860039910036008, 0.00012334677980098668),
+    ("box", "parametric"): (0.0023162075375577186, 4.49288370023494e-07),
+    ("box", "pfaffian"): (0.00231589625308705, 6.44726742808142e-07),
+    ("bowtie", "parametric"): (0.014394925575315538, 9.333421168068023e-05),
+    ("bowtie", "pfaffian"): (0.014289916188095797, 9.119269678290601e-05),
+    ("theta", "parametric"): (0.010268458414659254, 4.879082089724598e-05),
+    ("theta", "pfaffian"): (0.010356112209870719, 5.0533484111059114e-05),
+    ("loop3", "parametric"): (0.009722599429303883, 4.8552264867799655e-05),
+    ("loop3", "pfaffian"): (0.009825061639075998, 7.16158627497463e-05),
 }
 
 
@@ -1213,13 +1271,12 @@ _RUNS = {
 
 def test_random_streams_are_pinned():
     graphs = _pinned_graphs()
-    for (name, method, qmc), (estimate, std_error) in PINNED.items():
-        cfg = IntegrationConfig(n_samples=100_001, seed=0, qmc=qmc)
-        result = _RUNS[method](graphs[name], cfg)
-        assert result.estimate == pytest.approx(estimate, rel=1e-12), (name, method, qmc)
-        assert result.std_error == pytest.approx(std_error, rel=1e-12), (name, method, qmc)
+    for (name, method), (estimate, std_error) in PINNED.items():
+        result = _RUNS[method](graphs[name], IntegrationConfig(n_samples=100_001, seed=0))
+        assert result.estimate == pytest.approx(estimate, rel=1e-12), (name, method)
+        assert result.std_error == pytest.approx(std_error, rel=1e-12), (name, method)
     for (name, method), (estimate, std_error) in PINNED_TAIL.items():
-        result = _RUNS[method](graphs[name], IntegrationConfig(n_samples=73_729, seed=0))
+        result = _RUNS[method](graphs[name], IntegrationConfig(n_samples=131_088, seed=0))
         assert result.estimate == pytest.approx(estimate, rel=1e-12), (name, method)
         assert result.std_error == pytest.approx(std_error, rel=1e-12), (name, method)
 
@@ -1273,8 +1330,8 @@ def test_interleaved_batch_generators_yield_what_each_yields_alone(monkeypatch):
     for tropical in (sampler, None):
 
         def batches(cfg, tropical=tropical):
-            for batch in simplex_batches(cfg, n_edges, "parametric", tropical):
-                yield batch if tropical else (batch,)
+            for draw, _ in simplex_batches(cfg, n_edges, "parametric", tropical):
+                yield draw if tropical else (draw,)
 
         alone = [[tuple(np.copy(a) for a in batch) for batch in batches(cfg)] for cfg in cfgs]
         steps = 0
@@ -1383,6 +1440,31 @@ def test_weights_do_not_depend_on_the_lane_chunk_width(monkeypatch):
         _estimates(graphs, cfg)
         assert len(weights_seen) == len(expect)
         assert all(np.array_equal(a, b) for a, b in zip(weights_seen, expect))
+
+    # Batches hold whole blocks, so the batch size, with the lane width, moves
+    # no bit of a simplex estimate: a block per batch (1 250 points over a
+    # batch size of 1 000), several, all of them; at 131 088 samples every
+    # replicate ends in a one-lane block. The direct estimator seeds each
+    # batch by its index, so its batch size is part of its stream.
+    monkeypatch.setattr(integrate, "_mean", mean)
+    for n_samples, layouts in (
+        (20_000, [(65_536, 8_192), (1_000, 7), (2_600, 100)]),
+        (131_088, [(65_536, 8_192), (10_000, 1_000)]),
+    ):
+        cfg = IntegrationConfig(n_samples=n_samples, seed=6)
+        seen = []
+        for batch_size, lanes in layouts:
+            monkeypatch.setattr(integrate, "_BATCH_SIZE", batch_size)
+            monkeypatch.setattr(integrate, "_SIMPLEX_LANES", lanes)
+            seen.append(
+                [
+                    (result.estimate.hex(), result.std_error.hex())
+                    for g in graphs
+                    for run in (parametric_amplitude, pfaffian_amplitude)
+                    for result in [run(g, cfg)]
+                ]
+            )
+        assert seen[1:] == seen[:1] * (len(layouts) - 1)
 
 
 # -- the prepared problem: one set-up per graph ------------------------------

@@ -117,10 +117,16 @@ def test_integrate_names_are_looked_up_on_each_access(monkeypatch):
 
 
 def test_import_loads_no_scipy():
-    # only --qmc and the N = 2 Feynman check use scipy, which takes about a
-    # second to import
-    code = "import sys, twistamp; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    assert _fresh_python("-c", code) == "[]"
+    # only the N = 2 Feynman check uses scipy, which takes about a second to
+    # import: neither the package nor a simplex estimate, whose scrambled
+    # Sobol points numpy draws, loads it
+    loaded = "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    assert _fresh_python("-c", "import sys, twistamp; " + loaded) == "[]"
+    estimate = (
+        "import sys, twistamp as ta; "
+        "ta.parametric_amplitude(ta.bowtie(), ta.IntegrationConfig(n_samples=2000)); "
+    )
+    assert _fresh_python("-c", estimate + loaded) == "[]"
 
 
 BOX_DOCUMENT = {
