@@ -3,8 +3,9 @@
 direct      integral over R^(4n) of 1 / prod_e P_e(x), importance-sampled
             from a mixture with one channel per spanning tree: each channel
             draws its chord momenta from heavy-tailed 4-dimensional
-            Student-t laws, and the mixture density is the first Symanzik
-            polynomial at the per-edge densities (see direct_amplitude);
+            Student-t laws, each of its chord's mass as scale, and the
+            mixture density is the first Symanzik polynomial at the
+            per-edge densities (see direct_amplitude);
 parametric  integral over the unit simplex of 1 / S2(a)^2, with S2 evaluated
             unexpanded as F0(a) + (sum_e m_e^2 a_e) U(a), the 2-forest sum
             and the spanning-tree sum each compiled once into a
@@ -32,19 +33,17 @@ sampler draws and ranks in the same lane chunks. One-loop graphs, where S2
 has no zero on the closed simplex, keep the plain uniform proposal. Graphs
 with a divergent subgraph are refused.
 
-The simplex estimates (and the Feynman check) are randomized quasi-Monte
-Carlo: _REPLICATES independent scrambles of a Sobol sequence, drawn with
-numpy (see _Sobol), replicate r seeded by (seed, method, r). The estimate
-is the mean of the replicate means and its error their standard error
-(Owen, "Monte Carlo theory, methods and examples", ch. 17), which stays
-honest where the i.i.d. formula would overstate the error of a
-low-discrepancy sample. The direct estimator is plain Monte Carlo, its
-stream seeded by (seed, method, batch index). One loop, _mean, serves every
-estimate: it evaluates each batch's weights, refuses a non-finite one, and
-merges count, mean and sum of squared deviations into each replicate's
-accumulator in a fixed order, so a fixed config reproduces bit-identical
-estimates; a simplex estimate's bits depend on neither the batch size nor
-the lane chunks.
+Every estimate (and the Feynman check) is randomized quasi-Monte Carlo:
+_REPLICATES independent scrambles of a Sobol sequence, drawn with numpy
+(see _Sobol), replicate r seeded by (seed, method, r) and cut into blocks
+(see _plan). The estimate is the mean of the replicate means and its error
+their standard error (Owen, "Monte Carlo theory, methods and examples",
+ch. 17), which stays honest where the i.i.d. formula would overstate the
+error of a low-discrepancy sample. One loop, _mean, serves every estimate:
+it evaluates each batch's weights, refuses a non-finite one, and merges each
+block's mean into its replicate's accumulator in a fixed order, so a fixed
+config reproduces bit-identical estimates, and neither the batch size nor
+the lane chunks move a bit of one.
 
 Every batch is drawn and evaluated in a workspace (see _workspace): each
 thread has one flat float64 arena, made by its first estimate, grown but
@@ -120,13 +119,11 @@ __all__ = [
 # weights small where S2 is far from zero.
 _UNIFORM_SHARE = 0.5
 
-# Samples per batch. The direct estimator seeds each batch's random stream by
-# the batch index, so for it the batch size is part of the estimate; it is
-# fixed so that the fields a report records (method, samples, seed,
-# replicates) reproduce its numbers. No simplex estimate depends on it.
+# Samples per batch: the draws and weights an estimate holds at once. No
+# estimate depends on it.
 _BATCH_SIZE = 65_536
 
-# Independent scrambles of every simplex estimate (randomized QMC; Owen,
+# Independent scrambles of every estimate (randomized QMC; Owen,
 # "Monte Carlo theory, methods and examples", ch. 17). The estimate is the
 # mean of the replicate means and its error their standard error, which
 # itself is uncertain by about 1 / sqrt(2 (R - 1)), 18% at 16.
@@ -134,7 +131,7 @@ _REPLICATES = 16
 
 # Points per block. A replicate is cut into blocks from its start; a block
 # is drawn and accumulated whole and batches hold whole blocks, so neither
-# the batch size nor the lane chunks move a bit of a simplex estimate.
+# the batch size nor the lane chunks move a bit of an estimate.
 _BLOCK = 8_192
 
 # Lanes per chunk of a batch. The tropical sampler draws and ranks, the
@@ -227,43 +224,22 @@ class IntegrationResult:
 
 
 class _Accumulator:
-    """Count, mean and sum of squared deviations M2, merged batch by batch
-    in batch order (Chan, Golub and LeVeque's pairwise update). Each batch
-    is reduced in two passes, mean first and then the deviations from it,
-    so a spread far below the mean is not lost to cancellation."""
+    """Count and mean of one replicate's weights, merged block by block in
+    block order."""
 
     def __init__(self):
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
+        self.count = 0
+        self.mean = 0.0
 
     def add(self, values: np.ndarray) -> None:
         count = values.size
-        mean = float(values.sum()) / count
-        m2 = float(np.square(values - mean).sum())
-        total = self._count + count
-        delta = mean - self._mean
-        self._mean += delta * (count / total)
-        self._m2 += m2 + delta * delta * (self._count * count / total)
-        self._count = total
-
-    def finalize(self, factor: float = 1.0):
-        n = self._count
-        return factor * self._mean, factor * math.sqrt(self._m2) / n
-
-
-def _batches(total: int):
-    index = 0
-    done = 0
-    while done < total:
-        count = min(_BATCH_SIZE, total - done)
-        yield index, count
-        index += 1
-        done += count
+        total = self.count + count
+        self.mean += (float(values.sum()) / count - self.mean) * (count / total)
+        self.count = total
 
 
 def _rng(seed: int, method: str, index: int) -> np.random.Generator:
-    """The random stream of a direct batch or of a simplex replicate."""
+    """The random stream that scrambles replicate `index` of an estimate."""
     return np.random.default_rng([seed, _METHOD_CODE[method], index])
 
 
@@ -292,8 +268,8 @@ def _largest_batch(cfg: IntegrationConfig) -> int:
     return min(max(_BATCH_SIZE, _BLOCK), cfg.n_samples)
 
 
-def _simplex_plan(total: int) -> list:
-    """The batches of a simplex estimate over `total` samples, each a list
+def _plan(total: int) -> list:
+    """The batches of an estimate over `total` samples, each a list
     of blocks (replicate r, its size, lo, hi) for its points lo..hi.
     Replicate r holds total // R points, one more when r < total % R, and is
     cut every _BLOCK points from its start. A batch takes the next blocks
@@ -581,7 +557,7 @@ def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical, re
     draw is the points (B, N), or with a tropical sampler (points, log of the
     mixture density), and runs the (replicate, lanes) of the uniform and
     the tropical part of each of the batch's blocks, block by block (see
-    _simplex_plan and _mean).
+    _plan and _mean).
 
     Replicate r is one scrambled Sobol sequence (see _Sobol) seeded by
     (seed, method, r), of dimension N, or 2N - 2 with a tropical sampler;
@@ -599,7 +575,7 @@ def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical, re
     """
     width = dim if tropical is None else 2 * dim - 2
     sobols = {}
-    for batch in _simplex_plan(cfg.n_samples):
+    for batch in _plan(cfg.n_samples):
         blocks = len(batch)
         uniform, drawn = [], []  # (replicate, its points a..b, uniform share)
         for r, size, lo, hi in batch:
@@ -652,10 +628,9 @@ def _mean(method: str, batches, weights, factor: float = 1.0):
     """factor * the mean of the weights, with its standard error. batches
     yields (batch, runs): weights(batch) gives the batch's weights, and runs
     the (replicate, lanes) whose weights go to that replicate's accumulator,
-    in the order listed. With one replicate the error is the i.i.d. one over
-    all the weights; with R, the estimate is the mean of the R replicate
-    means, taken in replicate order, and the error their standard deviation
-    over sqrt(R). Every weight must be finite."""
+    in the order listed. The estimate is the mean of the replicate means,
+    taken in replicate order, and the error their standard deviation over
+    sqrt(R). Every weight must be finite."""
     replicates = {}
     for index, (batch, runs) in enumerate(batches):
         values = weights(batch)
@@ -668,10 +643,7 @@ def _mean(method: str, batches, weights, factor: float = 1.0):
         for replicate, lanes in runs:
             replicates.setdefault(replicate, _Accumulator()).add(values[lanes])
         del values, finite  # hold neither while the next batch is drawn
-    if len(replicates) == 1:
-        (acc,) = replicates.values()
-        return acc.finalize(factor)
-    means = [replicates[r].finalize()[0] for r in sorted(replicates)]
+    means = [replicates[r].mean for r in sorted(replicates)]
     mean = math.fsum(means) / len(means)
     variance = math.fsum((m - mean) ** 2 for m in means) / (len(means) - 1)
     return factor * mean, factor * math.sqrt(variance / len(means))
@@ -912,6 +884,106 @@ def _tail_dof(n: int, orders: np.ndarray) -> float:
     return min(1.0, 0.5 * float(bound))
 
 
+# Newton steps of the radius inversion where nu < 1 (see _radii). Four
+# reached the root to rounding on a grid of 10^5 uniforms at nu = 2/3 and
+# 0.4, u = 0 and u = 1 - 2^-53 included.
+_NEWTON_STEPS = 6
+
+
+def _radii(u: np.ndarray, nu: float, work: np.ndarray) -> None:
+    """Turns uniforms u in [0, 1), multiples of 2^-53, in place into the
+    radii |y| of 4-dimensional Student-t draws of unit scale with nu <= 1
+    degrees of freedom, by inverting the radius CDF; work is scratch (2,
+    *u.shape).
+
+    w = 1 / (1 + |y|^2 / nu) is Beta(nu/2, 2), of CDF w^a (1 + a (1 - w))
+    with a = nu/2, so the radius CDF is 1 - w^a (1 + a (1 - w)). In t = w^a
+    the inverse at u solves (1 + a) t - a t^(1 + 1/a) = v, v = 1 - u (exact
+    for these u). For nu = 1 that is 3t - t^3 = 2v, so t = 2 sin(arcsin(v)
+    / 3) = 4 tau / (1 + tau^2) with tau = tan(arcsin(v) / 6). Otherwise the
+    left side is increasing and concave on [0, 1], so Newton's step
+    t <- (v - t p) / ((1 + a)(1 - p)), p = t^(1/a), climbs to the root from
+    any start below it. It starts from the larger of two lower bounds,
+    v / (1 + a), close at small v, and (1 - sqrt(2u / (a (1 + a))))^a,
+    close where the root nears the double root t = 1 of v = 1; t is kept
+    below 1 so that 1 - p never vanishes."""
+    a = 0.5 * nu
+    t, p = work
+    np.subtract(1.0, u, out=u)  # v
+    if nu == 1.0:
+        np.arcsin(u, out=t)
+        t /= 6.0
+        np.tan(t, out=t)
+        np.square(t, out=p)
+        p += 1.0
+        t *= 4.0
+        t /= p
+        np.square(t, out=u)  # w
+    else:
+        np.subtract(1.0, u, out=t)
+        t *= 2.0 / (a * (1.0 + a))
+        np.sqrt(t, out=t)
+        np.subtract(1.0, t, out=t)
+        np.maximum(t, 0.0, out=t)
+        np.power(t, a, out=t)
+        np.maximum(t, np.multiply(u, 1.0 / (1.0 + a), out=p), out=t)
+        for _ in range(_NEWTON_STEPS):
+            np.minimum(t, 1.0 - 2.0**-52, out=t)
+            np.power(t, 1.0 / a, out=p)
+            t *= p
+            np.subtract(u, t, out=t)
+            np.subtract(1.0, p, out=p)
+            p *= 1.0 + a
+            t /= p
+        np.power(t, 1.0 / a, out=u)  # w
+    np.divide(1.0, u, out=u)
+    u -= 1.0
+    u *= nu
+    np.sqrt(u, out=u)
+
+
+def _by_channel(u: np.ndarray, n_trees: int) -> tuple:
+    """The lane order that sorts uniforms u by their channels floor(u T),
+    stably, and the count of each channel. u <= 1 - 2^-53, so u T rounds to
+    below T."""
+    channel = np.multiply(u, n_trees).astype(np.min_scalar_type(n_trees - 1))
+    return np.argsort(channel, kind="stable"), np.bincount(channel, minlength=n_trees)
+
+
+def _student_t(u: np.ndarray, nu: float, work: np.ndarray) -> None:
+    """Turns uniforms u (n, 4, w) in place into n x w draws y of the
+    4-dimensional Student-t law with nu degrees of freedom and unit scale,
+    of density proportional to (1 + |y|^2 / nu)^(-(nu + 4) / 2); work is
+    scratch (2, n, w). u[:, 0] gives the radius (see _radii) and u[:, 1:],
+    (v1, v2, v3), the direction (sqrt(v1) cos b2, sqrt(1 - v1) cos b3,
+    sqrt(v1) sin b2, sqrt(1 - v1) sin b3) with b = 2 pi v - pi, uniform on
+    S^3: a uniform point (z1, z2) of the unit sphere of C^2 has |z1|^2
+    uniform on [0, 1] and two uniform phases. cos b and sin b are
+    (1 - t^2, 2t) / (1 + t^2) with t = tan(b / 2), finite for v in [0, 1):
+    numpy's float64 tan is vectorized where its sin and cos are not (1.6
+    against 18 ns a value on an AVX-512 Xeon, numpy 2.4)."""
+    radius, v1, v2, v3 = (u[:, i] for i in range(4))
+    _radii(radius, nu, work)
+    outer, t = work
+    np.subtract(1.0, v1, out=outer)
+    np.sqrt(outer, out=outer)
+    outer *= radius
+    np.sqrt(v1, out=v1)
+    v1 *= radius
+    # (length, v, cos into, sin into): v2 into rows 0 and 2, v3 into 1 and 3
+    for length, v, cos, sin in ((v1, v2, radius, v2), (outer, v3, v1, v3)):
+        np.subtract(v, 0.5, out=t)
+        t *= math.pi
+        np.tan(t, out=t)
+        np.square(t, out=v)
+        np.subtract(1.0, v, out=cos)
+        v += 1.0
+        length /= v
+        cos *= length
+        np.multiply(t, length, out=sin)
+        sin *= 2.0
+
+
 def _tree_channels(g: Graph) -> tuple:
     """Per spanning tree T with chords C (the n edges outside T), the (E, n)
     matrix A_T and the (E, 4) offset b_T with q = A_T y + b_T the edge
@@ -920,16 +992,17 @@ def _tree_channels(g: Graph) -> tuple:
     cycle_basis: +1 on c, 0 on the other chords and +/-1 on the tree path,
     so A_T is an integer matrix that does not depend on any cycle basis.
     b_T = s - A_T s_C for the routed shifts s. Returns them stacked, as
-    floats."""
+    floats, with the chords of each tree (T, n), in the order of A_T's
+    columns."""
     routing = route_momenta(g)
     shifts = np.array([routing.of(e.id).floats() for e in g.edges])  # (E, 4)
-    maps, offsets = [], []
+    maps, offsets, chords = [], [], []
     for tree in spanning_trees(g):
-        chords = [e for e in range(g.n_edges) if e not in tree]
+        chords.append([e for e in range(g.n_edges) if e not in tree])
         a_t = np.array(_fundamental_cycles(g, tree), dtype=float).T
         maps.append(a_t)
-        offsets.append(shifts - a_t @ shifts[chords])
-    return np.array(maps), np.array(offsets)
+        offsets.append(shifts - a_t @ shifts[chords[-1]])
+    return np.array(maps), np.array(offsets), np.array(chords)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -1029,23 +1102,32 @@ def _problem(g: Graph) -> _Problem:
 
 
 def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
-    """Monte Carlo estimate of the momentum-space integral
+    """Randomized-QMC estimate of the momentum-space integral
     int d^{4n}x / prod_e [(sum_k alpha_k(e) x_k + s_e)^2 + m_e^2].
 
     The proposal is a mixture with one channel per spanning tree T
     (multichannel sampling, Kleiss-Pittau hep-ph/9405257). Channel T draws
-    the momentum of each chord c of T from a 4-dimensional Student-t h
-    centred at q_c = 0, with nu degrees of freedom and the geometric mean of
-    the masses as scale; conservation fixes the rest, q = A_T y + b_T with
-    the columns of A_T the fundamental cycles of T (see _tree_channels), a
-    map of unit Jacobian that no cycle basis enters. The channels are picked
-    uniformly, so every sample is weighted by the balance heuristic f/g with
-    the mixture density g = U(h(q_1), ..., h(q_E)) / T_count, U the first
-    Symanzik polynomial (the sum over spanning trees of chord products;
-    Bogner-Weinzierl arXiv:1002.3458) and T_count = U(1, ..., 1). U is a sum
-    of positive terms, evaluated after dividing each sample's h by its
-    largest entry (U is homogeneous of degree n), so g loses no precision
-    to cancellation.
+    the momentum of each chord c of T from a 4-dimensional Student-t h_c
+    centred at q_c = 0, with nu degrees of freedom and the chord's mass as
+    its scale sigma_c; conservation fixes the rest, q = A_T y + b_T with the
+    columns of A_T the fundamental cycles of T (see _tree_channels), a map
+    of unit Jacobian that no cycle basis enters. Every sample is weighted by
+    the balance heuristic f/g with the mixture density g = U(h_1(q_1), ...,
+    h_E(q_E)) / T_count, h_e the Student-t density of scale sigma_e
+    (sigma_e^-4 included), U the first Symanzik polynomial (the sum over
+    spanning trees of chord products; Bogner-Weinzierl arXiv:1002.3458) and
+    T_count = U(1, ..., 1). U is a sum of positive terms, evaluated after
+    dividing each sample's h by its largest entry (U is homogeneous of
+    degree n), so g loses no precision to cancellation.
+
+    The sampler is that of the simplex estimates: replicates of a scrambled
+    Sobol sequence, cut into blocks (see _plan), here of dimension 1 + 4n.
+    Coordinate 0 of a point picks its channel as floor(u T_count); it is the
+    van der Corput coordinate, so the channels are close to evenly filled in
+    every aligned block of 2^k points. Coordinates 1 + 4k .. 4 + 4k give
+    chord k a draw of unit scale (see _student_t), and A_T diag(sigma_C)
+    maps the chords to the edges. Each block's lanes are sorted by channel,
+    stably, so that each channel's lanes are contiguous.
 
     Power counting. Let the momenta of a subgraph with s loops and e edges
     grow like r. Some spanning tree contains a spanning forest of it, so g
@@ -1063,27 +1145,30 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     start = time.perf_counter()
     problem = _problem(g)
     n, n_edges = problem.n, problem.n_edges
-    maps, offsets = problem.channels
+    maps, offsets, chord_edges = problem.channels
     u_at = problem.u_plan
     n_trees = len(maps)
-    mass_sq = np.array([float(e.mass) ** 2 for e in g.edges])[:, None]
-    scale = math.exp(sum(math.log(float(e.mass)) for e in g.edges) / n_edges)
+    scale = np.array([float(e.mass) for e in g.edges])
+    mass_sq = np.square(scale)[:, None]
+    # A_T diag(sigma_C) and b_T: the edge momenta from chord draws of unit scale
+    channels = list(zip(maps * scale[chord_edges][:, None, :], offsets))
 
     nu = _tail_dof(n, problem.orders)
-    log_norm = (  # log of the Student-t density at q = 0
-        math.lgamma((nu + 4.0) / 2.0)
-        - math.lgamma(nu / 2.0)
-        - 2.0 * math.log(nu * math.pi)
-        - 4.0 * math.log(scale)
+    nu_scale_sq = nu * mass_sq
+    log_scale = 4.0 * np.log(scale)[:, None]
+    log_norm = (  # log of the unit-scale Student-t density at q = 0
+        math.lgamma((nu + 4.0) / 2.0) - math.lgamma(nu / 2.0) - 2.0 * math.log(nu * math.pi)
     )
     log_g0 = n * log_norm - math.log(n_trees)
-    uniform = np.full(n_trees, 1.0 / n_trees)
+    dim = 1 + 4 * n
 
     batch = _largest_batch(cfg)
+    block = min(_BLOCK, batch)
     lanes = min(_SIMPLEX_LANES, batch)
     shapes = (
         (4, n, batch),  # chord momenta: component, chord, sample
-        (n, batch),  # their chi^2 draws
+        (dim, block),  # the Sobol points of one block
+        (2, n, block),  # scratch of their chord draws
         (batch,),  # log weights log f - log g
         (n_edges, lanes),  # |q_e|^2, then log h_e, of one lane chunk
         (n_edges, lanes),  # log(|q_e|^2 + m_e^2)
@@ -1093,7 +1178,8 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
         (u_at.work_size(lanes),),
     )
     with _workspace(*shapes) as regions:
-        chords_at, chi2_at, log_w_at, p2_at, log_p_at, q_at, top_at, log_g_at, work = regions
+        chords_at, points_at, draw_at, log_w_at = regions[:4]
+        p2_at, log_p_at, q_at, top_at, log_g_at, work = regions[4:]
         p2_chunk = p2_at.reshape(n_edges, lanes)
 
         def finish(log_w, width):
@@ -1104,9 +1190,10 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
             np.log(log_p, out=log_p)
             np.sum(log_p, axis=0, out=log_w)
             np.negative(log_w, out=log_w)  # log f
-            np.divide(p2, nu * scale * scale, out=p2)
+            np.divide(p2, nu_scale_sq, out=p2)
             np.log1p(p2, out=p2)
-            p2 *= -0.5 * (nu + 4.0)  # log h
+            p2 *= -0.5 * (nu + 4.0)
+            p2 -= log_scale  # log h
             top = np.max(p2, axis=0, out=_view(top_at, width))
             p2 -= top
             np.exp(p2, out=p2)
@@ -1117,26 +1204,33 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
             log_w -= log_g
 
         def log_weights():
-            for index, count in _batches(cfg.n_samples):
-                rng = _rng(cfg.seed, "direct", index)
-                per_tree = rng.multinomial(count, uniform).tolist()
-                chords = rng.standard_normal(out=_view(chords_at, 4, n, count))
-                # chi^2 with nu degrees of freedom; for nu = 1 a squared normal,
-                # which numpy draws several times faster than chisquare(1)
-                chi2 = _view(chi2_at, n, count)
-                if nu == 1.0:
-                    np.square(rng.standard_normal(out=chi2), out=chi2)
-                else:
-                    chi2[...] = rng.chisquare(nu, size=(n, count))
-                chi2 /= nu
-                chords *= np.divide(scale, np.sqrt(chi2, out=chi2), out=chi2)
+            sobols = {}
+            for blocks in _plan(cfg.n_samples):
+                count = sum(hi - lo for _, _, lo, hi in blocks)
+                chords = _view(chords_at, 4, n, count)
+                runs, per_channel = [], []
+                stop = 0
+                for r, size, lo, hi in blocks:
+                    if lo == 0:
+                        sobols[r] = _Sobol(_rng(cfg.seed, "direct", r), dim, size)
+                    # the block's chord draws, of unit scale, sorted by channel
+                    points = _view(points_at, dim, hi - lo)
+                    sobols[r].draw(lo, points)
+                    order, counts = _by_channel(points[0], n_trees)
+                    uniforms = points[1:].reshape(n, 4, hi - lo)
+                    _student_t(uniforms, nu, _view(draw_at, 2, n, hi - lo))
+                    out = chords[:, :, stop : stop + hi - lo].transpose(1, 0, 2)
+                    np.take(uniforms, order, axis=2, out=out, mode="clip")
+                    runs.append((r, slice(stop, stop + hi - lo)))
+                    per_channel += counts.tolist()
+                    stop += hi - lo
 
-                # Each channel's samples form one contiguous block of lanes.
-                # Its pieces fill the lane chunk base..stop in order, and a
+                # Each block's lanes of one channel are contiguous. Their
+                # pieces fill the lane chunk base..stop in order, and a
                 # chunk is finished when the next piece would overflow it.
                 log_w = _view(log_w_at, count)
                 base = stop = 0
-                for a_t, b_t, k in zip(maps, offsets, per_tree):
+                for (a_t, b_t), k in zip(itertools.cycle(channels), per_channel):
                     for lo, hi in _pieces(stop, stop + k, lanes):
                         if hi - base > lanes:
                             finish(log_w[base:lo], lo - base)
@@ -1148,7 +1242,7 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
                         q.sum(axis=0, out=p2_chunk[:, lo - base : hi - base])
                         stop = hi
                 finish(log_w[base:stop], stop - base)
-                yield log_w, ((0, slice(0, count)),)  # one i.i.d. replicate
+                yield log_w, runs
 
         estimate, err = _mean("direct", log_weights(), lambda log_w: np.exp(log_w, out=log_w))
     return IntegrationResult(
