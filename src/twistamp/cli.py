@@ -178,6 +178,11 @@ def _report_file(path):
 
 
 def cmd_integrate(args) -> int:
+    import os
+    import platform
+
+    import numpy
+
     from .integrate import IntegrationConfig
 
     g, digest = load_graph(args.graph)
@@ -185,6 +190,11 @@ def cmd_integrate(args) -> int:
     # opened before any estimate runs, so an unwritable path costs no run
     with _report_file(args.output) as handle:
         report, failures = _integrate(args, g, digest, cfg)
+        report["environment"] = {
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "cpu_count": os.cpu_count(),
+        }
         handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     if failures:
         validation = any(isinstance(f, ValidationError) for f in failures)

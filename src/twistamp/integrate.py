@@ -53,8 +53,9 @@ for its largest batch, in a plain `with` block of its own frame, and carves
 its draws and scratch from it; the batch generators only draw into the
 regions they are handed. So an exception always gives the arena back, and
 since a thread runs one estimate at a time, the arena ends the size of the
-largest one (14-16 MB at 4 loops). A second checkout while one is held
-raises RuntimeError. Which buffers are used never changes an estimate's bits.
+largest one: a batch is two lane chunks whatever the sample count, so that
+is 6.7 MiB at 4 loops. A second checkout while one is held raises
+RuntimeError. Which buffers are used never changes an estimate's bits.
 
 An estimator's set-up lives on the graph, in its prepared problem (see
 _problem): the vanishing-order table and convergence check, the tropical
@@ -119,10 +120,6 @@ __all__ = [
 # weights small where S2 is far from zero.
 _UNIFORM_SHARE = 0.5
 
-# Samples per batch: the draws and weights an estimate holds at once. No
-# estimate depends on it.
-_BATCH_SIZE = 65_536
-
 # Independent scrambles of every estimate (randomized QMC; Owen,
 # "Monte Carlo theory, methods and examples", ch. 17). The estimate is the
 # mean of the replicate means and its error their standard error, which
@@ -137,12 +134,21 @@ _BLOCK = 8_192
 # Lanes per chunk of a batch. The tropical sampler draws and ranks, the
 # simplex integrands evaluate their denominators and weights, and the direct
 # estimator its channels and logs, one chunk at a time, so that a chunk's
-# rows stay in cache from one step to the next. On a
-# 2-vCPU Xeon with 2 MiB of L2 per core, assembly plus block kernel took
-# 22-27 ms per 65 536 loop4 points at 2 621 lanes (a 1 MiB working set),
-# 14-18 ms at 5 242-16 384 and 18-19 ms unchunked. 16 384 lanes raised the
-# peak RSS of the mc-large benchmark from 85.3 to 86.5 MB.
+# rows stay in cache from one step to the next. On a 2-vCPU Xeon with 2 MiB
+# of L2 per core, the pfaffian's assembly plus block kernel over 65 536
+# loop4 points took 22-27 ms in chunks of 2 621 lanes (a 1 MiB working set),
+# 14-18 ms in chunks of 5 242-16 384 and 18-19 ms unchunked.
 _SIMPLEX_LANES = 8_192
+
+# Samples per batch: the draws and weights an estimate holds at once, and so
+# the size of its workspace. Two lane chunks, so that a batch of two
+# benchmark-sized blocks fills one chunk with their uniform halves and one
+# with their tropical halves. No estimate depends on it. With the direct
+# estimator's quarter-chunk pieces (see direct_amplitude), two chunks give
+# loop4 at 131 072 samples a 6.7 MiB arena, against 14.9 MiB at 65 536
+# points, and the mc-large benchmark a peak RSS of 51.4 MB against 59.6, at
+# the same speed within noise.
+_BATCH_SIZE = 2 * _SIMPLEX_LANES
 
 _METHOD_CODE = {"direct": 1, "parametric": 2, "pfaffian": 3, "feynman": 4}
 
@@ -248,7 +254,10 @@ def _pieces(lo: int, hi: int, width: int):
     none of them one lane wide unless all of them are: numpy multiplies by a
     single column through another BLAS call than by several, whose bits can
     differ, and a sample's value must not depend on where its batch or its
-    channel's block is cut."""
+    channel's block is cut. A width below 3 cannot keep that: at 2, three
+    lanes would split one and two."""
+    if width < 3:
+        raise ValueError(f"pieces must be at least 3 lanes wide, not {width}")
     while hi - lo > width:
         step = width - 1 if hi - lo == width + 1 else width
         yield lo, lo + step
@@ -1165,6 +1174,9 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     batch = _largest_batch(cfg)
     block = min(_BLOCK, batch)
     lanes = min(_SIMPLEX_LANES, batch)
+    # a channel's block is cut into pieces of at most a quarter chunk, so
+    # that q holds no more values than |q|^2 of a chunk
+    piece = max(3, lanes // 4)
     shapes = (
         (4, n, batch),  # chord momenta: component, chord, sample
         (dim, block),  # the Sobol points of one block
@@ -1172,7 +1184,7 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
         (batch,),  # log weights log f - log g
         (n_edges, lanes),  # |q_e|^2, then log h_e, of one lane chunk
         (n_edges, lanes),  # log(|q_e|^2 + m_e^2)
-        (4, n_edges, lanes),  # q of one piece of a channel's block
+        (4, n_edges, piece),  # q of one piece of a channel's block
         (lanes,),  # max_e log h_e
         (lanes,),  # log g
         (u_at.work_size(lanes),),
@@ -1231,7 +1243,7 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
                 log_w = _view(log_w_at, count)
                 base = stop = 0
                 for (a_t, b_t), k in zip(itertools.cycle(channels), per_channel):
-                    for lo, hi in _pieces(stop, stop + k, lanes):
+                    for lo, hi in _pieces(stop, stop + k, piece):
                         if hi - base > lanes:
                             finish(log_w[base:lo], lo - base)
                             base = lo

@@ -171,6 +171,22 @@ def test_integrate_reports_reproducible(tmp_path):
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+def test_integrate_report_records_the_environment(tmp_path, capsys):
+    import os
+    import platform
+
+    import numpy
+
+    path = _write(tmp_path, "box.json", BOX)
+    assert main(["integrate", path, "--method", "parametric", "--samples", "2000"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["environment"] == {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def test_integrate_unwritable_output_is_validation_error(tmp_path, capsys):
     path = _write(tmp_path, "box.json", BOX)
     out = tmp_path / "missing" / "r.json"

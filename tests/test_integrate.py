@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import functools
+import itertools
 import math
 import random
 import sys
@@ -1455,6 +1456,55 @@ def test_a_second_workspace_checkout_in_one_thread_is_refused():
     assert not integrate._arena.busy
 
 
+def test_pieces_are_one_lane_wide_only_where_the_run_is():
+    from twistamp.integrate import _pieces
+
+    for width in range(3, 10):
+        for length in range(1, 41):
+            for lo in (0, 5):
+                pieces = list(_pieces(lo, lo + length, width))
+                starts, stops = zip(*pieces)
+                assert starts == (lo, *stops[:-1]) and stops[-1] == lo + length
+                assert all(1 <= hi - a <= width for a, hi in pieces)
+                if length > 1:
+                    assert all(hi - a >= 2 for a, hi in pieces), (width, length)
+    # at width 2 a run of 3 lanes would split 1 + 2 (and at 0 or 1 the
+    # unguarded loop never ends, hence the islice)
+    for width in (0, 1, 2):
+        with pytest.raises(ValueError, match="at least 3 lanes"):
+            list(itertools.islice(_pieces(0, 3, width), 10))
+
+
+def _arena_bytes_after(estimates):
+    """The size of a fresh thread's arena, which starts empty, after it
+    runs estimates()."""
+    import twistamp.integrate as integrate
+
+    def run():
+        estimates()
+        return integrate._arena.buffer.nbytes
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(run).result(timeout=120)
+
+
+def test_the_workspace_of_four_loops_stays_under_7_mib():
+    # the direct estimate needs the largest arena; a batch of 65 536 points
+    # would take 14.9 MiB here
+    g = multi_loop_graph("loop4", random.Random(79))
+    cfg = IntegrationConfig(n_samples=131_072, seed=0)
+    assert 0 < _arena_bytes_after(lambda: _estimates([g], cfg)) <= 7 * 2**20
+
+
+def test_the_workspace_does_not_grow_with_the_sample_count():
+    g = with_random_kinematics(bowtie, random.Random(83))
+    sizes = [
+        _arena_bytes_after(lambda n=n: _estimates([g], IntegrationConfig(n_samples=n, seed=0)))
+        for n in (40_000, 400_000)
+    ]
+    assert sizes[0] > 0 and sizes[0] == sizes[1]
+
+
 def test_weights_do_not_depend_on_the_lane_chunk_width(monkeypatch):
     # narrow chunks cut the direct estimator's channel blocks at many places,
     # some one lane past a chunk's end, and split every simplex batch; on
@@ -1491,12 +1541,12 @@ def test_weights_do_not_depend_on_the_lane_chunk_width(monkeypatch):
 
     # Batches hold whole blocks, so the batch size, with the lane width, moves
     # no bit of an estimate: a block per batch (1 250 points over a batch
-    # size of 1 000), several, all of them; at 131 088 samples every
-    # replicate ends in a one-lane block.
+    # size of 1 000), several, all of them, and the default of two lane
+    # chunks; at 131 088 samples every replicate ends in a one-lane block.
     monkeypatch.setattr(integrate, "_mean", mean)
     for n_samples, layouts in (
-        (20_000, [(65_536, 8_192), (1_000, 7), (2_600, 100)]),
-        (131_088, [(65_536, 8_192), (10_000, 1_000)]),
+        (20_000, [(65_536, 8_192), (16_384, 8_192), (1_000, 7), (2_600, 100)]),
+        (131_088, [(65_536, 8_192), (16_384, 8_192), (10_000, 1_000)]),
     ):
         cfg = IntegrationConfig(n_samples=n_samples, seed=6)
         seen = []
