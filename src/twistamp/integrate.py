@@ -35,15 +35,17 @@ with a divergent subgraph are refused.
 
 Every estimate (and the Feynman check) is randomized quasi-Monte Carlo:
 _REPLICATES independent scrambles of a Sobol sequence, drawn with numpy
-(see _Sobol), replicate r seeded by (seed, method, r) and cut into blocks
-(see _plan). The estimate is the mean of the replicate means and its error
-their standard error (Owen, "Monte Carlo theory, methods and examples",
-ch. 17), which stays honest where the i.i.d. formula would overstate the
-error of a low-discrepancy sample. One loop, _mean, serves every estimate:
-it evaluates each batch's weights, refuses a non-finite one, and merges each
-block's mean into its replicate's accumulator in a fixed order, so a fixed
-config reproduces bit-identical estimates, and neither the batch size nor
-the lane chunks move a bit of one.
+(see _Sobol), replicate r seeded by (seed, method, r) and cut into blocks.
+One plan (see _plan) builds each replicate's stream and hands the blocks
+out in batches, with their streams. The estimate is the mean of the
+replicate means and its error their standard error (Owen, "Monte Carlo
+theory, methods and examples", ch. 17), which stays honest where the
+i.i.d. formula would overstate the error of a low-discrepancy sample. One
+loop, _mean, serves every estimate: it evaluates each batch's weights,
+refuses a non-finite one, and merges each block's mean into its replicate's
+accumulator in a fixed order, so a fixed config reproduces bit-identical
+estimates, and neither the batch size nor the lane chunks move a bit of
+one.
 
 Every batch is drawn and evaluated in a workspace (see _workspace): each
 thread has one flat float64 arena, made by its first estimate, grown but
@@ -53,9 +55,10 @@ for its largest batch, in a plain `with` block of its own frame, and carves
 its draws and scratch from it; the batch generators only draw into the
 regions they are handed. So an exception always gives the arena back, and
 since a thread runs one estimate at a time, the arena ends the size of the
-largest one: a batch is two lane chunks whatever the sample count, so that
-is 6.7 MiB at 4 loops. A second checkout while one is held raises
-RuntimeError. Which buffers are used never changes an estimate's bits.
+largest one. Whatever the sample count, a simplex batch is two lane chunks
+and a direct batch at most one block, so that is 5.75 MiB at 4 loops, the
+pfaffian's. A second checkout while one is held raises RuntimeError. Which
+buffers are used never changes an estimate's bits.
 
 An estimator's set-up lives on the graph, in its prepared problem (see
 _problem): the vanishing-order table and convergence check, the tropical
@@ -131,23 +134,21 @@ _REPLICATES = 16
 # the batch size nor the lane chunks move a bit of an estimate.
 _BLOCK = 8_192
 
-# Lanes per chunk of a batch. The tropical sampler draws and ranks, the
-# simplex integrands evaluate their denominators and weights, and the direct
-# estimator its channels and logs, one chunk at a time, so that a chunk's
-# rows stay in cache from one step to the next. On a 2-vCPU Xeon with 2 MiB
+# Lanes per chunk of a batch. The tropical sampler draws and ranks, and the
+# simplex integrands evaluate their denominators and weights, one chunk at a
+# time, so that a chunk's rows stay in cache from one step to the next; a
+# direct batch is no larger than one chunk. On a 2-vCPU Xeon with 2 MiB
 # of L2 per core, the pfaffian's assembly plus block kernel over 65 536
 # loop4 points took 22-27 ms in chunks of 2 621 lanes (a 1 MiB working set),
 # 14-18 ms in chunks of 5 242-16 384 and 18-19 ms unchunked.
 _SIMPLEX_LANES = 8_192
 
-# Samples per batch: the draws and weights an estimate holds at once, and so
-# the size of its workspace. Two lane chunks, so that a batch of two
-# benchmark-sized blocks fills one chunk with their uniform halves and one
-# with their tropical halves. No estimate depends on it. With the direct
-# estimator's quarter-chunk pieces (see direct_amplitude), two chunks give
-# loop4 at 131 072 samples a 6.7 MiB arena, against 14.9 MiB at 65 536
-# points, and the mc-large benchmark a peak RSS of 51.4 MB against 59.6, at
-# the same speed within noise.
+# Samples per batch of a simplex estimate and of the Feynman check: the
+# draws and weights they hold at once, and so the size of their workspace.
+# Two lane chunks, so that a batch of two benchmark-sized blocks fills one
+# chunk with their uniform halves and one with their tropical halves. No
+# estimate depends on it. The direct estimator's batches hold at most one
+# block's points (see direct_amplitude).
 _BATCH_SIZE = 2 * _SIMPLEX_LANES
 
 _METHOD_CODE = {"direct": 1, "parametric": 2, "pfaffian": 3, "feynman": 4}
@@ -272,30 +273,33 @@ def _lane_chunks(count: int):
 
 
 def _largest_batch(cfg: IntegrationConfig) -> int:
-    """Points in the largest batch an estimate on cfg can have: a batch holds
-    at most _BATCH_SIZE points, or one block where a block is larger."""
+    """Points in the largest batch a simplex estimate or the Feynman check
+    on cfg can have: a batch holds at most _BATCH_SIZE points, or one block
+    where a block is larger."""
     return min(max(_BATCH_SIZE, _BLOCK), cfg.n_samples)
 
 
-def _plan(total: int) -> list:
-    """The batches of an estimate over `total` samples, each a list
-    of blocks (replicate r, its size, lo, hi) for its points lo..hi.
-    Replicate r holds total // R points, one more when r < total % R, and is
-    cut every _BLOCK points from its start. A batch takes the next blocks
-    while their points fit in _BATCH_SIZE, and at least one."""
-    base, extra = divmod(total, _REPLICATES)
-    plan = [[]]
-    count = 0
+def _plan(cfg: IntegrationConfig, method: str, dim: int, batch_size: int):
+    """The batches of an estimate on cfg, yielded one by one, each a list of
+    blocks (replicate r, its stream, its size, lo, hi) for its points lo..hi.
+    Replicate r holds n_samples // R points, one more when r < n_samples % R,
+    and is cut every _BLOCK points from its start; its stream is the one
+    scrambled Sobol sequence of `dim` coordinates (see _Sobol) seeded by
+    (seed, method, r). A batch takes the next blocks while their points fit
+    in `batch_size`, and at least one."""
+    base, extra = divmod(cfg.n_samples, _REPLICATES)
+    batch, count = [], 0
     for r in range(_REPLICATES):
         size = base + (r < extra)
+        sobol = _Sobol(_rng(cfg.seed, method, r), dim, size)
         for lo in range(0, size, _BLOCK):
             hi = min(lo + _BLOCK, size)
-            if plan[-1] and count + hi - lo > _BATCH_SIZE:
-                plan.append([])
-                count = 0
-            plan[-1].append((r, size, lo, hi))
+            if batch and count + hi - lo > batch_size:
+                yield batch
+                batch, count = [], 0
+            batch.append((r, sobol, size, lo, hi))
             count += hi - lo
-    return plan
+    yield batch
 
 
 @functools.cache
@@ -562,14 +566,13 @@ def _draw_shapes(count: int, dim: int, tropical) -> list:
 
 
 def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical, regions):
-    """Randomized-QMC batches on the unit simplex, yielded as (draw, runs):
-    draw is the points (B, N), or with a tropical sampler (points, log of the
-    mixture density), and runs the (replicate, lanes) of the uniform and
-    the tropical part of each of the batch's blocks, block by block (see
+    """Randomized-QMC batches on the unit simplex, yielded as ((points, log
+    q), runs): the points (B, N), the log of the mixture density, None
+    without a tropical sampler, and the (replicate, lanes) of the uniform
+    and the tropical part of each of the batch's blocks, block by block (see
     _plan and _mean).
 
-    Replicate r is one scrambled Sobol sequence (see _Sobol) seeded by
-    (seed, method, r), of dimension N, or 2N - 2 with a tropical sampler;
+    Replicate r's stream has dimension N, or 2N - 2 with a tropical sampler;
     its sample i is its point i. Its first `_UNIFORM_SHARE` of samples (all
     of them without a tropical sampler) are uniform on the simplex: -log(1 -
     u) of the point's first N coordinates, normalised to sum 1, is a
@@ -583,24 +586,21 @@ def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical, re
     largest batch, and holds only until the next batch is drawn.
     """
     width = dim if tropical is None else 2 * dim - 2
-    sobols = {}
-    for batch in _plan(cfg.n_samples):
+    for batch in _plan(cfg, method, width, _BATCH_SIZE):
         blocks = len(batch)
-        uniform, drawn = [], []  # (replicate, its points a..b, uniform share)
-        for r, size, lo, hi in batch:
-            if lo == 0:
-                sobols[r] = _Sobol(_rng(cfg.seed, method, r), width, size)
+        uniform, drawn = [], []  # (replicate, stream, its points a..b, uniform share)
+        for r, sobol, size, lo, hi in batch:
             n_uniform = size if tropical is None else int(size * _UNIFORM_SHARE)
             cut = min(max(lo, n_uniform), hi)
-            uniform.append((r, lo, cut, n_uniform / size))
-            drawn.append((r, cut, hi, n_uniform / size))
+            uniform.append((r, sobol, lo, cut, n_uniform / size))
+            drawn.append((r, sobol, cut, hi, n_uniform / size))
         parts = uniform + drawn
-        starts = list(itertools.accumulate((b - a for _, a, b, _ in parts), initial=0))
+        starts = list(itertools.accumulate((b - a for _, _, a, b, _ in parts), initial=0))
         count, split = starts[-1], starts[blocks]  # the tropical parts start at split
         columns = _view(regions[0], dim, count)
-        for (r, a, b, _), start in zip(parts[:blocks], starts):
+        for (_, sobol, a, b, _), start in zip(parts[:blocks], starts):
             for p, q in _pieces(a, b, _SIMPLEX_LANES):
-                sobols[r].draw(p, columns[:, start + p - a : start + q - a])
+                sobol.draw(p, columns[:, start + p - a : start + q - a])
         runs = [
             (parts[i][0], slice(starts[i], starts[i + 1]))
             for block in range(blocks)
@@ -616,30 +616,30 @@ def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical, re
             if tropical is not None:
                 log_q[lanes] = tropical.log_f(points)
         if tropical is None:
-            yield columns.T, runs
+            yield (columns.T, None), runs
             continue
         for lanes in _lane_chunks(count - split):
             lo, hi = split + lanes.start, split + lanes.stop
             u = _view(regions[2], width, hi - lo)
-            for (r, a, b, _), start in zip(parts[blocks:], starts[blocks:]):
+            for (_, sobol, a, b, _), start in zip(parts[blocks:], starts[blocks:]):
                 first, last = max(start, lo), min(start + b - a, hi)
                 if first < last:
-                    sobols[r].draw(a + first - start, u[:, first - lo : last - lo])
+                    sobol.draw(a + first - start, u[:, first - lo : last - lo])
             log_q[lo:hi] = tropical.draw(u, columns[:, lo:hi])
         # one share per replicate size, two sizes at most: few runs of lanes
-        for share, group in itertools.groupby(zip(parts, starts, starts[1:]), lambda x: x[0][3]):
+        for share, group in itertools.groupby(zip(parts, starts, starts[1:]), lambda x: x[0][4]):
             group = list(group)
             tropical.mixture(log_q[group[0][1] : group[-1][2]], share)
         yield (columns.T, log_q), runs
 
 
-def _mean(method: str, batches, weights, factor: float = 1.0):
-    """factor * the mean of the weights, with its standard error. batches
-    yields (batch, runs): weights(batch) gives the batch's weights, and runs
-    the (replicate, lanes) whose weights go to that replicate's accumulator,
-    in the order listed. The estimate is the mean of the replicate means,
-    taken in replicate order, and the error their standard deviation over
-    sqrt(R). Every weight must be finite."""
+def _mean(method: str, batches, weights):
+    """The mean of the weights, with its standard error. batches yields
+    (batch, runs): weights(batch) gives the batch's weights, and runs the
+    (replicate, lanes) whose weights go to that replicate's accumulator, in
+    the order listed. The estimate is the mean of the replicate means, taken
+    in replicate order, and the error their standard deviation over sqrt(R).
+    Every weight must be finite."""
     replicates = {}
     for index, (batch, runs) in enumerate(batches):
         values = weights(batch)
@@ -655,18 +655,18 @@ def _mean(method: str, batches, weights, factor: float = 1.0):
     means = [replicates[r].mean for r in sorted(replicates)]
     mean = math.fsum(means) / len(means)
     variance = math.fsum((m - mean) ** 2 for m in means) / (len(means) - 1)
-    return factor * mean, factor * math.sqrt(variance / len(means))
+    return mean, math.sqrt(variance / len(means))
 
 
-def _simplex_integral(cfg: IntegrationConfig, problem, method: str, integrand, *scratch):
+def _simplex_integral(cfg: IntegrationConfig, problem, method: str, denominator, *scratch):
     """Integral over the unit simplex of 1 / d(a), where the denominator d
     vanishes like S2^2 (so the vanishing orders of the prepared `problem`
     govern it), with its standard error. One workspace holds its draws, its
-    weights and flat regions of the `scratch` shapes. integrand(points,
-    regions) is called once per batch and returns denominators(lanes, out),
-    which writes d at one lane chunk into out; the chunk's weights are then
-    formed in place, 1/d under the uniform proposal and exp(-(log d +
-    log q)) under the mixture q."""
+    weights and flat regions of the `scratch` shapes. denominator(chunk,
+    out, regions) writes d at one lane chunk of points into out, given those
+    regions; the chunk's weights are then formed in place, 1/d under the
+    uniform proposal and exp(-(log d + log q)) under the mixture q. The
+    uniform proposal's density 1 / (N-1)! is applied to the mean."""
     n_edges = problem.n_edges
     tropical = problem.sampler
     batch = _largest_batch(cfg)
@@ -676,12 +676,11 @@ def _simplex_integral(cfg: IntegrationConfig, problem, method: str, integrand, *
         weights_at, *own = regions[len(draws) :]
 
         def weights(draw):
-            points, log_q = (draw, None) if tropical is None else draw
+            points, log_q = draw
             values = _view(weights_at, len(points))
-            denominators = integrand(points, own)
             for lanes in _lane_chunks(len(points)):
                 chunk = values[lanes]
-                denominators(lanes, chunk)
+                denominator(points[lanes], chunk, own)
                 if log_q is None:
                     np.divide(1.0, chunk, out=chunk)
                 else:
@@ -691,8 +690,11 @@ def _simplex_integral(cfg: IntegrationConfig, problem, method: str, integrand, *
                     np.exp(chunk, out=chunk)
             return values
 
-        factor = 1.0 if tropical else 1.0 / math.factorial(n_edges - 1)
-        return _mean(method, batches, weights, factor)
+        estimate, err = _mean(method, batches, weights)
+    if tropical is None:
+        factor = 1.0 / math.factorial(n_edges - 1)
+        estimate, err = factor * estimate, factor * err
+    return estimate, err
 
 
 def _horner_program(terms: list, nvars: int) -> tuple:
@@ -1136,7 +1138,10 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     every aligned block of 2^k points. Coordinates 1 + 4k .. 4 + 4k give
     chord k a draw of unit scale (see _student_t), and A_T diag(sigma_C)
     maps the chords to the edges. Each block's lanes are sorted by channel,
-    stably, so that each channel's lanes are contiguous.
+    stably, so that each channel's lanes are contiguous. A batch holds whole
+    blocks, at most _BLOCK points (one lane chunk), and its logs and its
+    mixture density are formed in one pass over all of them; its edge
+    momenta, a quarter chunk at a time.
 
     Power counting. Let the momenta of a subgraph with s loops and e edges
     grow like r. Some spanning tree contains a spanning forest of it, so g
@@ -1171,32 +1176,30 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     log_g0 = n * log_norm - math.log(n_trees)
     dim = 1 + 4 * n
 
-    batch = _largest_batch(cfg)
-    block = min(_BLOCK, batch)
-    lanes = min(_SIMPLEX_LANES, batch)
+    # a batch holds at most one block's points, or several smaller blocks
+    batch = min(_BLOCK, cfg.n_samples)
     # a channel's block is cut into pieces of at most a quarter chunk, so
     # that q holds no more values than |q|^2 of a chunk
-    piece = max(3, lanes // 4)
+    piece = max(3, min(_SIMPLEX_LANES, batch) // 4)
     shapes = (
         (4, n, batch),  # chord momenta: component, chord, sample
-        (dim, block),  # the Sobol points of one block
-        (2, n, block),  # scratch of their chord draws
+        (dim, batch),  # the Sobol points of one block
+        (2, n, batch),  # scratch of their chord draws
         (batch,),  # log weights log f - log g
-        (n_edges, lanes),  # |q_e|^2, then log h_e, of one lane chunk
-        (n_edges, lanes),  # log(|q_e|^2 + m_e^2)
+        (n_edges, batch),  # |q_e|^2, then log h_e
+        (n_edges, batch),  # log(|q_e|^2 + m_e^2)
         (4, n_edges, piece),  # q of one piece of a channel's block
-        (lanes,),  # max_e log h_e
-        (lanes,),  # log g
-        (u_at.work_size(lanes),),
+        (batch,),  # max_e log h_e
+        (batch,),  # log g
+        (u_at.work_size(batch),),
     )
     with _workspace(*shapes) as regions:
         chords_at, points_at, draw_at, log_w_at = regions[:4]
         p2_at, log_p_at, q_at, top_at, log_g_at, work = regions[4:]
-        p2_chunk = p2_at.reshape(n_edges, lanes)
 
-        def finish(log_w, width):
-            """log f - log g into log_w from the chunk's first `width` lanes."""
-            p2 = p2_chunk[:, :width]
+        def finish(p2, log_w):
+            """log f - log g into log_w from the batch's |q_e|^2, p2 (E, B)."""
+            width = len(log_w)
             log_p = _view(log_p_at, n_edges, width)
             np.add(p2, mass_sq, out=log_p)
             np.log(log_p, out=log_p)
@@ -1216,18 +1219,15 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
             log_w -= log_g
 
         def log_weights():
-            sobols = {}
-            for blocks in _plan(cfg.n_samples):
-                count = sum(hi - lo for _, _, lo, hi in blocks)
+            for blocks in _plan(cfg, "direct", dim, _BLOCK):
+                count = sum(hi - lo for *_, lo, hi in blocks)
                 chords = _view(chords_at, 4, n, count)
                 runs, per_channel = [], []
                 stop = 0
-                for r, size, lo, hi in blocks:
-                    if lo == 0:
-                        sobols[r] = _Sobol(_rng(cfg.seed, "direct", r), dim, size)
+                for r, sobol, _, lo, hi in blocks:
                     # the block's chord draws, of unit scale, sorted by channel
                     points = _view(points_at, dim, hi - lo)
-                    sobols[r].draw(lo, points)
+                    sobol.draw(lo, points)
                     order, counts = _by_channel(points[0], n_trees)
                     uniforms = points[1:].reshape(n, 4, hi - lo)
                     _student_t(uniforms, nu, _view(draw_at, 2, n, hi - lo))
@@ -1237,23 +1237,19 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
                     per_channel += counts.tolist()
                     stop += hi - lo
 
-                # Each block's lanes of one channel are contiguous. Their
-                # pieces fill the lane chunk base..stop in order, and a
-                # chunk is finished when the next piece would overflow it.
-                log_w = _view(log_w_at, count)
-                base = stop = 0
+                # each block's lanes of one channel are contiguous
+                p2 = _view(p2_at, n_edges, count)
+                stop = 0
                 for (a_t, b_t), k in zip(itertools.cycle(channels), per_channel):
                     for lo, hi in _pieces(stop, stop + k, piece):
-                        if hi - base > lanes:
-                            finish(log_w[base:lo], lo - base)
-                            base = lo
                         q = _view(q_at, 4, n_edges, hi - lo)
                         np.matmul(a_t, chords[:, :, lo:hi], out=q)
                         q += b_t.T[:, :, None]
                         np.square(q, out=q)
-                        q.sum(axis=0, out=p2_chunk[:, lo - base : hi - base])
-                        stop = hi
-                finish(log_w[base:stop], stop - base)
+                        q.sum(axis=0, out=p2[:, lo:hi])
+                    stop += k
+                log_w = _view(log_w_at, count)
+                finish(p2, log_w)
                 yield log_w, runs
 
         estimate, err = _mean("direct", log_weights(), lambda log_w: np.exp(log_w, out=log_w))
@@ -1276,34 +1272,29 @@ def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     f0_at, u_at = problem.f0_plan, problem.u_plan
     mass_sq = np.array([float(e.mass * e.mass) for e in g.edges])
 
-    def integrand(points, regions):
+    def denominator(chunk, out, regions):
         mass_at, f0_values_at, work = regions
-
-        def denominators(lanes, out):
-            chunk = points[lanes]
-            # sum_e m_e^2 a_e edge by edge: a matrix-vector product rounds a
-            # lane by where it sits in the batch
-            mass, term = _view(mass_at, len(out)), _view(f0_values_at, len(out))
-            np.multiply(chunk[:, 0], mass_sq[0], out=mass)
-            for e in range(1, len(mass_sq)):
-                mass += np.multiply(chunk[:, e], mass_sq[e], out=term)
-            u_at(chunk, out, work)
-            out *= mass
-            out += f0_at(chunk, term, work)
-            if np.any(out <= 0.0):
-                raise InvariantViolation(
-                    "S2 <= 0 at an interior simplex sample; sign convention broken"
-                )
-            if np.any(out == math.inf):  # its weight would be exactly 0
-                raise InvariantViolation("S2 overflowed at an interior simplex sample")
-            np.square(out, out=out)
-
-        return denominators
+        # sum_e m_e^2 a_e edge by edge: a matrix-vector product rounds a
+        # lane by where it sits in the batch
+        mass, term = _view(mass_at, len(out)), _view(f0_values_at, len(out))
+        np.multiply(chunk[:, 0], mass_sq[0], out=mass)
+        for e in range(1, len(mass_sq)):
+            mass += np.multiply(chunk[:, e], mass_sq[e], out=term)
+        u_at(chunk, out, work)
+        out *= mass
+        out += f0_at(chunk, term, work)
+        if np.any(out <= 0.0):
+            raise InvariantViolation(
+                "S2 <= 0 at an interior simplex sample; sign convention broken"
+            )
+        if np.any(out == math.inf):  # its weight would be exactly 0
+            raise InvariantViolation("S2 overflowed at an interior simplex sample")
+        np.square(out, out=out)
 
     lanes = min(_SIMPLEX_LANES, _largest_batch(cfg))
     work = max(u_at.work_size(lanes), f0_at.work_size(lanes))
     estimate, err = _simplex_integral(
-        cfg, problem, "parametric", integrand, (lanes,), (lanes,), (work,)
+        cfg, problem, "parametric", denominator, (lanes,), (lanes,), (work,)
     )
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "parametric", time.perf_counter() - start
@@ -1394,24 +1385,20 @@ def pfaffian_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     coeffs = problem.blocks
     size = n * n
 
-    def integrand(points, regions):
-        (chunk_at,) = regions
-
-        def denominators(lanes, out):
-            chunk = _view(chunk_at, len(coeffs), len(out))
-            np.matmul(coeffs, points[lanes].T, out=chunk)
-            lmat = np.moveaxis(chunk[:size].reshape(n, n, -1), -1, 0)
-            np.abs(_pfaffian_batch(lmat, chunk[size:].T), out=out)
-            np.square(out, out=out)
-            if np.any(out == 0.0) or not np.all(np.isfinite(out)):
-                raise InvariantViolation(
-                    "pfaffian vanished (or overflowed) at an interior simplex sample"
-                )
-
-        return denominators
+    def denominator(chunk, out, regions):
+        (rows_at,) = regions
+        rows = _view(rows_at, len(coeffs), len(out))
+        np.matmul(coeffs, chunk.T, out=rows)
+        lmat = np.moveaxis(rows[:size].reshape(n, n, -1), -1, 0)
+        np.abs(_pfaffian_batch(lmat, rows[size:].T), out=out)
+        np.square(out, out=out)
+        if np.any(out == 0.0) or not np.all(np.isfinite(out)):
+            raise InvariantViolation(
+                "pfaffian vanished (or overflowed) at an interior simplex sample"
+            )
 
     scratch = (len(coeffs), min(_SIMPLEX_LANES, _largest_batch(cfg)))
-    estimate, err = _simplex_integral(cfg, problem, "pfaffian", integrand, scratch)
+    estimate, err = _simplex_integral(cfg, problem, "pfaffian", denominator, scratch)
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "pfaffian", time.perf_counter() - start
     )
@@ -1472,7 +1459,8 @@ def feynman_trick_check(values, cfg: IntegrationConfig | None = None) -> Feynman
 
     cfg = cfg or IntegrationConfig(n_samples=200_000, seed=0)
 
-    def weights(points):
+    def weights(draw):
+        points, _ = draw
         # sum_k a_k A_k coordinate by coordinate: a matrix-vector product
         # rounds a lane by where it sits in the batch
         total = np.zeros(len(points))

@@ -143,7 +143,8 @@ def simplex_batches(cfg, dim: int, method: str, tropical=None):
     """twistamp.integrate._simplex_batches drawing into regions of its own,
     allocated here at the shapes of the config's largest batch, so that the
     thread's workspace stays free for the estimates a test runs meanwhile.
-    Yields (draw, runs) as it does."""
+    Yields ((points, log q), runs) as it does, log q None without a
+    tropical sampler."""
     from twistamp.integrate import _draw_shapes, _largest_batch, _simplex_batches
 
     shapes = _draw_shapes(_largest_batch(cfg), dim, tropical)

@@ -1003,7 +1003,7 @@ def test_one_loop_graphs_keep_the_uniform_proposal(monkeypatch):
     s2_at = _poly_evaluator(second_symanzik(g).s2)
     expect = _replicate_mean(
         (1.0 / np.square(s2_at(points)), runs)
-        for points, runs in simplex_batches(cfg, n_edges, "parametric")
+        for (points, _), runs in simplex_batches(cfg, n_edges, "parametric")
     )
     expect /= math.factorial(n_edges - 1)
     assert parametric_amplitude(g, cfg).estimate == pytest.approx(expect, rel=1e-12)
@@ -1379,8 +1379,9 @@ def test_interleaved_batch_generators_yield_what_each_yields_alone(monkeypatch):
     for tropical in (sampler, None):
 
         def batches(cfg, tropical=tropical):
-            for draw, _ in simplex_batches(cfg, n_edges, "parametric", tropical):
-                yield draw if tropical else (draw,)
+            for (points, log_q), _ in simplex_batches(cfg, n_edges, "parametric", tropical):
+                assert (log_q is None) == (tropical is None)
+                yield (points,) if log_q is None else (points, log_q)
 
         alone = [[tuple(np.copy(a) for a in batch) for batch in batches(cfg)] for cfg in cfgs]
         steps = 0
@@ -1488,12 +1489,63 @@ def _arena_bytes_after(estimates):
         return pool.submit(run).result(timeout=120)
 
 
-def test_the_workspace_of_four_loops_stays_under_7_mib():
-    # the direct estimate needs the largest arena; a batch of 65 536 points
-    # would take 14.9 MiB here
+def test_the_workspace_of_four_loops_stays_under_6_mib():
+    # the pfaffian estimate needs the largest arena, 5.75 MiB; the direct
+    # one, 5.6 MiB, took 6.7 MiB when its batches held two lane chunks and
+    # 14.9 MiB at 65 536 points
     g = multi_loop_graph("loop4", random.Random(79))
     cfg = IntegrationConfig(n_samples=131_072, seed=0)
-    assert 0 < _arena_bytes_after(lambda: _estimates([g], cfg)) <= 7 * 2**20
+    assert 0 < _arena_bytes_after(lambda: _estimates([g], cfg)) <= 6 * 2**20
+
+
+def test_the_direct_workspace_does_not_follow_the_batch_size(monkeypatch):
+    # a direct batch is at most one block, whatever _BATCH_SIZE says
+    import twistamp.integrate as integrate
+
+    g = multi_loop_graph("loop4", random.Random(79))
+    cfg = IntegrationConfig(n_samples=131_072, seed=0)
+    sizes = []
+    for batch_size in (16_384, 65_536):
+        monkeypatch.setattr(integrate, "_BATCH_SIZE", batch_size)
+        sizes.append(_arena_bytes_after(lambda: direct_amplitude(g, cfg)))
+    assert sizes[0] > 0 and sizes[0] == sizes[1]
+
+
+def test_an_estimate_builds_one_sobol_stream_per_replicate(monkeypatch):
+    # at 400 000 samples a replicate holds 25 000 points, four blocks, which
+    # the plan spreads over two simplex batches or four direct ones
+    import twistamp.integrate as integrate
+
+    built, batches = [], []
+    plan = integrate._plan
+
+    class Counted(integrate._Sobol):
+        def __init__(self, rng, dim, count):
+            built.append((dim, count))
+            super().__init__(rng, dim, count)
+
+    def recorded(*args):
+        for batch in plan(*args):
+            batches.append([r for r, *_ in batch])
+            yield batch
+
+    monkeypatch.setattr(integrate, "_Sobol", Counted)
+    monkeypatch.setattr(integrate, "_plan", recorded)
+    g = with_random_kinematics(bowtie, random.Random(89))
+    cfg = IntegrationConfig(n_samples=400_000, seed=0)
+    runs = [
+        (lambda: direct_amplitude(g, cfg), 9),  # 1 + 4n
+        (lambda: parametric_amplitude(g, cfg), 10),  # 2N - 2
+        (lambda: pfaffian_amplitude(g, cfg), 10),
+        (lambda: feynman_trick_check([1.0, 2.0, 3.0, 4.0], cfg), 4),  # N
+    ]
+    for run, dim in runs:
+        built.clear()
+        batches.clear()
+        run()
+        assert built == [(dim, 25_000)] * integrate._REPLICATES, dim
+        spans = [sum(r in batch for batch in batches) for r in range(integrate._REPLICATES)]
+        assert all(count >= 2 for count in spans), spans
 
 
 def test_the_workspace_does_not_grow_with_the_sample_count():
@@ -1506,25 +1558,24 @@ def test_the_workspace_does_not_grow_with_the_sample_count():
 
 
 def test_weights_do_not_depend_on_the_lane_chunk_width(monkeypatch):
-    # narrow chunks cut the direct estimator's channel blocks at many places,
-    # some one lane past a chunk's end, and split every simplex batch; on
-    # loop3 an edge momentum can sum three chords, so the order of addition
-    # shows in the bits. At 100, 1 000 and 1 500 lanes a batch of 3 001
-    # samples would end in a one-lane chunk, where the pfaffian's assembly
-    # matmul over one column takes another BLAS call; the chunks are cut so
-    # that none is one lane wide.
+    # narrow chunks cut the direct estimator's channel blocks into narrow
+    # pieces and split every simplex batch; on loop3 an edge momentum can sum
+    # three chords, so the order of addition shows in the bits. At 100, 1 000
+    # and 1 500 lanes a batch of 3 001 samples would end in a one-lane chunk,
+    # where the pfaffian's assembly matmul over one column takes another BLAS
+    # call; the chunks are cut so that none is one lane wide.
     import twistamp.integrate as integrate
 
     mean = integrate._mean
     weights_seen = []
 
-    def recording(method, batches, weights, factor=1.0):
+    def recording(method, batches, weights):
         def kept(batch):
             values = weights(batch)
             weights_seen.append(values.copy())
             return values
 
-        return mean(method, batches, kept, factor)
+        return mean(method, batches, kept)
 
     monkeypatch.setattr(integrate, "_mean", recording)
     rnd = random.Random(53)
