@@ -203,32 +203,40 @@ def cmd_integrate(args) -> int:
 
 
 def _integrate(args, g: Graph, digest: str, cfg) -> tuple:
-    """The `integrate` report of g on cfg, and the estimators' refusals."""
+    """The `integrate` report of g on cfg, and the estimators' refusals.
+    `--method all` runs the direct estimate and both simplex estimates from
+    one draw, and reports the largest |Pf|^2 / S2^2 - 1 over that draw."""
     from .integrate import (
         _REPLICATES,
+        _simplex_estimates,
         direct_amplitude,
         extract_constants,
         parametric_amplitude,
         pfaffian_amplitude,
     )
 
-    methods = ["direct", "parametric", "pfaffian"] if args.method == "all" else [args.method]
     runners = {
         "direct": direct_amplitude,
         "parametric": parametric_amplitude,
         "pfaffian": pfaffian_amplitude,
     }
+    first = "direct" if args.method == "all" else args.method
+    try:
+        outcomes = {first: runners[first](g, cfg)}
+    except TwistampError as exc:
+        outcomes = {first: exc}
+    if args.method == "all":
+        simplex, deviation = _simplex_estimates(g, cfg)
+        outcomes.update(zip(("parametric", "pfaffian"), simplex))
 
     results = {}
-    computed = {}
     failures = []
-    for name in methods:
-        try:
-            computed[name] = runners[name](g, cfg)
-            results[name] = computed[name].to_dict()
-        except TwistampError as exc:
-            results[name] = _error_entry(exc)
-            failures.append(exc)
+    for name, outcome in outcomes.items():
+        if isinstance(outcome, TwistampError):
+            results[name] = _error_entry(outcome)
+            failures.append(outcome)
+        else:
+            results[name] = outcome.to_dict()
 
     report = {
         "tool": "twistamp",
@@ -244,10 +252,12 @@ def _integrate(args, g: Graph, digest: str, cfg) -> tuple:
         "results": results,
     }
 
+    if args.method == "all" and not any(isinstance(o, TwistampError) for o in simplex):
+        report["identity"] = {"max_rel_dev": deviation}
     if args.method == "all" and not failures:
         try:
             consts = extract_constants(
-                g, cfg, (computed["direct"], computed["parametric"], computed["pfaffian"])
+                g, cfg, (outcomes["direct"], outcomes["parametric"], outcomes["pfaffian"])
             )
             report["constants"] = {
                 "c_hat": consts.c_hat,

@@ -14,14 +14,20 @@ pfaffian    integral over the unit simplex of 1 / |Pf(sum_e a_e Q_e)|^2,
             evaluated by the block factorization of the forms: with the
             loop block L (x) J, Pf = det L (b - c0^T (L^-1 (x) J) c1), det L
             being S1 and the second factor S2 / S1. One real matmul maps a
-            lane chunk to L, b, c0 and c1, and an unpivoted elimination of L
-            (positive definite inside the simplex) gives both factors while
-            the chunk is still in cache (see _pfaffian_batch). The general
-            Parlett-Reid kernel serves `algebra.pfaffian_numeric` only.
+            lane chunk to L, b, c0 and c1 (over whole panels of lanes, see
+            _PANEL), and an unpivoted elimination of L (positive definite
+            inside the simplex) gives both factors while the chunk is still
+            in cache (see _pfaffian_batch). The general Parlett-Reid kernel
+            serves `algebra.pfaffian_numeric` only.
 
-The two simplex integrals are one estimate with two denominators
-(_simplex_integral), formed with their weights one chunk of _SIMPLEX_LANES
-points at a time, while the chunk is in cache. The integrands blow up like
+The two simplex integrals are one estimate with two denominators, S2^2 and
+|Pf|^2, on one random stream (see _simplex_estimates): each batch is drawn
+once, and every denominator runs on each chunk of _SIMPLEX_LANES points,
+and forms its weights there, while the chunk is in cache. So
+extract_constants and `integrate --method all` draw once for both and
+check the paper's identity |Pf| = S2 at every sample they draw;
+parametric_amplitude and pfaffian_amplitude each run that estimate with
+their own denominator alone, to the same bits. The integrands blow up like
 1/F_tr(a)^2 near the faces where S2 vanishes, F_tr being the largest
 monomial of S2, so a uniform proposal gives them infinite variance once
 n >= 2. Each simplex replicate is therefore half uniform and half drawn
@@ -35,17 +41,18 @@ with a divergent subgraph are refused.
 
 Every estimate (and the Feynman check) is randomized quasi-Monte Carlo:
 _REPLICATES independent scrambles of a Sobol sequence, drawn with numpy
-(see _Sobol), replicate r seeded by (seed, method, r) and cut into blocks.
+(see _Sobol), replicate r seeded by (seed, stream, r) and cut into blocks;
+the streams are direct, simplex (both simplex integrands) and feynman.
 One plan (see _plan) builds each replicate's stream and hands the blocks
 out in batches, with their streams. The estimate is the mean of the
 replicate means and its error their standard error (Owen, "Monte Carlo
 theory, methods and examples", ch. 17), which stays honest where the
 i.i.d. formula would overstate the error of a low-discrepancy sample. One
-loop, _mean, serves every estimate: it evaluates each batch's weights,
-refuses a non-finite one, and merges each block's mean into its replicate's
-accumulator in a fixed order, so a fixed config reproduces bit-identical
-estimates, and neither the batch size nor the lane chunks move a bit of
-one.
+loop, _mean, serves every estimate: it evaluates each batch's weights, one
+array per integrand, refuses an integrand with a non-finite one, and merges
+each block's mean into its replicate's accumulator in a fixed order, so a
+fixed config reproduces bit-identical estimates, and neither the batch size
+nor the lane chunks move a bit of one.
 
 Every batch is drawn and evaluated in a workspace (see _workspace): each
 thread has one flat float64 arena, made by its first estimate, grown but
@@ -57,8 +64,10 @@ regions they are handed. So an exception always gives the arena back, and
 since a thread runs one estimate at a time, the arena ends the size of the
 largest one. Whatever the sample count, a simplex batch is two lane chunks
 and a direct batch at most one block, so that is 5.75 MiB at 4 loops, the
-pfaffian's. A second checkout while one is held raises RuntimeError. Which
-buffers are used never changes an estimate's bits.
+pfaffian's, and 5.875 MiB for both simplex integrands at once: their
+denominators run one after the other and share one scratch region, so only
+their weights are apart. A second checkout while one is held raises
+RuntimeError. Which buffers are used never changes an estimate's bits.
 
 An estimator's set-up lives on the graph, in its prepared problem (see
 _problem): the vanishing-order table and convergence check, the tropical
@@ -87,6 +96,7 @@ import numpy as np
 from .errors import (
     InvariantViolation,
     PrecisionError,
+    TwistampError,
     UnsupportedTopology,
     ValidationError,
 )
@@ -151,7 +161,16 @@ _SIMPLEX_LANES = 8_192
 # block's points (see direct_amplitude).
 _BATCH_SIZE = 2 * _SIMPLEX_LANES
 
-_METHOD_CODE = {"direct": 1, "parametric": 2, "pfaffian": 3, "feynman": 4}
+# The pfaffian's assembly matmul runs over whole panels of this many lanes,
+# its last lanes zero-padded to one. OpenBLAS 0.3 (Haswell kernels) rounds
+# a column of a product alike wherever it sits among whole panels of 8, but
+# another way past the last whole panel of a wide product, or in a product
+# 1, 3 or 43 columns wide; so unpadded, a lane's |Pf|^2 could move by an ulp
+# with the width of its chunk.
+_PANEL = 8
+
+# The random streams: "simplex" serves both simplex integrands.
+_METHOD_CODE = {"direct": 1, "simplex": 2, "feynman": 4}
 
 # Joe and Kuo's Sobol direction numbers (new-joe-kuo-6.21201), the first 64
 # dimensions, as in scipy's _sobol_direction_numbers.npz: per dimension the
@@ -215,9 +234,14 @@ class IntegrationConfig:
 class IntegrationResult:
     """Estimate with its standard error and full reproducibility tags.
 
-    wall_time_s is the wall time of the estimator call. The first estimate
-    on a graph also builds the set-up that later estimates on that graph
-    share (see _problem), so it carries that cost and they do not."""
+    wall_time_s is the wall time of the estimator call. Shared work is
+    carried by the first estimate that does it: the first estimate on a
+    graph also builds the set-up that later estimates on that graph share
+    (see _problem), so it carries that cost and they do not. Where both
+    simplex integrands come from one draw (see _simplex_estimates), the
+    parametric result carries the draw with its own evaluation, and the
+    pfaffian result only its own denominator, weights and accumulation,
+    timed chunk by chunk; the two add up to the wall time of the call."""
 
     estimate: float
     std_error: float
@@ -245,9 +269,9 @@ class _Accumulator:
         self.count = total
 
 
-def _rng(seed: int, method: str, index: int) -> np.random.Generator:
+def _rng(seed: int, stream: str, index: int) -> np.random.Generator:
     """The random stream that scrambles replicate `index` of an estimate."""
-    return np.random.default_rng([seed, _METHOD_CODE[method], index])
+    return np.random.default_rng([seed, _METHOD_CODE[stream], index])
 
 
 def _pieces(lo: int, hi: int, width: int):
@@ -279,19 +303,19 @@ def _largest_batch(cfg: IntegrationConfig) -> int:
     return min(max(_BATCH_SIZE, _BLOCK), cfg.n_samples)
 
 
-def _plan(cfg: IntegrationConfig, method: str, dim: int, batch_size: int):
+def _plan(cfg: IntegrationConfig, stream: str, dim: int, batch_size: int):
     """The batches of an estimate on cfg, yielded one by one, each a list of
     blocks (replicate r, its stream, its size, lo, hi) for its points lo..hi.
     Replicate r holds n_samples // R points, one more when r < n_samples % R,
     and is cut every _BLOCK points from its start; its stream is the one
     scrambled Sobol sequence of `dim` coordinates (see _Sobol) seeded by
-    (seed, method, r). A batch takes the next blocks while their points fit
+    (seed, stream, r). A batch takes the next blocks while their points fit
     in `batch_size`, and at least one."""
     base, extra = divmod(cfg.n_samples, _REPLICATES)
     batch, count = [], 0
     for r in range(_REPLICATES):
         size = base + (r < extra)
-        sobol = _Sobol(_rng(cfg.seed, method, r), dim, size)
+        sobol = _Sobol(_rng(cfg.seed, stream, r), dim, size)
         for lo in range(0, size, _BLOCK):
             hi = min(lo + _BLOCK, size)
             if batch and count + hi - lo > batch_size:
@@ -421,18 +445,23 @@ def _workspace(*shapes):
     RuntimeError. The regions hold whatever their last user left in them."""
     if _arena.busy:
         raise RuntimeError("this thread's workspace is already checked out")
-    sizes = [math.prod(shape) for shape in shapes]
-    total = sum(sizes)
+    total = sum(math.prod(shape) for shape in shapes)
     if _arena.buffer.size < total:
         _arena.buffer = np.empty(0)  # free the old pages before taking new ones
         _arena.buffer = np.empty(total)
     _arena.busy = True
-    buffer = _arena.buffer
-    ends = itertools.accumulate(sizes)
     try:
-        yield [buffer[end - size : end] for size, end in zip(sizes, ends)]
+        yield _carve(_arena.buffer, shapes)
     finally:
         _arena.busy = False
+
+
+def _carve(region: np.ndarray, shapes) -> list:
+    """Flat regions, one per shape and each of its size, laid end to end
+    from the start of a flat region."""
+    sizes = [math.prod(shape) for shape in shapes]
+    ends = itertools.accumulate(sizes)
+    return [region[end - size : end] for size, end in zip(sizes, ends)]
 
 
 def _view(region: np.ndarray, *shape) -> np.ndarray:
@@ -565,7 +594,7 @@ def _draw_shapes(count: int, dim: int, tropical) -> list:
     return [(dim, count), (count,), (2 * dim - 2, min(_SIMPLEX_LANES, count))]
 
 
-def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical, regions):
+def _simplex_batches(cfg: IntegrationConfig, dim: int, stream: str, tropical, regions):
     """Randomized-QMC batches on the unit simplex, yielded as ((points, log
     q), runs): the points (B, N), the log of the mixture density, None
     without a tropical sampler, and the (replicate, lanes) of the uniform
@@ -586,7 +615,7 @@ def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical, re
     largest batch, and holds only until the next batch is drawn.
     """
     width = dim if tropical is None else 2 * dim - 2
-    for batch in _plan(cfg, method, width, _BATCH_SIZE):
+    for batch in _plan(cfg, stream, width, _BATCH_SIZE):
         blocks = len(batch)
         uniform, drawn = [], []  # (replicate, stream, its points a..b, uniform share)
         for r, sobol, size, lo, hi in batch:
@@ -633,68 +662,188 @@ def _simplex_batches(cfg: IntegrationConfig, dim: int, method: str, tropical, re
         yield (columns.T, log_q), runs
 
 
-def _mean(method: str, batches, weights):
-    """The mean of the weights, with its standard error. batches yields
-    (batch, runs): weights(batch) gives the batch's weights, and runs the
-    (replicate, lanes) whose weights go to that replicate's accumulator, in
-    the order listed. The estimate is the mean of the replicate means, taken
-    in replicate order, and the error their standard deviation over sqrt(R).
-    Every weight must be finite."""
-    replicates = {}
+def _mean(methods, batches, weights, spent=None) -> list:
+    """The mean of each method's weights, with its standard error, or the
+    TwistampError that refused the method. batches yields (batch, runs):
+    weights(batch, running) gives the batch's weights for each method in
+    `running`, those not yet refused, in order: an array, or the refusal of
+    that method. runs lists the (replicate, lanes) whose weights go to that
+    replicate's accumulator, in the order listed. A weight that is not
+    finite refuses its method. A refused method is not asked again, and the
+    draw stops once every method is refused. The estimate is the mean of the
+    replicate means, taken in replicate order, and the error their standard
+    deviation over sqrt(R). Returns one (estimate, error) or refusal per
+    method, in order. With a dict `spent`, the seconds each method takes
+    here are added to its entry."""
+    running = list(methods)
+    replicates = {method: {} for method in methods}
+    outcomes = {}
     for index, (batch, runs) in enumerate(batches):
-        values = weights(batch)
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise InvariantViolation(
-                f"non-finite {method}-method sample in batch {index} "
-                f"(sample {int(np.argmin(finite))})"
-            )
-        for replicate, lanes in runs:
-            replicates.setdefault(replicate, _Accumulator()).add(values[lanes])
-        del values, finite  # hold neither while the next batch is drawn
-    means = [replicates[r].mean for r in sorted(replicates)]
-    mean = math.fsum(means) / len(means)
-    variance = math.fsum((m - mean) ** 2 for m in means) / (len(means) - 1)
-    return mean, math.sqrt(variance / len(means))
+        asked = list(running)
+        for method, values in zip(asked, weights(batch, asked)):
+            begin = time.perf_counter()
+            if isinstance(values, TwistampError):
+                refusal = values
+            else:
+                refusal = _non_finite(method, index, values)
+            if refusal is not None:
+                outcomes[method] = refusal
+                running.remove(method)
+            else:
+                kept = replicates[method]
+                for replicate, lanes in runs:
+                    kept.setdefault(replicate, _Accumulator()).add(values[lanes])
+            if spent is not None:
+                spent[method] += time.perf_counter() - begin
+        if not running:
+            break
+    for method in running:
+        means = [replicates[method][r].mean for r in sorted(replicates[method])]
+        mean = math.fsum(means) / len(means)
+        variance = math.fsum((m - mean) ** 2 for m in means) / (len(means) - 1)
+        outcomes[method] = (mean, math.sqrt(variance / len(means)))
+    return [outcomes[method] for method in methods]
 
 
-def _simplex_integral(cfg: IntegrationConfig, problem, method: str, denominator, *scratch):
-    """Integral over the unit simplex of 1 / d(a), where the denominator d
-    vanishes like S2^2 (so the vanishing orders of the prepared `problem`
-    govern it), with its standard error. One workspace holds its draws, its
-    weights and flat regions of the `scratch` shapes. denominator(chunk,
-    out, regions) writes d at one lane chunk of points into out, given those
-    regions; the chunk's weights are then formed in place, 1/d under the
-    uniform proposal and exp(-(log d + log q)) under the mixture q. The
-    uniform proposal's density 1 / (N-1)! is applied to the mean."""
-    n_edges = problem.n_edges
-    tropical = problem.sampler
+def _non_finite(method: str, index: int, values: np.ndarray):
+    """InvariantViolation naming the first weight of batch `index` that is
+    not finite, or None where every weight is."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return None
+    return InvariantViolation(
+        f"non-finite {method}-method sample in batch {index} "
+        f"(sample {int(np.argmin(finite))})"
+    )
+
+
+def _held(outcome):
+    """An outcome of _mean or _simplex_estimates, raised if it is a refusal."""
+    if isinstance(outcome, TwistampError):
+        raise outcome
+    return outcome
+
+
+def _simplex_estimates(g: Graph, cfg: IntegrationConfig, methods=("parametric", "pfaffian")):
+    """Randomized-QMC estimates of int_simplex delta(1 - sum a) da / d(a),
+    one for each method's denominator d (see _DENOMINATORS), all from one
+    draw on the simplex stream.
+
+    Each d vanishes like S2^2, so the vanishing orders of the graph's
+    prepared problem govern the proposal of all of them. Each batch is
+    drawn once (see _simplex_batches), and every lane chunk is handed to
+    each denominator in turn, while it is still in cache:
+    denominator(chunk, out, regions) writes d at the chunk's points into
+    out, given flat regions of its scratch shapes. The chunk's weights are
+    then formed in place, 1/d under the uniform proposal and exp(-(log d +
+    log q)) under the mixture q. The uniform proposal's density 1 / (N-1)!
+    is applied to the means. One workspace holds the draws, one weight array
+    per method and one scratch region, which the denominators share since
+    they run one after the other.
+
+    A refusal ends only its own method: a TwistampError raised by the
+    method's set-up or its denominator, or a non-finite weight (see _mean);
+    one raised by the shared set-up refuses every method. The first method
+    not refused carries the shared work (set-up, draw, its own evaluation):
+    its wall time is the call's less the others'. Each other method's holds
+    only its own set-up, denominators, weights and accumulation, timed chunk
+    by chunk. So the wall times add up to the call's.
+
+    Returns each method's IntegrationResult or refusal, in order, and the
+    largest |d / d_first - 1| over the samples that the first method still
+    running and a later one both evaluated: |Pf|^2 / S2^2 - 1 for the
+    default methods, 0.0 where no sample was compared."""
+    start = time.perf_counter()
+    try:
+        problem = _problem(g)
+    except TwistampError as exc:
+        return [exc] * len(methods), 0.0
+    n_edges, tropical = problem.n_edges, problem.sampler
     batch = _largest_batch(cfg)
+    outcomes, denominators, scratch = {}, {}, {}
+    spent = dict.fromkeys(methods, 0.0)
+    for method in methods:
+        begin = time.perf_counter()
+        try:
+            denominators[method], scratch[method] = _DENOMINATORS[method](
+                g, problem, min(_SIMPLEX_LANES, batch)
+            )
+        except TwistampError as exc:
+            outcomes[method] = exc
+        spent[method] += time.perf_counter() - begin
+    live = list(denominators)
+    if not live:
+        return [outcomes[method] for method in methods], 0.0
+    deviation = 0.0
     draws = _draw_shapes(batch, n_edges, tropical)
-    with _workspace(*draws, (batch,), *scratch) as regions:
-        batches = _simplex_batches(cfg, n_edges, method, tropical, regions[: len(draws)])
-        weights_at, *own = regions[len(draws) :]
+    shared = max(sum(map(math.prod, shapes)) for shapes in scratch.values())
+    with _workspace(*draws, *[(batch,)] * len(live), (shared,)) as regions:
+        batches = _simplex_batches(cfg, n_edges, "simplex", tropical, regions[: len(draws)])
+        *weights_at, shared_at = regions[len(draws) :]
+        weights_at = dict(zip(live, weights_at))
+        own = {method: _carve(shared_at, scratch[method]) for method in live}
 
-        def weights(draw):
+        def finish(values, log_q):
+            """Turns the denominators of one chunk in place into weights."""
+            if log_q is None:
+                np.divide(1.0, values, out=values)
+            else:
+                np.log(values, out=values)
+                values += log_q
+                np.negative(values, out=values)
+                np.exp(values, out=values)
+
+        def weights(draw, running):
+            nonlocal deviation
             points, log_q = draw
-            values = _view(weights_at, len(points))
+            values = {method: _view(weights_at[method], len(points)) for method in running}
+            refused = {}
             for lanes in _lane_chunks(len(points)):
-                chunk = values[lanes]
-                denominator(points[lanes], chunk, own)
-                if log_q is None:
-                    np.divide(1.0, chunk, out=chunk)
-                else:
-                    np.log(chunk, out=chunk)
-                    chunk += log_q[lanes]
-                    np.negative(chunk, out=chunk)
-                    np.exp(chunk, out=chunk)
-            return values
+                chunk = points[lanes]
+                q = None if log_q is None else log_q[lanes]
+                first = None  # the denominators of the first method still running
+                for method in running:
+                    if method in refused:
+                        continue
+                    begin = time.perf_counter()
+                    out = values[method][lanes]
+                    try:
+                        denominators[method](chunk, out, own[method])
+                    except TwistampError as exc:
+                        refused[method] = exc
+                    else:
+                        if first is None:
+                            first = out
+                        else:
+                            ratio = _view(shared_at, len(out))
+                            np.divide(out, first, out=ratio)
+                            ratio -= 1.0
+                            np.abs(ratio, out=ratio)
+                            deviation = max(deviation, float(ratio.max()))
+                            finish(out, q)
+                    spent[method] += time.perf_counter() - begin
+                if first is not None:
+                    finish(first, q)
+            return [refused.get(method, values[method]) for method in running]
 
-        estimate, err = _mean(method, batches, weights)
-    if tropical is None:
-        factor = 1.0 / math.factorial(n_edges - 1)
-        estimate, err = factor * estimate, factor * err
-    return estimate, err
+        outcomes.update(zip(live, _mean(live, batches, weights, spent)))
+    wall = time.perf_counter() - start
+    kept = [method for method in methods if not isinstance(outcomes[method], TwistampError)]
+    results = []
+    for method in methods:
+        outcome = outcomes[method]
+        if method in kept:
+            estimate, err = outcome
+            if tropical is None:
+                factor = 1.0 / math.factorial(n_edges - 1)
+                estimate, err = factor * estimate, factor * err
+            if method == kept[0]:
+                seconds = wall - sum(spent[other] for other in kept[1:])
+            else:
+                seconds = spent[method]
+            outcome = IntegrationResult(estimate, err, cfg.n_samples, cfg.seed, method, seconds)
+        results.append(outcome)
+    return results, deviation
 
 
 def _horner_program(terms: list, nvars: int) -> tuple:
@@ -1252,7 +1401,8 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
                 finish(p2, log_w)
                 yield log_w, runs
 
-        estimate, err = _mean("direct", log_weights(), lambda log_w: np.exp(log_w, out=log_w))
+        (outcome,) = _mean(("direct",), log_weights(), lambda log_w, _: [np.exp(log_w, out=log_w)])
+    estimate, err = _held(outcome)
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "direct", time.perf_counter() - start
     )
@@ -1267,8 +1417,13 @@ def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     4-loop benchmark graph that is 130 + 117 terms in place of 686. An S2
     that is not positive, or that overflows (its weight would read exactly
     0), is refused with InvariantViolation."""
-    start = time.perf_counter()
-    problem = _problem(g)
+    (result,), _ = _simplex_estimates(g, cfg, ("parametric",))
+    return _held(result)
+
+
+def _parametric_denominator(g: Graph, problem, lanes: int) -> tuple:
+    """The parametric integrand's denominator S2^2 on a lane chunk of at
+    most `lanes` points (see parametric_amplitude), and its scratch shapes."""
     f0_at, u_at = problem.f0_plan, problem.u_plan
     mass_sq = np.array([float(e.mass * e.mass) for e in g.edges])
 
@@ -1291,14 +1446,8 @@ def parametric_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
             raise InvariantViolation("S2 overflowed at an interior simplex sample")
         np.square(out, out=out)
 
-    lanes = min(_SIMPLEX_LANES, _largest_batch(cfg))
     work = max(u_at.work_size(lanes), f0_at.work_size(lanes))
-    estimate, err = _simplex_integral(
-        cfg, problem, "parametric", denominator, (lanes,), (lanes,), (work,)
-    )
-    return IntegrationResult(
-        estimate, err, cfg.n_samples, cfg.seed, "parametric", time.perf_counter() - start
-    )
+    return denominator, ((lanes,), (lanes,), (work,))
 
 
 def _block_table(forms, n: int) -> np.ndarray:
@@ -1378,17 +1527,31 @@ def pfaffian_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
 
     Pf(sum_e a_e Q_e) is evaluated from the block shape of the forms (see
     _block_table and _pfaffian_batch), not as a general pfaffian. Each lane
-    chunk is assembled and handed to the kernel while it is still in cache."""
-    start = time.perf_counter()
-    problem = _problem(g)
-    n = problem.n
+    chunk is assembled and handed to the kernel while it is still in cache.
+    The estimate draws the points of parametric_amplitude: since |Pf| = S2,
+    the two agree to rounding on every config."""
+    (result,), _ = _simplex_estimates(g, cfg, ("pfaffian",))
+    return _held(result)
+
+
+def _pfaffian_denominator(g: Graph, problem, lanes: int) -> tuple:
+    """The pfaffian integrand's denominator |Pf|^2 on a lane chunk of at
+    most `lanes` points (see pfaffian_amplitude), and its scratch shape."""
+    n, n_edges = problem.n, problem.n_edges
     coeffs = problem.blocks
     size = n * n
 
     def denominator(chunk, out, regions):
         (rows_at,) = regions
-        rows = _view(rows_at, len(coeffs), len(out))
-        np.matmul(coeffs, chunk.T, out=rows)
+        width = len(out)
+        rows = _view(rows_at, len(coeffs), width)
+        whole = width - width % _PANEL
+        if whole:
+            np.matmul(coeffs, chunk[:whole].T, out=rows[:, :whole])
+        if whole < width:  # the last lanes, zero-padded to one whole panel
+            tail = np.zeros((n_edges, _PANEL))
+            tail[:, : width - whole] = chunk[whole:].T
+            rows[:, whole:] = (coeffs @ tail)[:, : width - whole]
         lmat = np.moveaxis(rows[:size].reshape(n, n, -1), -1, 0)
         np.abs(_pfaffian_batch(lmat, rows[size:].T), out=out)
         np.square(out, out=out)
@@ -1397,11 +1560,12 @@ def pfaffian_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
                 "pfaffian vanished (or overflowed) at an interior simplex sample"
             )
 
-    scratch = (len(coeffs), min(_SIMPLEX_LANES, _largest_batch(cfg)))
-    estimate, err = _simplex_integral(cfg, problem, "pfaffian", denominator, scratch)
-    return IntegrationResult(
-        estimate, err, cfg.n_samples, cfg.seed, "pfaffian", time.perf_counter() - start
-    )
+    return denominator, ((len(coeffs), lanes),)
+
+
+# The simplex integrands by method: each builds its denominator on a
+# graph's prepared problem (see _simplex_estimates).
+_DENOMINATORS = {"parametric": _parametric_denominator, "pfaffian": _pfaffian_denominator}
 
 
 @dataclass
@@ -1459,7 +1623,7 @@ def feynman_trick_check(values, cfg: IntegrationConfig | None = None) -> Feynman
 
     cfg = cfg or IntegrationConfig(n_samples=200_000, seed=0)
 
-    def weights(draw):
+    def weights(draw, _running):
         points, _ = draw
         # sum_k a_k A_k coordinate by coordinate: a matrix-vector product
         # rounds a lane by where it sits in the batch
@@ -1469,11 +1633,12 @@ def feynman_trick_check(values, cfg: IntegrationConfig | None = None) -> Feynman
         out = total ** (-n_vals)
         if not np.all((out > 0.0) & (out < math.inf)):
             raise PrecisionError("simplex integrand underflowed to 0 or is not finite")
-        return out
+        return [out]
 
     with _workspace(*_draw_shapes(_largest_batch(cfg), n_vals, None)) as regions:
         batches = _simplex_batches(cfg, n_vals, "feynman", None, regions)
-        rhs, err = _mean("feynman", batches, weights)
+        (outcome,) = _mean(("feynman",), batches, weights)
+    rhs, err = _held(outcome)
     return FeynmanTrickResult(lhs, rhs, abs(rhs - lhs) / lhs, err, "mc", cfg.n_samples)
 
 
@@ -1495,18 +1660,20 @@ def extract_constants(
 ) -> ExtractedConstants:
     """c_hat := direct / parametric and C_hat := direct / pfaffian.
 
-    Runs the three estimators on the same config, which share the graph's
+    Runs the direct estimate and the two simplex estimates from one draw
+    (see _simplex_estimates) on the same config, all sharing the graph's
     set-up (see _problem), or reuses a precomputed (direct, parametric,
-    pfaffian) triple. Refuses to report if any
-    component estimate is zero or not finite, or has relative standard
-    error above 5%; ratio errors come from first-order propagation.
+    pfaffian) triple. The first refusal among them is raised. Refuses to
+    report if any component estimate is zero or not finite, or has relative
+    standard error above 5%; ratio errors come from first-order propagation.
+    So C_hat / c_hat - 1 is rounding alone: the two simplex estimates share
+    their points.
     """
     if results is not None:
         direct, parametric, pfaffian = results
     else:
         direct = direct_amplitude(g, cfg)
-        parametric = parametric_amplitude(g, cfg)
-        pfaffian = pfaffian_amplitude(g, cfg)
+        parametric, pfaffian = map(_held, _simplex_estimates(g, cfg)[0])
     for res in (direct, parametric, pfaffian):
         if res.estimate == 0.0 or not math.isfinite(res.estimate):
             raise PrecisionError(f"no ratio with a {res.method} estimate of {res.estimate}")

@@ -139,7 +139,7 @@ def count_set_up_builds(monkeypatch) -> dict:
     return calls
 
 
-def simplex_batches(cfg, dim: int, method: str, tropical=None):
+def simplex_batches(cfg, dim: int, stream: str, tropical=None):
     """twistamp.integrate._simplex_batches drawing into regions of its own,
     allocated here at the shapes of the config's largest batch, so that the
     thread's workspace stays free for the estimates a test runs meanwhile.
@@ -149,7 +149,7 @@ def simplex_batches(cfg, dim: int, method: str, tropical=None):
 
     shapes = _draw_shapes(_largest_batch(cfg), dim, tropical)
     regions = [np.empty(math.prod(shape)) for shape in shapes]
-    return _simplex_batches(cfg, dim, method, tropical, regions)
+    return _simplex_batches(cfg, dim, stream, tropical, regions)
 
 
 def box_simplex_integral(g: Graph, nodes: int) -> float:

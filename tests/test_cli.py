@@ -406,6 +406,33 @@ def test_integrate_keeps_momenta_whose_square_fits(tmp_path, capsys):
     assert error["type"] == "InvariantViolation"
 
 
+def test_integrate_all_keeps_each_refusal_to_its_own_method(tmp_path, capsys):
+    # the simplex estimates share one draw, but pfaffian's refusal of the
+    # infinite |Pf|^2 ends only pfaffian: parametric runs on to its 0.0
+    path = _box_with_momentum(tmp_path, "1e150")
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["integrate", path, "--samples", "1000", "--method", "all"])
+    assert code == EXIT_NUMERIC
+    report = json.loads(capsys.readouterr().out)
+    results = report["results"]
+    assert results["direct"]["estimate"] == 0.0
+    assert results["parametric"]["estimate"] == 0.0
+    assert results["pfaffian"]["error"]["type"] == "InvariantViolation"
+    assert "constants" not in report and "identity" not in report
+
+
+def test_integrate_all_bounds_pf_over_s2_at_every_sample(tmp_path, capsys):
+    path = _write(tmp_path, "box.json", BOX)
+    assert main(["integrate", path, "--method", "all", "--samples", "20000"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert 0.0 < report["identity"]["max_rel_dev"] < 1e-11
+    constants = report["constants"]
+    assert constants["C_hat"] == pytest.approx(constants["c_hat"], rel=1e-12)
+    # a single method draws for itself and reports no identity
+    assert main(["integrate", path, "--method", "pfaffian", "--samples", "20000"]) == EXIT_OK
+    assert "identity" not in json.loads(capsys.readouterr().out)
+
+
 def test_integrate_all_builds_each_set_up_piece_once(tmp_path, monkeypatch, capsys):
     # the three estimators and the constants share one prepared problem
     calls = count_set_up_builds(monkeypatch)

@@ -455,7 +455,7 @@ def test_pfaffian_estimate_equals_mean_of_inverse_s2_squared_on_same_draws(monke
     result = pfaffian_amplitude(g, cfg)
     s2_at = _poly_evaluator(second_symanzik(g).s2)
     n, n_edges, orders = _require_convergent(g)
-    draws = simplex_batches(cfg, n_edges, "pfaffian", _tropical_sampler(orders))
+    draws = simplex_batches(cfg, n_edges, "simplex", _tropical_sampler(orders))
     # each draw a carries weight 1 / (S2(a)^2 q(a)), q the mixture density;
     # lambda^2 = 1: |Pf|^2 = S2^2 point by point
     expect = _replicate_mean(
@@ -964,7 +964,7 @@ def test_mixture_density_is_normalised():
         ratio = np.concatenate(
             [
                 np.exp(math.lgamma(n_edges) - log_q)
-                for (_, log_q), _ in simplex_batches(cfg, n_edges, "parametric", sampler)
+                for (_, log_q), _ in simplex_batches(cfg, n_edges, "simplex", sampler)
             ]
         )
         assert abs(ratio.mean() - 1.0) < 3 * ratio.std() / math.sqrt(ratio.size)
@@ -987,7 +987,7 @@ def test_mixture_weights_stay_below_the_tropical_bound(monkeypatch):
         c_min = min(float(c.re) for _, c in s2.terms())
         bound = sampler.i_tr / ((1.0 - _UNIFORM_SHARE) * c_min**2)
         cfg = IntegrationConfig(n_samples=60_016, seed=7)
-        for (points, log_q), _ in simplex_batches(cfg, n_edges, "parametric", sampler):
+        for (points, log_q), _ in simplex_batches(cfg, n_edges, "simplex", sampler):
             weights = 1.0 / np.square(s2_at(points)) / np.exp(log_q)
             assert weights.max() <= bound * (1.0 + 1e-12)
 
@@ -1003,7 +1003,7 @@ def test_one_loop_graphs_keep_the_uniform_proposal(monkeypatch):
     s2_at = _poly_evaluator(second_symanzik(g).s2)
     expect = _replicate_mean(
         (1.0 / np.square(s2_at(points)), runs)
-        for (points, _), runs in simplex_batches(cfg, n_edges, "parametric")
+        for (points, _), runs in simplex_batches(cfg, n_edges, "simplex")
     )
     expect /= math.factorial(n_edges - 1)
     assert parametric_amplitude(g, cfg).estimate == pytest.approx(expect, rel=1e-12)
@@ -1266,38 +1266,32 @@ def test_log_divergent_integrand_builder():
         log_divergent_integrand(box())
 
 
-# Pinned estimate and standard error of every method at 100 001 samples
-# (replicates of 6 251 and 6 250 points), seed 0, on the graphs of
-# _pinned_graphs. A change to how a stream is consumed, how batches, blocks
-# or lane chunks are laid out, or a read of a stale buffer moves them far
-# more than the 1e-12 allowed for platform rounding.
+# Pinned estimate and standard error of the direct and parametric methods at
+# 100 001 samples (replicates of 6 251 and 6 250 points), seed 0, on the
+# graphs of _pinned_graphs. A change to how a stream is consumed, how
+# batches, blocks or lane chunks are laid out, or a read of a stale buffer
+# moves them far more than the 1e-12 allowed for platform rounding. The
+# pfaffian method draws the parametric points, and |Pf| = S2, so it must
+# meet the parametric pins too.
 PINNED = {
     ("box", "direct"): (0.02283359256060092, 1.5020543870122688e-05),
     ("bowtie", "direct"): (1.4089122639722866, 0.0020638776389900527),
     ("theta", "direct"): (1.0106911925392659, 0.002100356482682156),
     ("loop3", "direct"): (9.503736462979788, 0.03796302506750457),
     ("box", "parametric"): (0.0023171689344739315, 8.822841208852194e-07),
-    ("box", "pfaffian"): (0.002316147336901054, 8.015987109153928e-07),
     ("bowtie", "parametric"): (0.014259178812478025, 0.00010635939173189252),
-    ("bowtie", "pfaffian"): (0.0143858311277879, 0.00015918102802130405),
     ("theta", "parametric"): (0.010218211466933937, 4.844180015297129e-05),
-    ("theta", "pfaffian"): (0.010309146987459005, 7.927814747037276e-05),
     ("loop3", "parametric"): (0.009729731893110856, 6.934848327014081e-05),
-    ("loop3", "pfaffian"): (0.009831152218406664, 8.093927684841995e-05),
 }
 
 
-# The simplex methods at 131 088 samples: replicates of 8 193 points, each
-# ending in a one-lane block of one tropical draw.
+# The parametric method (and so the pfaffian) at 131 088 samples: replicates
+# of 8 193 points, each ending in a one-lane block of one tropical draw.
 PINNED_TAIL = {
     ("box", "parametric"): (0.0023162075375577186, 4.49288370023494e-07),
-    ("box", "pfaffian"): (0.00231589625308705, 6.44726742808142e-07),
     ("bowtie", "parametric"): (0.014394925575315538, 9.333421168068023e-05),
-    ("bowtie", "pfaffian"): (0.014289916188095797, 9.119269678290601e-05),
     ("theta", "parametric"): (0.010268458414659254, 4.879082089724598e-05),
-    ("theta", "pfaffian"): (0.010356112209870719, 5.0533484111059114e-05),
     ("loop3", "parametric"): (0.009722599429303883, 4.8552264867799655e-05),
-    ("loop3", "pfaffian"): (0.009825061639075998, 7.16158627497463e-05),
 }
 
 
@@ -1320,14 +1314,14 @@ _RUNS = {
 
 def test_random_streams_are_pinned():
     graphs = _pinned_graphs()
-    for (name, method), (estimate, std_error) in PINNED.items():
-        result = _RUNS[method](graphs[name], IntegrationConfig(n_samples=100_001, seed=0))
-        assert result.estimate == pytest.approx(estimate, rel=1e-12), (name, method)
-        assert result.std_error == pytest.approx(std_error, rel=1e-12), (name, method)
-    for (name, method), (estimate, std_error) in PINNED_TAIL.items():
-        result = _RUNS[method](graphs[name], IntegrationConfig(n_samples=131_088, seed=0))
-        assert result.estimate == pytest.approx(estimate, rel=1e-12), (name, method)
-        assert result.std_error == pytest.approx(std_error, rel=1e-12), (name, method)
+    for pins, n_samples in ((PINNED, 100_001), (PINNED_TAIL, 131_088)):
+        cfg = IntegrationConfig(n_samples=n_samples, seed=0)
+        for (name, method), (estimate, std_error) in pins.items():
+            runs = [method, "pfaffian"] if method == "parametric" else [method]
+            for run in runs:
+                result = _RUNS[run](graphs[name], cfg)
+                assert result.estimate == pytest.approx(estimate, rel=1e-12), (name, run)
+                assert result.std_error == pytest.approx(std_error, rel=1e-12), (name, run)
 
 
 def _estimates(graphs, cfg):
@@ -1379,7 +1373,7 @@ def test_interleaved_batch_generators_yield_what_each_yields_alone(monkeypatch):
     for tropical in (sampler, None):
 
         def batches(cfg, tropical=tropical):
-            for (points, log_q), _ in simplex_batches(cfg, n_edges, "parametric", tropical):
+            for (points, log_q), _ in simplex_batches(cfg, n_edges, "simplex", tropical):
                 assert (log_q is None) == (tropical is None)
                 yield (points,) if log_q is None else (points, log_q)
 
@@ -1492,10 +1486,16 @@ def _arena_bytes_after(estimates):
 def test_the_workspace_of_four_loops_stays_under_6_mib():
     # the pfaffian estimate needs the largest arena, 5.75 MiB; the direct
     # one, 5.6 MiB, took 6.7 MiB when its batches held two lane chunks and
-    # 14.9 MiB at 65 536 points
+    # 14.9 MiB at 65 536 points. Both simplex integrands from one draw add
+    # one weight array, 128 KiB, for their scratch is shared: apart,
+    # parametric's 1.1 MiB would come on top
+    from twistamp.integrate import _simplex_estimates
+
     g = multi_loop_graph("loop4", random.Random(79))
     cfg = IntegrationConfig(n_samples=131_072, seed=0)
-    assert 0 < _arena_bytes_after(lambda: _estimates([g], cfg)) <= 6 * 2**20
+    alone = _arena_bytes_after(lambda: _estimates([g], cfg))
+    assert 0 < alone <= 6 * 2**20
+    assert _arena_bytes_after(lambda: _simplex_estimates(g, cfg)) == alone + 8 * 16_384
 
 
 def test_the_direct_workspace_does_not_follow_the_batch_size(monkeypatch):
@@ -1537,6 +1537,7 @@ def test_an_estimate_builds_one_sobol_stream_per_replicate(monkeypatch):
         (lambda: direct_amplitude(g, cfg), 9),  # 1 + 4n
         (lambda: parametric_amplitude(g, cfg), 10),  # 2N - 2
         (lambda: pfaffian_amplitude(g, cfg), 10),
+        (lambda: integrate._simplex_estimates(g, cfg), 10),  # both from one draw
         (lambda: feynman_trick_check([1.0, 2.0, 3.0, 4.0], cfg), 4),  # N
     ]
     for run, dim in runs:
@@ -1561,21 +1562,23 @@ def test_weights_do_not_depend_on_the_lane_chunk_width(monkeypatch):
     # narrow chunks cut the direct estimator's channel blocks into narrow
     # pieces and split every simplex batch; on loop3 an edge momentum can sum
     # three chords, so the order of addition shows in the bits. At 100, 1 000
-    # and 1 500 lanes a batch of 3 001 samples would end in a one-lane chunk,
-    # where the pfaffian's assembly matmul over one column takes another BLAS
-    # call; the chunks are cut so that none is one lane wide.
+    # and 1 500 lanes a batch of 3 001 samples would end in a one-lane chunk;
+    # the chunks are cut so that none is one lane wide. The pfaffian's
+    # assembly matmul rounds a lane alike at any chunk width, its last lanes
+    # padded to a whole panel: unpadded, loop3 at 131 088 samples read
+    # another std error with 16 384-point batches.
     import twistamp.integrate as integrate
 
     mean = integrate._mean
     weights_seen = []
 
-    def recording(method, batches, weights):
-        def kept(batch):
-            values = weights(batch)
-            weights_seen.append(values.copy())
+    def recording(methods, batches, weights, *spent):
+        def kept(batch, running):
+            values = weights(batch, running)
+            weights_seen.extend(v.copy() for v in values if isinstance(v, np.ndarray))
             return values
 
-        return mean(method, batches, kept)
+        return mean(methods, batches, kept, *spent)
 
     monkeypatch.setattr(integrate, "_mean", recording)
     rnd = random.Random(53)
@@ -1613,6 +1616,117 @@ def test_weights_do_not_depend_on_the_lane_chunk_width(monkeypatch):
                 ]
             )
         assert seen[1:] == seen[:1] * (len(layouts) - 1)
+
+
+# -- one draw, two simplex integrands ---------------------------------------
+
+def test_one_draw_keeps_pf_over_s2_within_1e_11_at_every_sample():
+    # |Pf|^2 = S2^2 exactly, so the largest per-sample |Pf|^2 / S2^2 - 1 is
+    # float64 rounding of the two evaluations: 1.2e-14 to 2.8e-14 on these
+    from twistamp.integrate import _simplex_estimates
+
+    rnd = random.Random(97)
+    graphs = [with_random_kinematics(box, rnd), with_random_kinematics(bowtie, rnd)]
+    graphs += [multi_loop_graph(name, rnd) for name in ("theta", "loop3", "loop4")]
+    for g in graphs:
+        (parametric, pfaffian), deviation = _simplex_estimates(
+            g, IntegrationConfig(n_samples=20_000, seed=0)
+        )
+        assert 0.0 < deviation < 1e-11, g.n_edges
+        assert pfaffian.estimate == pytest.approx(parametric.estimate, rel=1e-12)
+        assert pfaffian.std_error == pytest.approx(parametric.std_error, rel=1e-12)
+
+
+def test_one_draw_gives_the_bits_of_each_method_alone():
+    # the box keeps the uniform proposal; 131 088 samples end every replicate
+    # in a one-lane block
+    import time
+
+    from twistamp.integrate import _simplex_estimates
+
+    graphs = _pinned_graphs()
+    for name, n_samples in (
+        ("box", 100_001),
+        ("bowtie", 100_001),
+        ("bowtie", 131_088),
+        ("loop3", 100_001),
+        ("loop3", 131_088),
+    ):
+        g, cfg = graphs[name], IntegrationConfig(n_samples=n_samples, seed=0)
+        start = time.perf_counter()
+        (parametric, pfaffian), _ = _simplex_estimates(g, cfg)
+        wall = time.perf_counter() - start
+        for joint, run in ((parametric, parametric_amplitude), (pfaffian, pfaffian_amplitude)):
+            alone = run(g, cfg)
+            assert (joint.estimate.hex(), joint.std_error.hex()) == (
+                alone.estimate.hex(),
+                alone.std_error.hex(),
+            ), (name, n_samples, alone.method)
+            assert joint.method == alone.method
+        # the parametric result carries the draw: the two walls split the call's
+        assert parametric.wall_time_s > 0.0 and pfaffian.wall_time_s > 0.0
+        assert parametric.wall_time_s + pfaffian.wall_time_s <= wall
+
+
+def test_a_refusal_in_one_draw_ends_only_its_own_method(monkeypatch):
+    # a NaN S2 refuses parametric in its first batch; pfaffian runs on with
+    # the bits it has alone and then carries the call's whole wall time
+    import time
+
+    from twistamp.integrate import _poly_evaluator, _simplex_estimates
+
+    def with_a_nan_lane(poly):
+        evaluate = _poly_evaluator(poly)
+
+        @functools.wraps(evaluate)  # keeps evaluate.work_size
+        def values(points, *buffers):
+            out = evaluate(points, *buffers)
+            out[5] = math.nan
+            return out
+
+        return values
+
+    g = with_random_kinematics(bowtie, random.Random(4))
+    cfg = IntegrationConfig(n_samples=40_000, seed=0)
+    alone = pfaffian_amplitude(g, cfg)
+    monkeypatch.setattr("twistamp.integrate._poly_evaluator", with_a_nan_lane)
+    start = time.perf_counter()
+    (parametric, pfaffian), deviation = _simplex_estimates(g, cfg)
+    wall = time.perf_counter() - start
+    assert isinstance(parametric, InvariantViolation)
+    assert str(parametric) == "non-finite parametric-method sample in batch 0 (sample 5)"
+    assert (pfaffian.estimate, pfaffian.std_error) == (alone.estimate, alone.std_error)
+    assert 0.0 < pfaffian.wall_time_s <= wall
+    assert deviation < 1e-11  # the NaN lane compares false with every bound
+    # a refusal shared by both, here of the graph, refuses each
+    outcomes, _ = _simplex_estimates(_k4_with_a_path(), cfg)
+    assert [type(o) for o in outcomes] == [UnsupportedTopology] * 2
+
+
+def test_the_pfaffian_of_a_lane_does_not_depend_on_its_chunk_width():
+    # OpenBLAS rounds the columns past the last whole panel of 8 of a wide
+    # product, and every column of a product 1, 3 or 43 wide, another way
+    # than whole panels; the assembly pads the last lanes to a panel
+    import twistamp.integrate as integrate
+
+    rng = np.random.default_rng(101)
+    for name in ("loop3", "loop4"):
+        g = multi_loop_graph(name, random.Random(53))
+        problem = integrate._problem(g)
+        denominator, shapes = integrate._pfaffian_denominator(g, problem, 8_192)
+        regions = [np.empty(math.prod(shape)) for shape in shapes]
+        columns = np.ascontiguousarray(rng.dirichlet(np.ones(g.n_edges), size=16_384).T)
+        points = columns.T  # the lane-major view of column storage that batches use
+        expect = np.empty(len(points))
+        for lo in range(0, len(points), 8_192):
+            denominator(points[lo : lo + 8_192], expect[lo : lo + 8_192], regions)
+        for width in (1, 3, 43, 2_047, 4_095, 8_191):
+            count = min(len(points), 300 * width)
+            seen = np.empty(count)
+            for lo in range(0, count, width):
+                hi = min(lo + width, count)
+                denominator(points[lo:hi], seen[lo:hi], regions)
+            assert np.array_equal(seen, expect[:count]), (name, width)
 
 
 # -- the prepared problem: one set-up per graph ------------------------------
