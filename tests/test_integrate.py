@@ -220,23 +220,28 @@ def test_parametric_aborts_on_negative_s2(monkeypatch):
         parametric_amplitude(g, IntegrationConfig(n_samples=1000, seed=0))
 
 
-@pytest.mark.parametrize("graph", [box, bowtie])
-def test_a_nan_weight_is_refused(monkeypatch, graph):
-    # box keeps the uniform proposal, bowtie mixes in the tropical one
+def _with_a_bad_lane(value):
+    """A stand-in for _poly_evaluator whose plans read `value` at lane 5."""
     from twistamp.integrate import _poly_evaluator
 
-    def with_a_nan_lane(poly):
+    def evaluator(poly):
         evaluate = _poly_evaluator(poly)
 
         @functools.wraps(evaluate)  # keeps evaluate.work_size
         def values(points, *buffers):
             out = evaluate(points, *buffers)
-            out[5] = math.nan
+            out[5] = value
             return out
 
         return values
 
-    monkeypatch.setattr("twistamp.integrate._poly_evaluator", with_a_nan_lane)
+    return evaluator
+
+
+@pytest.mark.parametrize("graph", [box, bowtie])
+def test_a_nan_weight_is_refused(monkeypatch, graph):
+    # box keeps the uniform proposal, bowtie mixes in the tropical one
+    monkeypatch.setattr("twistamp.integrate._poly_evaluator", _with_a_bad_lane(math.nan))
     g = with_random_kinematics(graph, random.Random(4))
     cfg = IntegrationConfig(n_samples=1000, seed=0)
     for run in (parametric_amplitude, direct_amplitude):
@@ -249,20 +254,7 @@ def test_a_nan_weight_is_refused(monkeypatch, graph):
 @pytest.mark.parametrize("graph", [box, bowtie])
 def test_an_infinite_s2_is_refused(monkeypatch, graph):
     # an overflowing S2 would give a weight of exactly 0, which is finite
-    from twistamp.integrate import _poly_evaluator
-
-    def with_an_infinite_lane(poly):
-        evaluate = _poly_evaluator(poly)
-
-        @functools.wraps(evaluate)  # keeps evaluate.work_size
-        def values(points, *buffers):
-            out = evaluate(points, *buffers)
-            out[5] = math.inf
-            return out
-
-        return values
-
-    monkeypatch.setattr("twistamp.integrate._poly_evaluator", with_an_infinite_lane)
+    monkeypatch.setattr("twistamp.integrate._poly_evaluator", _with_a_bad_lane(math.inf))
     g = with_random_kinematics(graph, random.Random(4))
     with pytest.raises(InvariantViolation, match="S2 overflowed"):
         parametric_amplitude(g, IntegrationConfig(n_samples=1000, seed=0))
@@ -1673,23 +1665,12 @@ def test_a_refusal_in_one_draw_ends_only_its_own_method(monkeypatch):
     # the bits it has alone and then carries the call's whole wall time
     import time
 
-    from twistamp.integrate import _poly_evaluator, _simplex_estimates
-
-    def with_a_nan_lane(poly):
-        evaluate = _poly_evaluator(poly)
-
-        @functools.wraps(evaluate)  # keeps evaluate.work_size
-        def values(points, *buffers):
-            out = evaluate(points, *buffers)
-            out[5] = math.nan
-            return out
-
-        return values
+    from twistamp.integrate import _simplex_estimates
 
     g = with_random_kinematics(bowtie, random.Random(4))
     cfg = IntegrationConfig(n_samples=40_000, seed=0)
     alone = pfaffian_amplitude(g, cfg)
-    monkeypatch.setattr("twistamp.integrate._poly_evaluator", with_a_nan_lane)
+    monkeypatch.setattr("twistamp.integrate._poly_evaluator", _with_a_bad_lane(math.nan))
     start = time.perf_counter()
     (parametric, pfaffian), deviation = _simplex_estimates(g, cfg)
     wall = time.perf_counter() - start
