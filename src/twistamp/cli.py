@@ -41,6 +41,13 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
+# The largest per-sample |Pf|^2 / S2^2 - 1 that `integrate --method all`
+# reports as a PASS. The two denominators agree to float64 rounding: the
+# deviation reads 1.2e-14 to 2.8e-14 on the benchmark fixtures, and
+# 1.8e-12 with unit masses and momenta of 10^3, since the block pfaffian's
+# rounding grows with the momentum-to-mass ratio.
+IDENTITY_BOUND = 1e-11
+
 
 def _read_document(path: str):
     try:
@@ -205,7 +212,8 @@ def cmd_integrate(args) -> int:
 def _integrate(args, g: Graph, digest: str, cfg) -> tuple:
     """The `integrate` report of g on cfg, and the estimators' refusals.
     `--method all` runs the direct estimate and both simplex estimates from
-    one draw, and reports the largest |Pf|^2 / S2^2 - 1 over that draw."""
+    one draw, and reports the largest |Pf|^2 / S2^2 - 1 over that draw with
+    IDENTITY_BOUND and its verdict."""
     from .integrate import (
         _REPLICATES,
         _simplex_estimates,
@@ -253,7 +261,11 @@ def _integrate(args, g: Graph, digest: str, cfg) -> tuple:
     }
 
     if args.method == "all" and not any(isinstance(o, TwistampError) for o in simplex):
-        report["identity"] = {"max_rel_dev": deviation}
+        report["identity"] = {
+            "max_rel_dev": deviation,
+            "bound": IDENTITY_BOUND,
+            "verdict": "PASS" if deviation <= IDENTITY_BOUND else "FAIL",
+        }
     if args.method == "all" and not failures:
         try:
             consts = extract_constants(

@@ -40,11 +40,15 @@ has no zero on the closed simplex, keep the plain uniform proposal. Graphs
 with a divergent subgraph are refused.
 
 Every estimate (and the Feynman check) is randomized quasi-Monte Carlo:
-_REPLICATES independent scrambles of a Sobol sequence, drawn with numpy
-(see _Sobol), replicate r seeded by (seed, stream, r) and cut into blocks;
-the streams are direct, simplex (both simplex integrands) and feynman.
-One plan (see _plan) builds each replicate's stream and hands the blocks
-out in batches, with their streams. The estimate is the mean of the
+_REPLICATES independent scrambles of a Sobol sequence (see _Sobol),
+replicate r seeded by (seed, stream, r) and cut into blocks; the streams
+are direct, simplex (both simplex integrands) and feynman. The scramble
+words are those numpy's default_rng([seed, code, r]) would draw, bit for
+bit, computed here for all replicates at once (see _scrambles), so no
+estimate loads numpy.random (and, through it, hashlib and OpenSSL), and
+an upgrade of numpy cannot move an estimate's bits. One plan (see _plan)
+draws the words, builds each replicate's stream and hands the blocks out
+in batches, with their streams. The estimate is the mean of the
 replicate means and its error their standard error (Owen, "Monte Carlo
 theory, methods and examples", ch. 17), which stays honest where the
 i.i.d. formula would overstate the error of a low-discrepancy sample. One
@@ -76,8 +80,9 @@ and the pfaffian's block table. Each piece is built by the first estimate
 that reads it and kept on the Graph object, so it lives as long as the
 graph does, and extract_constants, `integrate --method all` or a seed sweep
 on one graph build each piece once. Nothing of a graph is kept at module
-level (only the Sobol direction numbers, the same for every graph): a graph
-built anew, even an equal one, builds its own.
+level (only the Sobol direction numbers and PCG64's jump table, the same
+for every graph and built once per process): a graph built anew, even an
+equal one, builds its own.
 """
 
 from __future__ import annotations
@@ -215,6 +220,24 @@ _SOBOL_BITS = 53
 # _Sobol.draw).
 _SOBOL_LOW = 7
 
+# Scramble words per Sobol coordinate: its matrix's rows, then its shift.
+_SCRAMBLE_WORDS = _SOBOL_BITS + 1
+
+# numpy's default_rng, which _scrambles reproduces: SeedSequence's hash
+# constants (INIT_A and MULT_A, INIT_B and MULT_B, MIX_MULT_L and
+# MIX_MULT_R) and the multiplier of PCG64's 128-bit LCG.
+_SEED_HASH_A = (0x43B0D7E5, 0x931E8875)
+_SEED_HASH_B = (0x8B51F9DD, 0x58F38DED)
+_SEED_MIX = (0xCA01F9DD, 0x4973F715)
+_PCG64_MULTIPLIER = 2549297995355413924 << 64 | 4865540595714422341
+
+# Scramble words computed at a time, per replicate (see _scrambles): a
+# temporary of _REPLICATES x 1 008 words stays below 128 KiB, which malloc
+# serves from its heap. A draw of 64 coordinates in one piece, its
+# temporaries mapped and faulted in afresh at every call, took over twice
+# as long. 18 coordinates (4 loops) take one piece.
+_JUMP_CHUNK = 1008
+
 
 @dataclass(frozen=True)
 class IntegrationConfig:
@@ -269,9 +292,151 @@ class _Accumulator:
         self.count = total
 
 
-def _rng(seed: int, stream: str, index: int) -> np.random.Generator:
-    """The random stream that scrambles replicate `index` of an estimate."""
-    return np.random.default_rng([seed, _METHOD_CODE[stream], index])
+@functools.cache
+def _hash_constants(init: int, multiplier: int, count: int) -> np.ndarray:
+    """init * multiplier^j mod 2^32 for j = 0 .. count, as a uint32 column:
+    SeedSequence's hash call i XORs its word with entry i and multiplies it
+    by entry i + 1, whatever the data."""
+    values = [init]
+    for _ in range(count):
+        values.append(values[-1] * multiplier & 0xFFFFFFFF)
+    return _read_only(np.array(values, dtype=np.uint32)[:, None])
+
+
+def _seed_states(seed: int, stream: str) -> np.ndarray:
+    """`SeedSequence([seed, code, r]).generate_state(4, np.uint64)` for every
+    replicate r (code the stream's _METHOD_CODE), as a (4, _REPLICATES)
+    array.
+
+    The entropy is the 32-bit words of seed (least significant first, one
+    word for 0), then code and r. SeedSequence hashes its first four words
+    into a pool, mixes every pool word into the others, mixes in the words
+    past the fourth, and hashes the pool into eight 32-bit words, read in
+    pairs as little-endian 64-bit words. Its hash constants follow the call
+    order alone, so each step runs on every replicate at once, in uint32
+    arithmetic, which wraps as the C code's does."""
+    words = []
+    while True:
+        words.append(seed & 0xFFFFFFFF)
+        seed >>= 32
+        if not seed:
+            break
+    entropy = np.empty((len(words) + 2, _REPLICATES), dtype=np.uint32)
+    entropy[:-2] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-2] = _METHOD_CODE[stream]
+    entropy[-1] = np.arange(_REPLICATES)
+    constants = _hash_constants(*_SEED_HASH_A, 16 + 4 * max(len(entropy) - 4, 0))
+
+    def hashed(values, call, count):  # hash calls call .. call + count - 1
+        out = values ^ constants[call : call + count]
+        out *= constants[call + 1 : call + count + 1]
+        out ^= out >> 16
+        return out
+
+    def mixed(x, y):
+        out = x * _SEED_MIX[0]
+        out -= y * _SEED_MIX[1]
+        out ^= out >> 16
+        return out
+
+    pool = np.zeros((4, _REPLICATES), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:4]
+    pool = hashed(pool, 0, 4)
+    call = 4
+    for source in range(4):
+        others = [i for i in range(4) if i != source]
+        pool[others] = mixed(pool[others], hashed(pool[source], call, 3))
+        call += 3
+    for word in entropy[4:]:
+        pool = mixed(pool, hashed(word, call, 4))
+        call += 4
+    final = _hash_constants(*_SEED_HASH_B, 8)
+    state = np.concatenate((pool, pool)) ^ final[:8]
+    state *= final[1:]
+    state ^= state >> 16
+    state = state.astype(np.uint64)
+    return state[0::2] | state[1::2] << 32
+
+
+@functools.cache
+def _pcg64_jumps() -> np.ndarray:
+    """PCG64's jump to each scramble word a replicate can draw, as 16-bit
+    limbs: column k holds M^(k+2) and sum_{j < k+2} M^j mod 2^128 (M the
+    LCG multiplier), row 2i limb i of the first and row 2i + 1 limb i of
+    the second, for k < _SCRAMBLE_WORDS len(_JOE_KUO)."""
+    count = _SCRAMBLE_WORDS * len(_JOE_KUO)
+    power, total = _PCG64_MULTIPLIER**2 % 2**128, 1 + _PCG64_MULTIPLIER
+    raw = bytearray()
+    for _ in range(count):
+        raw += power.to_bytes(16, "little") + total.to_bytes(16, "little")
+        total = (total + power) % 2**128
+        power = power * _PCG64_MULTIPLIER % 2**128
+    limbs = np.frombuffer(bytes(raw), dtype="<u2").reshape(count, 2, 8)
+    return _read_only(limbs.transpose(2, 1, 0).reshape(16, count))
+
+
+def _scrambles(seed: int, stream: str, dim: int) -> np.ndarray:
+    """The scramble words of every replicate of an estimate, as a
+    (_REPLICATES, _SCRAMBLE_WORDS dim) uint64 array: row r holds the words
+    that numpy's `default_rng([seed, code, r])` (code the stream's
+    _METHOD_CODE) draws with `.integers(0, 2**53, size=(dim, 53),
+    dtype=np.uint64)` and then `.integers(0, 2**53, size=dim,
+    dtype=np.uint64)`, bit for bit, computed without numpy.random.
+
+    default_rng seeds PCG64 (XSL-RR 128/64, O'Neill 2014) with the words
+    v0..v3 of _seed_states: state s = v0 2^64 + v1 and increment
+    I = 2 (v2 2^64 + v3) + 1. Seeding steps the state x -> M x + I from 0,
+    adds s and steps again, and each draw steps once and outputs
+    rotr(hi ^ lo, hi >> 58) of the state's 64-bit halves. So word k comes
+    from state M^(k+2) P + (sum_{j < k+2} M^j) I mod 2^128, with P = s + I,
+    and every word of all replicates is one jump (see _pcg64_jumps). A draw
+    below 2^53 is Lemire's bounded draw: next64 * 2^53 / 2^64, rejected
+    where the product's low half falls below (2^64 - 2^53) mod 2^53 = 0,
+    so never, and the word is next64 >> 11.
+
+    The jump products run in float64 matmuls, exactly: with the jumps in
+    16-bit limbs and P and I in 32-bit windows at 16-bit steps, the 32-bit
+    digit d of the state is a sum of at most 16 integer terms below 2^48,
+    so every partial sum is an integer below 2^52, whatever the order of
+    summation. Carrying the digits gives the state's 64-bit halves."""
+    _require_sobol_dims(dim)
+    count = _SCRAMBLE_WORDS * dim
+    values = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*_seed_states(seed, stream).tolist()):
+        increment = ((i_hi << 64 | i_lo) << 1 | 1) % 2**128
+        values += [((s_hi << 64 | s_lo) + increment) % 2**128, increment]
+    raw = b"".join(value.to_bytes(16, "little") for value in values)
+    limbs = np.zeros((_REPLICATES, 2, 10))
+    limbs[:, :, 1:9] = np.frombuffer(raw, dtype="<u2").reshape(_REPLICATES, 2, 8)
+    # the 32-bit windows of P and I at bits 16m, m = -1 .. 7 (at index m + 1)
+    windows = limbs[:, :, :-1] + 65536.0 * limbs[:, :, 1:]
+    # digit d takes limb i of a jump times the window at bit 32d - 16i
+    factors = [
+        windows[:, :, 2 * d + 1 :: -1].transpose(0, 2, 1).reshape(_REPLICATES, -1) for d in range(4)
+    ]
+    words = np.empty((_REPLICATES, count), dtype=np.uint64)
+    for start in range(0, count, _JUMP_CHUNK):
+        stop = min(start + _JUMP_CHUNK, count)
+        jumps = _pcg64_jumps()[:, start:stop].astype(np.float64)
+        d0, d1, d2, d3 = ((f @ jumps[: f.shape[1]]).astype(np.uint64) for f in factors)
+        lo = d1 << 32
+        lo += d0
+        d0 >>= 32
+        d0 += d1
+        d0 >>= 32  # the carry out of the low half
+        hi = d3 << 32
+        hi += d2
+        hi += d0
+        lo ^= hi
+        hi >>= 58
+        out = words[:, start:stop]
+        np.right_shift(lo, hi, out=out)
+        np.subtract(64, hi, out=hi)
+        hi &= 63
+        lo <<= hi
+        out |= lo
+        out >>= 11
+    return words
 
 
 def _pieces(lo: int, hi: int, width: int):
@@ -308,14 +473,16 @@ def _plan(cfg: IntegrationConfig, stream: str, dim: int, batch_size: int):
     blocks (replicate r, its stream, its size, lo, hi) for its points lo..hi.
     Replicate r holds n_samples // R points, one more when r < n_samples % R,
     and is cut every _BLOCK points from its start; its stream is the one
-    scrambled Sobol sequence of `dim` coordinates (see _Sobol) seeded by
-    (seed, stream, r). A batch takes the next blocks while their points fit
-    in `batch_size`, and at least one."""
+    scrambled Sobol sequence of `dim` coordinates (see _Sobol) under row r
+    of _scrambles(seed, stream, dim), drawn for all replicates at once. A
+    batch takes the next blocks while their points fit in `batch_size`, and
+    at least one."""
     base, extra = divmod(cfg.n_samples, _REPLICATES)
+    scrambles = _scrambles(cfg.seed, stream, dim)
     batch, count = [], 0
     for r in range(_REPLICATES):
         size = base + (r < extra)
-        sobol = _Sobol(_rng(cfg.seed, stream, r), dim, size)
+        sobol = _Sobol(scrambles[r], dim, size)
         for lo in range(0, size, _BLOCK):
             hi = min(lo + _BLOCK, size)
             if batch and count + hi - lo > batch_size:
@@ -353,6 +520,14 @@ def _trailing_zeros(t: np.ndarray) -> np.ndarray:
     return np.bitwise_count((t & -t) - 1)
 
 
+def _require_sobol_dims(dim: int) -> None:
+    if dim > len(_JOE_KUO):
+        raise UnsupportedTopology(
+            f"scrambled Sobol points have at most {len(_JOE_KUO)} coordinates; "
+            f"this needs {dim}"
+        )
+
+
 class _Sobol:
     """One replicate's scrambled Sobol sequence in `dim` dimensions, drawn
     with numpy alone.
@@ -362,30 +537,25 @@ class _Sobol:
     scrambled by a random lower-triangular binary matrix per dimension
     (each digit of a number gains a random sum of the more significant
     ones) and every point is XORed with a random digital shift: Matousek's
-    linear matrix scramble and shift (Owen, ch. 17), drawn from `rng`. So
-    each point is uniform on [0, 1)^dim, the first 2^k points still form a
-    (t, k, dim)-net, and a point depends on rng and its index alone. Only
-    the direction numbers that the first `count` points use are scrambled.
-    With rng None the points are the unscrambled sequence.
+    linear matrix scramble and shift (Owen, ch. 17), read from `words`, the
+    replicate's row of _scrambles: the dim x 53 matrix rows, then the dim
+    shifts. So each point is uniform on [0, 1)^dim, the first 2^k points
+    still form a (t, k, dim)-net, and a point depends on the words and its
+    index alone. Only the direction numbers that the first `count` points
+    use are scrambled. With words None the points are the unscrambled
+    sequence.
     """
 
-    def __init__(self, rng: np.random.Generator | None, dim: int, count: int):
-        if dim > len(_JOE_KUO):
-            raise UnsupportedTopology(
-                f"scrambled Sobol points have at most {len(_JOE_KUO)} coordinates; "
-                f"this needs {dim}"
-            )
+    def __init__(self, words: np.ndarray | None, dim: int, count: int):
+        _require_sobol_dims(dim)
         one = np.uint64(1)
         digits = np.arange(_SOBOL_BITS, dtype=np.uint64)
         # row b of the matrix: digit b and random digits above it
-        if rng is None:
-            rows = np.zeros((dim, _SOBOL_BITS), dtype=np.uint64)
-            self.shift = np.zeros(dim, dtype=np.uint64)
-        else:
-            rows = rng.integers(0, 1 << _SOBOL_BITS, size=(dim, _SOBOL_BITS), dtype=np.uint64)
-            self.shift = rng.integers(0, 1 << _SOBOL_BITS, size=dim, dtype=np.uint64)
-        rows &= ~((one << (digits + one)) - one)
+        if words is None:
+            words = np.zeros(_SCRAMBLE_WORDS * dim, dtype=np.uint64)
+        rows = words[: _SOBOL_BITS * dim].reshape(dim, _SOBOL_BITS) & ~((one << (digits + one)) - one)
         rows |= one << digits
+        self.shift = words[_SOBOL_BITS * dim :]
         width = max(_SOBOL_LOW, (count - 1).bit_length())
         direction = _direction_numbers()[:dim, :width]
         # digit b of a scrambled number: the parity of row b AND the number;

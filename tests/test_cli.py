@@ -1,9 +1,10 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from twistamp.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
+from twistamp.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, IDENTITY_BOUND, main
 import twistamp.cli as cli_module
 from conftest import SET_UP_ONCE, count_set_up_builds
 
@@ -425,12 +426,30 @@ def test_integrate_all_bounds_pf_over_s2_at_every_sample(tmp_path, capsys):
     path = _write(tmp_path, "box.json", BOX)
     assert main(["integrate", path, "--method", "all", "--samples", "20000"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
-    assert 0.0 < report["identity"]["max_rel_dev"] < 1e-11
+    identity = report["identity"]
+    assert 0.0 < identity["max_rel_dev"] < 1e-11
+    assert identity["bound"] == IDENTITY_BOUND and identity["verdict"] == "PASS"
     constants = report["constants"]
     assert constants["C_hat"] == pytest.approx(constants["c_hat"], rel=1e-12)
     # a single method draws for itself and reports no identity
     assert main(["integrate", path, "--method", "pfaffian", "--samples", "20000"]) == EXIT_OK
     assert "identity" not in json.loads(capsys.readouterr().out)
+
+
+def test_integrate_all_flags_a_deviation_over_the_bound(tmp_path, monkeypatch, capsys):
+    # a draw whose |Pf|^2 / S2^2 - 1 exceeds the bound reads FAIL, and so
+    # does one that is not a number
+    import twistamp.integrate as integrate
+
+    estimates = integrate._simplex_estimates
+    path = _write(tmp_path, "box.json", BOX)
+    for deviation in (2 * IDENTITY_BOUND, math.nan):
+        monkeypatch.setattr(
+            integrate, "_simplex_estimates", lambda *a, d=deviation: (estimates(*a)[0], d)
+        )
+        assert main(["integrate", path, "--method", "all", "--samples", "2000"]) == EXIT_OK
+        identity = json.loads(capsys.readouterr().out)["identity"]
+        assert identity["verdict"] == "FAIL" and identity["bound"] == IDENTITY_BOUND
 
 
 def test_integrate_all_builds_each_set_up_piece_once(tmp_path, monkeypatch, capsys):

@@ -822,12 +822,44 @@ def test_sobol_points_are_scipys_and_the_direction_numbers_its_table():
         assert set(map(tuple, points.T.tolist())) == set(map(tuple, expect.tolist())), dim
 
 
+def test_scramble_words_are_default_rngs_draws():
+    # _scrambles draws what numpy's default_rng([seed, code, r]) draws, bit
+    # for bit, without numpy.random: seeds of one to four 32-bit words, so
+    # entropies of three to six (SeedSequence mixes the words past the
+    # fourth in apart), every stream and up to the 64 coordinates of the
+    # direction numbers
+    from twistamp.integrate import _METHOD_CODE, _REPLICATES, _scrambles
+
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**100 + 3):
+        for stream, code in _METHOD_CODE.items():
+            for dim in (1, 2, 17, 18, 64):
+                words = _scrambles(seed, stream, dim)
+                assert words.shape == (_REPLICATES, 54 * dim) and words.dtype == np.uint64
+                for r in (0, 7, 15):
+                    rng = np.random.default_rng([seed, code, r])
+                    rows = rng.integers(0, 1 << 53, size=(dim, 53), dtype=np.uint64)
+                    shift = rng.integers(0, 1 << 53, size=dim, dtype=np.uint64)
+                    expect = np.concatenate([rows.ravel(), shift])
+                    assert np.array_equal(words[r], expect), (seed, stream, dim, r)
+    # the words are the package's, whatever numpy is installed: the first
+    # two and the last word of a few replicates
+    pinned = [
+        ((0, "simplex", 1, 0), (0x2961C4B9F57C3, 0xCE0C538692E59, 0xEDA4FC0569C40)),
+        ((2**64 + 1, "direct", 18, 7), (0x10BA3492D3A258, 0x150D884A71138F, 0x1440CE4E54D8A5)),
+        ((2**100 + 3, "feynman", 64, 15), (0x1464B062E2443D, 0x10E42771FCFD61, 0xC642116FED033)),
+    ]
+    for (seed, stream, dim, r), expect in pinned:
+        words = _scrambles(seed, stream, dim)[r]
+        assert (int(words[0]), int(words[1]), int(words[-1])) == expect, (seed, stream, dim, r)
+
+
 def test_scrambled_sobol_points_are_nets_wherever_the_draws_are_cut():
-    from twistamp.integrate import _Sobol
+    from twistamp.integrate import _scrambles, _Sobol
 
     k, count = 10, 3_000
     for dim in (4, 18):
-        sobol = _Sobol(np.random.default_rng(dim), dim, count)
+        scrambles = _scrambles(dim, "simplex", dim)
+        sobol = _Sobol(scrambles[0], dim, count)
         whole = np.empty((dim, count))
         sobol.draw(0, whole)
         # the scramble keeps the net: each coordinate of the first 2^k points
@@ -844,7 +876,7 @@ def test_scrambled_sobol_points_are_nets_wherever_the_draws_are_cut():
         sobol.draw(1_000, first)
         assert np.array_equal(first, whole[:3, 1_000:1_300])
         other = np.empty((dim, count))
-        _Sobol(np.random.default_rng(dim + 1), dim, count).draw(0, other)
+        _Sobol(scrambles[1], dim, count).draw(0, other)
         assert not np.isin(other, whole).any()
 
 
@@ -869,11 +901,11 @@ def test_chord_draws_are_radii_times_unit_directions():
     # |y| is the radius of _radii, and over Sobol points the direction has
     # the moments of the uniform S^3: mean 0, second moments I / 4, and
     # fourth powers averaging 3 / (4 * 6) = 1/8
-    from twistamp.integrate import _radii, _Sobol, _student_t
+    from twistamp.integrate import _radii, _scrambles, _Sobol, _student_t
 
     n, w = 3, 1 << 12
     u = np.empty((n, 4, w))
-    _Sobol(np.random.default_rng(5), 4 * n, w).draw(0, u.reshape(4 * n, w))
+    _Sobol(_scrambles(5, "direct", 4 * n)[0], 4 * n, w).draw(0, u.reshape(4 * n, w))
     for nu in (1.0, 2.0 / 3.0):
         y = u.copy()
         radius = y[:, 0].copy()
@@ -894,12 +926,13 @@ def test_channels_fill_every_aligned_block_nearly_evenly():
     # points to within 2 (each channel gains or loses at most one point at
     # either end of its interval), and exactly 2^k / T where T divides 2^k.
     # The lanes come out grouped by channel in their own order.
-    from twistamp.integrate import _by_channel, _rng, _Sobol
+    from twistamp.integrate import _by_channel, _scrambles, _Sobol
 
+    scrambles = _scrambles(0, "direct", 5)
     for n_trees in (4, 9, 117):
         for r in range(4):
             u = np.empty((1, 1 << 13))
-            _Sobol(_rng(0, "direct", r), 5, u.shape[1]).draw(0, u)
+            _Sobol(scrambles[r], 5, u.shape[1]).draw(0, u)
             for k in (7, 10, 13):
                 for start in range(0, u.shape[1], 1 << k):
                     block = u[0, start : start + (1 << k)]
@@ -1512,9 +1545,9 @@ def test_an_estimate_builds_one_sobol_stream_per_replicate(monkeypatch):
     plan = integrate._plan
 
     class Counted(integrate._Sobol):
-        def __init__(self, rng, dim, count):
+        def __init__(self, words, dim, count):
             built.append((dim, count))
-            super().__init__(rng, dim, count)
+            super().__init__(words, dim, count)
 
     def recorded(*args):
         for batch in plan(*args):

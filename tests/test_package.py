@@ -118,15 +118,23 @@ def test_integrate_names_are_looked_up_on_each_access(monkeypatch):
 
 def test_import_loads_no_scipy():
     # only the N = 2 Feynman check uses scipy, which takes about a second to
-    # import: neither the package nor a simplex estimate, whose scrambled
-    # Sobol points numpy draws, loads it
-    loaded = "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    assert _fresh_python("-c", "import sys, twistamp; " + loaded) == "[]"
-    estimate = (
-        "import sys, twistamp as ta; "
-        "ta.parametric_amplitude(ta.bowtie(), ta.IntegrationConfig(n_samples=2000)); "
+    # import: neither the package nor an estimate loads it. Nor does an
+    # estimate load numpy.random, whose SeedSequence imports secrets and
+    # with it hashlib and OpenSSL (about 6 MB): the package draws its Sobol
+    # scrambles itself. The CLI loads hashlib on purpose, for input_hash.
+    loaded = (
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m in ('numpy.random', '_hashlib')])"
     )
-    assert _fresh_python("-c", estimate + loaded) == "[]"
+    assert _fresh_python("-c", "import sys, twistamp; " + loaded) == "[]"
+    estimates = (
+        "import sys, twistamp as ta; "
+        "g, cfg = ta.bowtie(), ta.IntegrationConfig(n_samples=2000); "
+        "ta.direct_amplitude(g, cfg); ta.parametric_amplitude(g, cfg); "
+        "ta.pfaffian_amplitude(g, cfg); "
+        "ta.feynman_trick_check([1.0, 2.0, 3.0], cfg); "
+    )
+    assert _fresh_python("-c", estimates + loaded) == "[]"
 
 
 BOX_DOCUMENT = {
