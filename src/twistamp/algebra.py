@@ -8,9 +8,9 @@ are read out as `Fraction`s. The symbolic pfaffian and determinant share one
 expansion, `_pfaffian_expand`: the perfect-matching sum grouped by the
 partner of the lowest index and memoized on the remaining indices; a
 determinant is the pfaffian of [[0, M], [-M^T, 0]] up to sign. The only
-floating-point code path is the numeric pfaffian (one batch-last
-Parlett-Reid kernel; a single matrix is a batch of one), which exists to
-cross-check the exact routines and the pfaffian estimator's block kernel.
+floating-point code path is the numeric pfaffian (one Parlett-Reid
+kernel on one matrix), which exists to cross-check the exact routines and
+the pfaffian estimator's block kernel.
 """
 
 from __future__ import annotations
@@ -618,11 +618,10 @@ def det_symbolic(matrix) -> MultiPoly:
 _ASYM_TOL = 1e-12
 
 
-def _parlett_reid_batch(mats) -> np.ndarray:
-    """Pfaffians of a batch of antisymmetric matrices (B, d, d), by partially
-    pivoted Parlett-Reid elimination (Wimmer, arXiv:1102.3440) run
-    batch-last, on a (d, d, B) copy, so that every step acts on contiguous
-    length-B vectors. The input is never written.
+def _parlett_reid(mat) -> complex:
+    """Pfaffian of one antisymmetric matrix (d, d), by partially pivoted
+    Parlett-Reid elimination (Wimmer, arXiv:1102.3440) on a complex copy.
+    The input is never written.
 
     Step k swaps the largest |A[i, k]|, i > k, into row and column k+1
     (flipping the sign), multiplies the pivot A[k, k+1] into the product
@@ -632,36 +631,23 @@ def _parlett_reid_batch(mats) -> np.ndarray:
     """
     import numpy as np
 
-    # astype always copies: for a batch of one matrix moveaxis returns a
-    # view that already counts as C-contiguous
-    A = np.moveaxis(np.asarray(mats), 0, -1).astype(complex, order="C")
-    dim, _, b = A.shape
-    pf = np.ones(b, dtype=complex)
-    dead = np.zeros(b, dtype=bool)
-    for k in range(0, dim - 1, 2):
-        pivot = k + 1 + np.abs(A[k + 1 :, k]).argmax(axis=0)
-        swap = np.flatnonzero(pivot != k + 1)
-        if swap.size:
+    A = np.array(mat, dtype=complex)
+    pf = 1.0 + 0j
+    for k in range(0, len(A) - 1, 2):
+        pivot = k + 1 + int(np.abs(A[k + 1 :, k]).argmax())
+        if pivot != k + 1:
             # rows and columns before k are never read again
-            tgt = pivot[swap]
-            rows = A[k + 1, k:, swap]
-            A[k + 1, k:, swap] = A[tgt, k:, swap]
-            A[tgt, k:, swap] = rows
-            cols = A[k:, k + 1, swap]
-            A[k:, k + 1, swap] = A[k:, tgt, swap]
-            A[k:, tgt, swap] = cols
-            pf[swap] = -pf[swap]
+            A[[k + 1, pivot], k:] = A[[pivot, k + 1], k:]
+            A[k:, [k + 1, pivot]] = A[k:, [pivot, k + 1]]
+            pf = -pf
         piv = A[k, k + 1]
-        zero = piv == 0
-        dead |= zero
+        if piv == 0:
+            return 0j
         pf *= piv
-        if k + 2 < dim:
-            tau = A[k, k + 2 :] / np.where(zero, 1.0, piv)
-            col = A[k + 2 :, k + 1]
-            outer = tau[:, None] * col[None]
-            A[k + 2 :, k + 2 :] += outer - outer.swapaxes(0, 1)
-    pf[dead] = 0.0
-    return pf
+        tau = A[k, k + 2 :] / piv  # empty at the last step
+        outer = tau[:, None] * A[k + 2 :, k + 1][None]
+        A[k + 2 :, k + 2 :] += outer - outer.T
+    return complex(pf)
 
 
 def pfaffian_numeric(form) -> complex:
@@ -669,9 +655,9 @@ def pfaffian_numeric(form) -> complex:
 
     Partial pivoting keeps the congruence transforms bounded; the running
     product of the 2x2 block pivots times the permutation sign is Pf(A),
-    with Pf([[0, a], [-a, 0]]) = a and Pf(A)^2 = det(A). This is
-    `_parlett_reid_batch` on a batch of one; the Monte Carlo estimators do
-    not use it (the pfaffian estimator has its own block kernel).
+    with Pf([[0, a], [-a, 0]]) = a and Pf(A)^2 = det(A) (see
+    _parlett_reid). The Monte Carlo estimators do not use it (the pfaffian
+    estimator has its own block kernel).
     """
     import numpy as np
 
@@ -689,8 +675,7 @@ def pfaffian_numeric(form) -> complex:
     scale = float(np.abs(A).max())
     if float(np.abs(A + A.T).max()) > _ASYM_TOL * max(1.0, scale):
         raise ValidationError("matrix is not antisymmetric within tolerance")
-    A = (A - A.T) / 2.0
-    return complex(_parlett_reid_batch(A[None])[0])
+    return _parlett_reid((A - A.T) / 2.0)
 
 
 def matrix_rank(matrix) -> int:

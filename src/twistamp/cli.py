@@ -215,13 +215,13 @@ def _integrate(args, g: Graph, digest: str, cfg) -> tuple:
     one draw, and reports the largest |Pf|^2 / S2^2 - 1 over that draw with
     IDENTITY_BOUND and its verdict."""
     from .integrate import (
-        _REPLICATES,
         _simplex_estimates,
         direct_amplitude,
         extract_constants,
         parametric_amplitude,
         pfaffian_amplitude,
     )
+    from .rqmc import _REPLICATES
 
     runners = {
         "direct": direct_amplitude,

@@ -39,24 +39,14 @@ sampler draws and ranks in the same lane chunks. One-loop graphs, where S2
 has no zero on the closed simplex, keep the plain uniform proposal. Graphs
 with a divergent subgraph are refused.
 
-Every estimate (and the Feynman check) is randomized quasi-Monte Carlo:
-_REPLICATES independent scrambles of a Sobol sequence (see _Sobol),
-replicate r seeded by (seed, stream, r) and cut into blocks; the streams
-are direct, simplex (both simplex integrands) and feynman. The scramble
-words are those numpy's default_rng([seed, code, r]) would draw, bit for
-bit, computed here for all replicates at once (see _scrambles), so no
-estimate loads numpy.random (and, through it, hashlib and OpenSSL), and
-an upgrade of numpy cannot move an estimate's bits. One plan (see _plan)
-draws the words, builds each replicate's stream and hands the blocks out
-in batches, with their streams. The estimate is the mean of the
-replicate means and its error their standard error (Owen, "Monte Carlo
-theory, methods and examples", ch. 17), which stays honest where the
-i.i.d. formula would overstate the error of a low-discrepancy sample. One
-loop, _mean, serves every estimate: it evaluates each batch's weights, one
-array per integrand, refuses an integrand with a non-finite one, and merges
-each block's mean into its replicate's accumulator in a fixed order, so a
-fixed config reproduces bit-identical estimates, and neither the batch size
-nor the lane chunks move a bit of one.
+Every estimate (and the Feynman check) is randomized quasi-Monte Carlo on
+one plan of scrambled Sobol replicates (see rqmc), which hands its blocks
+out in batches and draws their points. One loop, _mean, serves every
+estimate: it evaluates each batch's weights, one array per integrand,
+refuses an integrand with a non-finite one, and merges each block's mean
+into its replicate's accumulator in a fixed order, so a fixed config
+reproduces bit-identical estimates, and neither the batch size nor the lane
+chunks move a bit of one.
 
 Every batch is drawn and evaluated in a workspace (see _workspace): each
 thread has one flat float64 arena, made by its first estimate, grown but
@@ -80,15 +70,12 @@ and the pfaffian's block table. Each piece is built by the first estimate
 that reads it and kept on the Graph object, so it lives as long as the
 graph does, and extract_constants, `integrate --method all` or a seed sweep
 on one graph build each piece once. Nothing of a graph is kept at module
-level (only the Sobol direction numbers and PCG64's jump table, the same
-for every graph and built once per process): a graph built anew, even an
-equal one, builds its own.
+level: a graph built anew, even an equal one, builds its own.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import math
 import numbers
@@ -112,6 +99,7 @@ from .graphs import (
     loop_number,
     route_momenta,
 )
+from .rqmc import _BLOCK, _MAX_DIM, Plan, _read_only
 from .symanzik import (
     first_symanzik_det,
     first_symanzik_trees,
@@ -138,17 +126,6 @@ __all__ = [
 # weights small where S2 is far from zero.
 _UNIFORM_SHARE = 0.5
 
-# Independent scrambles of every estimate (randomized QMC; Owen,
-# "Monte Carlo theory, methods and examples", ch. 17). The estimate is the
-# mean of the replicate means and its error their standard error, which
-# itself is uncertain by about 1 / sqrt(2 (R - 1)), 18% at 16.
-_REPLICATES = 16
-
-# Points per block. A replicate is cut into blocks from its start; a block
-# is drawn and accumulated whole and batches hold whole blocks, so neither
-# the batch size nor the lane chunks move a bit of an estimate.
-_BLOCK = 8_192
-
 # Lanes per chunk of a batch. The tropical sampler draws and ranks, and the
 # simplex integrands evaluate their denominators and weights, one chunk at a
 # time, so that a chunk's rows stay in cache from one step to the next; a
@@ -173,70 +150,6 @@ _BATCH_SIZE = 2 * _SIMPLEX_LANES
 # 1, 3 or 43 columns wide; so unpadded, a lane's |Pf|^2 could move by an ulp
 # with the width of its chunk.
 _PANEL = 8
-
-# The random streams: "simplex" serves both simplex integrands.
-_METHOD_CODE = {"direct": 1, "simplex": 2, "feynman": 4}
-
-# Joe and Kuo's Sobol direction numbers (new-joe-kuo-6.21201), the first 64
-# dimensions, as in scipy's _sobol_direction_numbers.npz: per dimension the
-# primitive polynomial, its coefficients as bits with the leading one, and the
-# initial direction integers m_1..m_s (s its degree, 1 for the first two).
-_JOE_KUO = (
-    (1, (1,)), (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)), (19, (1, 1, 3, 3)),
-    (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)), (41, (1, 1, 5, 5, 5)),
-    (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)), (59, (1, 1, 1, 3, 11)),
-    (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)), (91, (1, 1, 1, 15, 21, 21)),
-    (97, (1, 3, 1, 13, 27, 49)), (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
-    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)),
-    (137, (1, 3, 7, 13, 13, 15, 69)), (143, (1, 1, 3, 13, 7, 35, 63)),
-    (145, (1, 3, 5, 9, 1, 25, 53)), (157, (1, 3, 1, 13, 9, 35, 107)),
-    (167, (1, 3, 1, 5, 27, 61, 31)), (171, (1, 1, 5, 11, 19, 41, 61)),
-    (185, (1, 3, 5, 3, 3, 13, 69)), (191, (1, 1, 7, 13, 1, 19, 1)),
-    (193, (1, 3, 7, 5, 13, 19, 59)), (203, (1, 1, 3, 9, 25, 29, 41)),
-    (211, (1, 3, 5, 13, 23, 1, 55)), (213, (1, 3, 7, 3, 13, 59, 17)),
-    (229, (1, 3, 1, 3, 5, 53, 69)), (239, (1, 1, 5, 5, 23, 33, 13)),
-    (241, (1, 1, 7, 7, 1, 61, 123)), (247, (1, 1, 7, 9, 13, 61, 49)),
-    (253, (1, 3, 3, 5, 3, 55, 33)), (285, (1, 3, 1, 15, 31, 13, 49, 245)),
-    (299, (1, 3, 5, 15, 31, 59, 63, 97)), (301, (1, 3, 1, 11, 11, 11, 77, 249)),
-    (333, (1, 3, 1, 11, 27, 43, 71, 9)), (351, (1, 1, 7, 15, 21, 11, 81, 45)),
-    (355, (1, 3, 7, 3, 25, 31, 65, 79)), (357, (1, 3, 1, 1, 19, 11, 3, 205)),
-    (361, (1, 1, 5, 9, 19, 21, 29, 157)), (369, (1, 3, 7, 11, 1, 33, 89, 185)),
-    (391, (1, 3, 3, 3, 15, 9, 79, 71)), (397, (1, 3, 7, 11, 15, 39, 119, 27)),
-    (425, (1, 1, 3, 1, 11, 31, 97, 225)), (451, (1, 1, 1, 3, 23, 43, 57, 177)),
-    (463, (1, 3, 7, 7, 17, 17, 37, 71)), (487, (1, 3, 1, 5, 27, 63, 123, 213)),
-    (501, (1, 1, 3, 5, 11, 43, 53, 133)), (529, (1, 3, 5, 5, 29, 17, 47, 173, 479)),
-    (539, (1, 3, 3, 11, 3, 1, 109, 9, 69)), (545, (1, 1, 1, 5, 17, 39, 23, 5, 343)),
-    (557, (1, 3, 1, 5, 25, 15, 31, 103, 499)), (563, (1, 1, 1, 11, 11, 17, 63, 105, 183)),
-    (601, (1, 1, 5, 11, 9, 29, 97, 231, 363)), (607, (1, 1, 5, 15, 19, 45, 41, 7, 383)),
-    (617, (1, 3, 7, 7, 31, 19, 83, 137, 221)), (623, (1, 1, 1, 3, 23, 15, 111, 223, 83)),
-    (631, (1, 1, 5, 13, 31, 15, 55, 25, 161)), (637, (1, 1, 3, 13, 25, 47, 39, 87, 257)),
-)
-
-# Binary digits of every Sobol coordinate: a point is an integer below 2^53
-# and its coordinate that integer times 2^-53, a double in [0, 1).
-_SOBOL_BITS = 53
-
-# Low index bits of a Sobol point taken from a per-replicate table (see
-# _Sobol.draw).
-_SOBOL_LOW = 7
-
-# Scramble words per Sobol coordinate: its matrix's rows, then its shift.
-_SCRAMBLE_WORDS = _SOBOL_BITS + 1
-
-# numpy's default_rng, which _scrambles reproduces: SeedSequence's hash
-# constants (INIT_A and MULT_A, INIT_B and MULT_B, MIX_MULT_L and
-# MIX_MULT_R) and the multiplier of PCG64's 128-bit LCG.
-_SEED_HASH_A = (0x43B0D7E5, 0x931E8875)
-_SEED_HASH_B = (0x8B51F9DD, 0x58F38DED)
-_SEED_MIX = (0xCA01F9DD, 0x4973F715)
-_PCG64_MULTIPLIER = 2549297995355413924 << 64 | 4865540595714422341
-
-# Scramble words computed at a time, per replicate (see _scrambles): a
-# temporary of _REPLICATES x 1 008 words stays below 128 KiB, which malloc
-# serves from its heap. A draw of 64 coordinates in one piece, its
-# temporaries mapped and faulted in afresh at every call, took over twice
-# as long. 18 coordinates (4 loops) take one piece.
-_JUMP_CHUNK = 1008
 
 
 @dataclass(frozen=True)
@@ -292,153 +205,6 @@ class _Accumulator:
         self.count = total
 
 
-@functools.cache
-def _hash_constants(init: int, multiplier: int, count: int) -> np.ndarray:
-    """init * multiplier^j mod 2^32 for j = 0 .. count, as a uint32 column:
-    SeedSequence's hash call i XORs its word with entry i and multiplies it
-    by entry i + 1, whatever the data."""
-    values = [init]
-    for _ in range(count):
-        values.append(values[-1] * multiplier & 0xFFFFFFFF)
-    return _read_only(np.array(values, dtype=np.uint32)[:, None])
-
-
-def _seed_states(seed: int, stream: str) -> np.ndarray:
-    """`SeedSequence([seed, code, r]).generate_state(4, np.uint64)` for every
-    replicate r (code the stream's _METHOD_CODE), as a (4, _REPLICATES)
-    array.
-
-    The entropy is the 32-bit words of seed (least significant first, one
-    word for 0), then code and r. SeedSequence hashes its first four words
-    into a pool, mixes every pool word into the others, mixes in the words
-    past the fourth, and hashes the pool into eight 32-bit words, read in
-    pairs as little-endian 64-bit words. Its hash constants follow the call
-    order alone, so each step runs on every replicate at once, in uint32
-    arithmetic, which wraps as the C code's does."""
-    words = []
-    while True:
-        words.append(seed & 0xFFFFFFFF)
-        seed >>= 32
-        if not seed:
-            break
-    entropy = np.empty((len(words) + 2, _REPLICATES), dtype=np.uint32)
-    entropy[:-2] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[-2] = _METHOD_CODE[stream]
-    entropy[-1] = np.arange(_REPLICATES)
-    constants = _hash_constants(*_SEED_HASH_A, 16 + 4 * max(len(entropy) - 4, 0))
-
-    def hashed(values, call, count):  # hash calls call .. call + count - 1
-        out = values ^ constants[call : call + count]
-        out *= constants[call + 1 : call + count + 1]
-        out ^= out >> 16
-        return out
-
-    def mixed(x, y):
-        out = x * _SEED_MIX[0]
-        out -= y * _SEED_MIX[1]
-        out ^= out >> 16
-        return out
-
-    pool = np.zeros((4, _REPLICATES), dtype=np.uint32)
-    pool[: len(entropy)] = entropy[:4]
-    pool = hashed(pool, 0, 4)
-    call = 4
-    for source in range(4):
-        others = [i for i in range(4) if i != source]
-        pool[others] = mixed(pool[others], hashed(pool[source], call, 3))
-        call += 3
-    for word in entropy[4:]:
-        pool = mixed(pool, hashed(word, call, 4))
-        call += 4
-    final = _hash_constants(*_SEED_HASH_B, 8)
-    state = np.concatenate((pool, pool)) ^ final[:8]
-    state *= final[1:]
-    state ^= state >> 16
-    state = state.astype(np.uint64)
-    return state[0::2] | state[1::2] << 32
-
-
-@functools.cache
-def _pcg64_jumps() -> np.ndarray:
-    """PCG64's jump to each scramble word a replicate can draw, as 16-bit
-    limbs: column k holds M^(k+2) and sum_{j < k+2} M^j mod 2^128 (M the
-    LCG multiplier), row 2i limb i of the first and row 2i + 1 limb i of
-    the second, for k < _SCRAMBLE_WORDS len(_JOE_KUO)."""
-    count = _SCRAMBLE_WORDS * len(_JOE_KUO)
-    power, total = _PCG64_MULTIPLIER**2 % 2**128, 1 + _PCG64_MULTIPLIER
-    raw = bytearray()
-    for _ in range(count):
-        raw += power.to_bytes(16, "little") + total.to_bytes(16, "little")
-        total = (total + power) % 2**128
-        power = power * _PCG64_MULTIPLIER % 2**128
-    limbs = np.frombuffer(bytes(raw), dtype="<u2").reshape(count, 2, 8)
-    return _read_only(limbs.transpose(2, 1, 0).reshape(16, count))
-
-
-def _scrambles(seed: int, stream: str, dim: int) -> np.ndarray:
-    """The scramble words of every replicate of an estimate, as a
-    (_REPLICATES, _SCRAMBLE_WORDS dim) uint64 array: row r holds the words
-    that numpy's `default_rng([seed, code, r])` (code the stream's
-    _METHOD_CODE) draws with `.integers(0, 2**53, size=(dim, 53),
-    dtype=np.uint64)` and then `.integers(0, 2**53, size=dim,
-    dtype=np.uint64)`, bit for bit, computed without numpy.random.
-
-    default_rng seeds PCG64 (XSL-RR 128/64, O'Neill 2014) with the words
-    v0..v3 of _seed_states: state s = v0 2^64 + v1 and increment
-    I = 2 (v2 2^64 + v3) + 1. Seeding steps the state x -> M x + I from 0,
-    adds s and steps again, and each draw steps once and outputs
-    rotr(hi ^ lo, hi >> 58) of the state's 64-bit halves. So word k comes
-    from state M^(k+2) P + (sum_{j < k+2} M^j) I mod 2^128, with P = s + I,
-    and every word of all replicates is one jump (see _pcg64_jumps). A draw
-    below 2^53 is Lemire's bounded draw: next64 * 2^53 / 2^64, rejected
-    where the product's low half falls below (2^64 - 2^53) mod 2^53 = 0,
-    so never, and the word is next64 >> 11.
-
-    The jump products run in float64 matmuls, exactly: with the jumps in
-    16-bit limbs and P and I in 32-bit windows at 16-bit steps, the 32-bit
-    digit d of the state is a sum of at most 16 integer terms below 2^48,
-    so every partial sum is an integer below 2^52, whatever the order of
-    summation. Carrying the digits gives the state's 64-bit halves."""
-    _require_sobol_dims(dim)
-    count = _SCRAMBLE_WORDS * dim
-    values = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*_seed_states(seed, stream).tolist()):
-        increment = ((i_hi << 64 | i_lo) << 1 | 1) % 2**128
-        values += [((s_hi << 64 | s_lo) + increment) % 2**128, increment]
-    raw = b"".join(value.to_bytes(16, "little") for value in values)
-    limbs = np.zeros((_REPLICATES, 2, 10))
-    limbs[:, :, 1:9] = np.frombuffer(raw, dtype="<u2").reshape(_REPLICATES, 2, 8)
-    # the 32-bit windows of P and I at bits 16m, m = -1 .. 7 (at index m + 1)
-    windows = limbs[:, :, :-1] + 65536.0 * limbs[:, :, 1:]
-    # digit d takes limb i of a jump times the window at bit 32d - 16i
-    factors = [
-        windows[:, :, 2 * d + 1 :: -1].transpose(0, 2, 1).reshape(_REPLICATES, -1) for d in range(4)
-    ]
-    words = np.empty((_REPLICATES, count), dtype=np.uint64)
-    for start in range(0, count, _JUMP_CHUNK):
-        stop = min(start + _JUMP_CHUNK, count)
-        jumps = _pcg64_jumps()[:, start:stop].astype(np.float64)
-        d0, d1, d2, d3 = ((f @ jumps[: f.shape[1]]).astype(np.uint64) for f in factors)
-        lo = d1 << 32
-        lo += d0
-        d0 >>= 32
-        d0 += d1
-        d0 >>= 32  # the carry out of the low half
-        hi = d3 << 32
-        hi += d2
-        hi += d0
-        lo ^= hi
-        hi >>= 58
-        out = words[:, start:stop]
-        np.right_shift(lo, hi, out=out)
-        np.subtract(64, hi, out=hi)
-        hi &= 63
-        lo <<= hi
-        out |= lo
-        out >>= 11
-    return words
-
-
 def _pieces(lo: int, hi: int, width: int):
     """Lanes lo..hi as consecutive (lo, hi) pieces of at most `width` lanes,
     none of them one lane wide unless all of them are: numpy multiplies by a
@@ -456,142 +222,11 @@ def _pieces(lo: int, hi: int, width: int):
         yield lo, hi
 
 
-def _lane_chunks(count: int):
-    """Slices of at most `_SIMPLEX_LANES` lanes covering range(count), as _pieces cuts it."""
-    return (slice(lo, hi) for lo, hi in _pieces(0, count, _SIMPLEX_LANES))
-
-
 def _largest_batch(cfg: IntegrationConfig) -> int:
     """Points in the largest batch a simplex estimate or the Feynman check
     on cfg can have: a batch holds at most _BATCH_SIZE points, or one block
     where a block is larger."""
     return min(max(_BATCH_SIZE, _BLOCK), cfg.n_samples)
-
-
-def _plan(cfg: IntegrationConfig, stream: str, dim: int, batch_size: int):
-    """The batches of an estimate on cfg, yielded one by one, each a list of
-    blocks (replicate r, its stream, its size, lo, hi) for its points lo..hi.
-    Replicate r holds n_samples // R points, one more when r < n_samples % R,
-    and is cut every _BLOCK points from its start; its stream is the one
-    scrambled Sobol sequence of `dim` coordinates (see _Sobol) under row r
-    of _scrambles(seed, stream, dim), drawn for all replicates at once. A
-    batch takes the next blocks while their points fit in `batch_size`, and
-    at least one."""
-    base, extra = divmod(cfg.n_samples, _REPLICATES)
-    scrambles = _scrambles(cfg.seed, stream, dim)
-    batch, count = [], 0
-    for r in range(_REPLICATES):
-        size = base + (r < extra)
-        sobol = _Sobol(scrambles[r], dim, size)
-        for lo in range(0, size, _BLOCK):
-            hi = min(lo + _BLOCK, size)
-            if batch and count + hi - lo > batch_size:
-                yield batch
-                batch, count = [], 0
-            batch.append((r, sobol, size, lo, hi))
-            count += hi - lo
-    yield batch
-
-
-@functools.cache
-def _direction_numbers() -> np.ndarray:
-    """The Sobol direction numbers v[j, k] of the dimensions j of _JOE_KUO,
-    for the index bits k < _SOBOL_BITS, as integers m_k 2^(B - 1 - k) (B =
-    _SOBOL_BITS). m_k follows Bratley and Fox's recurrence from Joe and
-    Kuo's m_1..m_s; the first dimension is van der Corput's, m_k = 1."""
-    bits = _SOBOL_BITS
-    rows = []
-    for poly, initial in _JOE_KUO:
-        degree = poly.bit_length() - 1
-        m = [1] * bits if degree == 0 else list(initial)
-        while len(m) < bits:
-            k = len(m)
-            new = m[k - degree] ^ (m[k - degree] << degree)
-            for i in range(1, degree):
-                if poly >> (degree - i) & 1:
-                    new ^= m[k - i] << i
-            m.append(new)
-        rows.append([mk << (bits - 1 - k) for k, mk in enumerate(m)])
-    return _read_only(np.array(rows, dtype=np.uint64))
-
-
-def _trailing_zeros(t: np.ndarray) -> np.ndarray:
-    """The number of trailing zero bits of each positive int64 in t."""
-    return np.bitwise_count((t & -t) - 1)
-
-
-def _require_sobol_dims(dim: int) -> None:
-    if dim > len(_JOE_KUO):
-        raise UnsupportedTopology(
-            f"scrambled Sobol points have at most {len(_JOE_KUO)} coordinates; "
-            f"this needs {dim}"
-        )
-
-
-class _Sobol:
-    """One replicate's scrambled Sobol sequence in `dim` dimensions, drawn
-    with numpy alone.
-
-    Point i is the XOR of the direction numbers at the set bits of its Gray
-    code i ^ (i >> 1), the order scipy draws in. The direction numbers are
-    scrambled by a random lower-triangular binary matrix per dimension
-    (each digit of a number gains a random sum of the more significant
-    ones) and every point is XORed with a random digital shift: Matousek's
-    linear matrix scramble and shift (Owen, ch. 17), read from `words`, the
-    replicate's row of _scrambles: the dim x 53 matrix rows, then the dim
-    shifts. So each point is uniform on [0, 1)^dim, the first 2^k points
-    still form a (t, k, dim)-net, and a point depends on the words and its
-    index alone. Only the direction numbers that the first `count` points
-    use are scrambled. With words None the points are the unscrambled
-    sequence.
-    """
-
-    def __init__(self, words: np.ndarray | None, dim: int, count: int):
-        _require_sobol_dims(dim)
-        one = np.uint64(1)
-        digits = np.arange(_SOBOL_BITS, dtype=np.uint64)
-        # row b of the matrix: digit b and random digits above it
-        if words is None:
-            words = np.zeros(_SCRAMBLE_WORDS * dim, dtype=np.uint64)
-        rows = words[: _SOBOL_BITS * dim].reshape(dim, _SOBOL_BITS) & ~((one << (digits + one)) - one)
-        rows |= one << digits
-        self.shift = words[_SOBOL_BITS * dim :]
-        width = max(_SOBOL_LOW, (count - 1).bit_length())
-        direction = _direction_numbers()[:dim, :width]
-        # digit b of a scrambled number: the parity of row b AND the number;
-        # the digits sum exactly in float64, being distinct powers of two
-        parity = np.bitwise_count(rows & direction.T[:, :, None]) & np.uint8(1)
-        self.v = np.ascontiguousarray((parity @ 2.0 ** np.arange(_SOBOL_BITS)).T.astype(np.uint64))
-        # the unshifted points 0 .. 2^L - 1 (L = _SOBOL_LOW)
-        self.low = np.zeros((dim, 1 << _SOBOL_LOW), dtype=np.uint64)
-        steps = self.v[:, _trailing_zeros(np.arange(1, 1 << _SOBOL_LOW))]
-        np.bitwise_xor.accumulate(steps, axis=1, out=self.low[:, 1:])
-
-    def draw(self, start: int, out: np.ndarray) -> None:
-        """The first k coordinates of points start .. start + w - 1 into the
-        columns of out (k, w). The Gray code is linear over aligned blocks:
-        gray(a + j) = gray(a) ^ gray(j) when a is a multiple of 2^L and
-        j < 2^L, so point a + j is the point at a XOR the table entry j.
-        From one block start to the next the Gray code changes in bit L - 1
-        and in bit L + (trailing zeros of the next block's number), so the
-        block starts follow by one cumulative XOR."""
-        low = _SOBOL_LOW
-        k, w = out.shape
-        v = self.v[:k]
-        first, last = start >> low, (start + w - 1) >> low
-        starts = np.empty((k, last - first + 1), dtype=np.uint64)
-        index = first << low
-        gray = index ^ index >> 1
-        starts[:, 0] = self.shift[:k]
-        for b in range(gray.bit_length()):
-            if gray >> b & 1:
-                starts[:, 0] ^= v[:, b]
-        blocks = np.arange(first + 1, last + 1)
-        np.bitwise_xor(v[:, _trailing_zeros(blocks) + low], v[:, low - 1, None], out=starts[:, 1:])
-        np.bitwise_xor.accumulate(starts, axis=1, out=starts)
-        points = np.bitwise_xor(starts[:, :, None], self.low[:k, None, :]).reshape(k, -1)
-        offset = start - (first << low)
-        np.multiply(points[:, offset : offset + w], 2.0**-_SOBOL_BITS, out=out)
 
 
 class _Arena(threading.local):
@@ -769,7 +404,7 @@ def _simplex_batches(cfg: IntegrationConfig, dim: int, stream: str, tropical, re
     q), runs): the points (B, N), the log of the mixture density, None
     without a tropical sampler, and the (replicate, lanes) of the uniform
     and the tropical part of each of the batch's blocks, block by block (see
-    _plan and _mean).
+    rqmc.Plan and _mean).
 
     Replicate r's stream has dimension N, or 2N - 2 with a tropical sampler;
     its sample i is its point i. Its first `_UNIFORM_SHARE` of samples (all
@@ -780,26 +415,27 @@ def _simplex_batches(cfg: IntegrationConfig, dim: int, stream: str, tropical, re
 
     A batch lays the uniform parts of its blocks end to end, then their
     tropical parts, so that every step runs over whole lane chunks however
-    small the replicates are. It is drawn one lane chunk at a time into
-    `regions`, the caller's flat regions of the `_draw_shapes` at the
-    largest batch, and holds only until the next batch is drawn.
+    small the replicates are. It is drawn into `regions`, the caller's flat
+    regions of the `_draw_shapes` at the largest batch, the tropical
+    uniforms one lane chunk at a time, and holds only until the next batch
+    is drawn.
     """
     width = dim if tropical is None else 2 * dim - 2
-    for batch in _plan(cfg, stream, width, _BATCH_SIZE):
+    plan = Plan(cfg.n_samples, cfg.seed, stream, width)
+    for batch in plan.batches(_BATCH_SIZE):
         blocks = len(batch)
-        uniform, drawn = [], []  # (replicate, stream, its points a..b, uniform share)
-        for r, sobol, size, lo, hi in batch:
+        uniform, drawn, shares = [], [], []  # (replicate, its points a..b); uniform share
+        for r, size, lo, hi in batch:
             n_uniform = size if tropical is None else int(size * _UNIFORM_SHARE)
             cut = min(max(lo, n_uniform), hi)
-            uniform.append((r, sobol, lo, cut, n_uniform / size))
-            drawn.append((r, sobol, cut, hi, n_uniform / size))
+            uniform.append((r, lo, cut))
+            drawn.append((r, cut, hi))
+            shares.append(n_uniform / size)
         parts = uniform + drawn
-        starts = list(itertools.accumulate((b - a for _, _, a, b, _ in parts), initial=0))
+        starts = list(itertools.accumulate((b - a for _, a, b in parts), initial=0))
         count, split = starts[-1], starts[blocks]  # the tropical parts start at split
         columns = _view(regions[0], dim, count)
-        for (_, sobol, a, b, _), start in zip(parts[:blocks], starts):
-            for p, q in _pieces(a, b, _SIMPLEX_LANES):
-                sobol.draw(p, columns[:, start + p - a : start + q - a])
+        plan.draw(uniform, 0, split, columns[:, :split])
         runs = [
             (parts[i][0], slice(starts[i], starts[i + 1]))
             for block in range(blocks)
@@ -807,26 +443,22 @@ def _simplex_batches(cfg: IntegrationConfig, dim: int, stream: str, tropical, re
             if starts[i + 1] > starts[i]
         ]
         log_q = None if tropical is None else _view(regions[1], count)
-        for lanes in _lane_chunks(split):
-            points = columns[:, lanes]
+        for lo, hi in _pieces(0, split, _SIMPLEX_LANES):  # the uniform lane chunks
+            points = columns[:, lo:hi]
             np.negative(points, out=points)
             np.log1p(points, out=points)
             points /= points.sum(axis=0)
             if tropical is not None:
-                log_q[lanes] = tropical.log_f(points)
+                log_q[lo:hi] = tropical.log_f(points)
         if tropical is None:
             yield (columns.T, None), runs
             continue
-        for lanes in _lane_chunks(count - split):
-            lo, hi = split + lanes.start, split + lanes.stop
+        for lo, hi in _pieces(split, count, _SIMPLEX_LANES):  # the tropical lane chunks
             u = _view(regions[2], width, hi - lo)
-            for (_, sobol, a, b, _), start in zip(parts[blocks:], starts[blocks:]):
-                first, last = max(start, lo), min(start + b - a, hi)
-                if first < last:
-                    sobol.draw(a + first - start, u[:, first - lo : last - lo])
+            plan.draw(drawn, lo - split, hi - split, u)
             log_q[lo:hi] = tropical.draw(u, columns[:, lo:hi])
         # one share per replicate size, two sizes at most: few runs of lanes
-        for share, group in itertools.groupby(zip(parts, starts, starts[1:]), lambda x: x[0][4]):
+        for share, group in itertools.groupby(zip(shares * 2, starts, starts[1:]), lambda x: x[0]):
             group = list(group)
             tropical.mixture(log_q[group[0][1] : group[-1][2]], share)
         yield (columns.T, log_q), runs
@@ -968,15 +600,15 @@ def _simplex_estimates(g: Graph, cfg: IntegrationConfig, methods=("parametric", 
             points, log_q = draw
             values = {method: _view(weights_at[method], len(points)) for method in running}
             refused = {}
-            for lanes in _lane_chunks(len(points)):
-                chunk = points[lanes]
-                q = None if log_q is None else log_q[lanes]
+            for lo, hi in _pieces(0, len(points), _SIMPLEX_LANES):
+                chunk = points[lo:hi]
+                q = None if log_q is None else log_q[lo:hi]
                 first = None  # the denominators of the first method still running
                 for method in running:
                     if method in refused:
                         continue
                     begin = time.perf_counter()
-                    out = values[method][lanes]
+                    out = values[method][lo:hi]
                     try:
                         denominators[method](chunk, out, own[method])
                     except TwistampError as exc:
@@ -1335,12 +967,6 @@ def _tree_channels(g: Graph) -> tuple:
     return np.array(maps), np.array(offsets), np.array(chords)
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """The array, marked read-only."""
-    array.flags.writeable = False
-    return array
-
-
 class _Memo(dict):
     """The pieces of a prepared problem built so far, by name, and the lock
     held while one of them is built, so that threads racing on one graph
@@ -1451,7 +1077,7 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
     degree n), so g loses no precision to cancellation.
 
     The sampler is that of the simplex estimates: replicates of a scrambled
-    Sobol sequence, cut into blocks (see _plan), here of dimension 1 + 4n.
+    Sobol sequence, cut into blocks (see rqmc.Plan), here of dimension 1 + 4n.
     Coordinate 0 of a point picks its channel as floor(u T_count); it is the
     van der Corput coordinate, so the channels are close to evenly filled in
     every aligned block of 2^k points. Coordinates 1 + 4k .. 4 + 4k give
@@ -1538,15 +1164,16 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
             log_w -= log_g
 
         def log_weights():
-            for blocks in _plan(cfg, "direct", dim, _BLOCK):
+            plan = Plan(cfg.n_samples, cfg.seed, "direct", dim)
+            for blocks in plan.batches(_BLOCK):
                 count = sum(hi - lo for *_, lo, hi in blocks)
                 chords = _view(chords_at, 4, n, count)
                 runs, per_channel = [], []
                 stop = 0
-                for r, sobol, _, lo, hi in blocks:
+                for r, _, lo, hi in blocks:
                     # the block's chord draws, of unit scale, sorted by channel
                     points = _view(points_at, dim, hi - lo)
-                    sobol.draw(lo, points)
+                    plan.draw([(r, lo, hi)], 0, hi - lo, points)
                     order, counts = _by_channel(points[0], n_trees)
                     uniforms = points[1:].reshape(n, 4, hi - lo)
                     _student_t(uniforms, nu, _view(draw_at, 2, n, hi - lo))
@@ -1771,8 +1398,8 @@ def feynman_trick_check(values, cfg: IntegrationConfig | None = None) -> Feynman
         raise ValidationError("all values must be finite")
     if any(not v > 0 for v in A):
         raise ValidationError("all values must be strictly positive")
-    if len(A) > len(_JOE_KUO):
-        raise ValidationError(f"at most {len(_JOE_KUO)} values can be checked")
+    if len(A) > _MAX_DIM:
+        raise ValidationError(f"at most {_MAX_DIM} values can be checked")
     lhs = 1.0 / math.prod(A)
     if not 0.0 < lhs < math.inf:
         raise PrecisionError("1 / prod A is not a positive finite double")

@@ -295,17 +295,25 @@ def test_pfaffian_matches_parametric():
     assert _combined_gap(par.estimate, pf.estimate, par.std_error, pf.std_error) < 3
 
 
-def test_batched_pfaffian_matches_scalar():
-    from twistamp import pfaffian_numeric
-    from twistamp.algebra import _parlett_reid_batch
+def test_pfaffian_numeric_runs_the_kernel_on_the_antisymmetric_part():
+    # pfaffian_numeric is the Parlett-Reid kernel, bit for bit, on an
+    # antisymmetric matrix, on one within its tolerance of antisymmetry
+    # (whose antisymmetric part it takes) and on an AlternatingForm
+    from twistamp import AlternatingForm, pfaffian_numeric
+    from twistamp.algebra import _parlett_reid
     from conftest import random_antisymmetric
 
     rng = np.random.default_rng(17)
     for dim in (2, 4, 6, 8):
-        mats = np.stack([random_antisymmetric(rng, dim) for _ in range(50)])
-        batch = _parlett_reid_batch(mats)
-        for mat, value in zip(mats, batch):
-            assert value == pytest.approx(pfaffian_numeric(mat), rel=1e-10)
+        for _ in range(50):
+            mat = random_antisymmetric(rng, dim)
+            assert pfaffian_numeric(mat) == _parlett_reid(mat)
+            near = mat + 1e-14 * np.abs(mat).max() * rng.standard_normal((dim, dim))
+            assert pfaffian_numeric(near) == _parlett_reid((near - near.T) / 2.0)
+    third = Fraction(1, 3)
+    form = AlternatingForm([[0, 2, -1, 0], [-2, 0, 0, third], [1, 0, 0, 5], [0, -third, -5, 0]])
+    assert pfaffian_numeric(form) == _parlett_reid(form.to_numpy())
+    assert pfaffian_numeric(form) == pytest.approx(2 * 5 + 1 / 3, rel=1e-15)
 
 
 def test_pfaffian_integrand_matches_symbolic_pipeline():
@@ -314,18 +322,18 @@ def test_pfaffian_integrand_matches_symbolic_pipeline():
     sym = second_symanzik(g)
     forms = propagator_forms(g)
     stack = np.stack([f.to_numpy() for f in forms])
-    from twistamp.algebra import _parlett_reid_batch
+    from twistamp.algebra import _parlett_reid
 
     rng = np.random.default_rng(0)
     points = rng.dirichlet(np.ones(4), size=100)
-    pf_vals = _parlett_reid_batch(np.einsum("be,eij->bij", points, stack))
+    pf_vals = map(_parlett_reid, np.einsum("be,eij->bij", points, stack))
     for a, pf in zip(points, pf_vals):
         s2 = complex(sym.s2.evaluate(a))
         assert abs(pf) ** 2 == pytest.approx(abs(s2) ** 2, rel=1e-10)
 
 
 def test_pfaffian_kernel_against_exact_and_determinant_oracles():
-    from twistamp.algebra import _parlett_reid_batch
+    from twistamp.algebra import _parlett_reid
 
     # exact oracle: the matching expansion of Pf(sum_e a_e Q_e), signs included
     rnd = random.Random(71)
@@ -343,11 +351,11 @@ def test_pfaffian_kernel_against_exact_and_determinant_oracles():
             weights = [random_positive_fraction(rnd) for _ in forms]
             points.append([w / sum(weights) for w in weights])
         mats = np.einsum("be,eij->bij", np.array(points, dtype=float), stack)
-        for point, value in zip(points, _parlett_reid_batch(mats)):
+        for point, value in zip(points, map(_parlett_reid, mats)):
             exact = complex(pf_exact.evaluate(point))
             assert abs(value - exact) <= 1e-12 * abs(exact)
 
-    # |Pf|^2 = |det| on random batches
+    # |Pf|^2 = |det| on random matrices, none of them written
     rng = np.random.default_rng(72)
     for dim, size in ((4, 8195), (6, 3643), (8, 2051), (10, 1313)):
         m = rng.standard_normal((size, dim, dim)) + 1j * rng.standard_normal((size, dim, dim))
@@ -356,7 +364,7 @@ def test_pfaffian_kernel_against_exact_and_determinant_oracles():
         singular = size // 2 + 1
         mats[singular, 3, :] = mats[singular, :, 3] = 0.0  # dies mid-elimination
         before = mats.copy()
-        pf = _parlett_reid_batch(mats)
+        pf = np.array([_parlett_reid(mat) for mat in mats])
         assert np.array_equal(mats, before)
         assert pf[singular] == 0
         others = np.arange(size) != singular
@@ -367,14 +375,6 @@ def test_pfaffian_kernel_against_exact_and_determinant_oracles():
             a = mats
             formula = a[:, 0, 1] * a[:, 2, 3] - a[:, 0, 2] * a[:, 1, 3] + a[:, 0, 3] * a[:, 1, 2]
             np.testing.assert_allclose(pf, formula, rtol=1e-12, atol=0)
-        # the dead lane leaves its neighbours bit-for-bit alone
-        mats[singular] = before[singular - 1]
-        assert np.array_equal(_parlett_reid_batch(mats)[others], pf[others])
-
-    # a batch of one must not write through to the caller's matrix
-    single = before[:1].copy()
-    _parlett_reid_batch(single)
-    assert np.array_equal(single, before[:1])
 
 
 def _block_pfaffians(rows, n):
@@ -388,7 +388,7 @@ def _block_pfaffians(rows, n):
 
 
 def test_block_pfaffian_matches_parlett_reid():
-    from twistamp.algebra import _parlett_reid_batch
+    from twistamp.algebra import _parlett_reid
     from twistamp.integrate import _SIMPLEX_LANES, _block_table
 
     rnd = random.Random(74)
@@ -407,7 +407,7 @@ def test_block_pfaffian_matches_parlett_reid():
         )
         forms = propagator_forms(g)
         stack = np.stack([f.to_numpy() for f in forms])
-        general = _parlett_reid_batch(np.einsum("be,eij->bij", points, stack))
+        general = np.array([_parlett_reid(mat) for mat in np.einsum("be,eij->bij", points, stack)])
         rows = _block_table([f.form for f in forms], n).T @ points.T
         block = _block_pfaffians(rows, n)
         assert block.shape == (size,)
@@ -799,25 +799,30 @@ def test_accumulator_keeps_a_spread_far_below_the_mean():
     assert acc.mean == pytest.approx(math.fsum(values) / len(values), rel=1e-15)
 
 
-def test_sobol_points_are_scipys_and_the_direction_numbers_its_table():
-    # the embedded Joe-Kuo rows are scipy's, and the unscrambled points
-    # 0 .. 2^k - 1 are scipy's in every dimension N or 2N - 2 up to 4 loops
+def test_sobol_points_are_scipys_and_the_direction_numbers_its_table(monkeypatch):
+    # the embedded Joe-Kuo rows are scipy's, and with all-zero scramble words
+    # a plan's points 0 .. 2^k - 1 are scipy's unscrambled ones in every
+    # dimension N or 2N - 2 up to 4 loops, each read from another replicate
     from pathlib import Path
 
     import scipy.stats._qmc
     from scipy.stats import qmc
 
-    from twistamp.integrate import _JOE_KUO, _Sobol
+    from twistamp import rqmc
 
     table = np.load(Path(scipy.stats._qmc.__file__).with_name("_sobol_direction_numbers.npz"))
-    for j, (poly, initial) in enumerate(_JOE_KUO):
+    for j, (poly, initial) in enumerate(rqmc._JOE_KUO):
         row = np.zeros(table["vinit"].shape[1], dtype=np.int64)
         row[: len(initial)] = initial
         assert poly == table["poly"][j] and np.array_equal(row, table["vinit"][j]), j
+    monkeypatch.setattr(
+        rqmc, "_scrambles", lambda seed, stream, dim: np.zeros((16, 54 * dim), dtype=np.uint64)
+    )
     k = 10
     for dim in range(2, 19):
+        plan = rqmc.Plan(16 << k, 0, "simplex", dim)
         points = np.empty((dim, 1 << k))
-        _Sobol(None, dim, 1 << k).draw(0, points)
+        plan.draw([(dim % 16, 0, 1 << k)], 0, 1 << k, points)
         expect = qmc.Sobol(dim, scramble=False).random_base2(k)
         assert set(map(tuple, points.T.tolist())) == set(map(tuple, expect.tolist())), dim
 
@@ -828,7 +833,7 @@ def test_scramble_words_are_default_rngs_draws():
     # entropies of three to six (SeedSequence mixes the words past the
     # fourth in apart), every stream and up to the 64 coordinates of the
     # direction numbers
-    from twistamp.integrate import _METHOD_CODE, _REPLICATES, _scrambles
+    from twistamp.rqmc import _METHOD_CODE, _REPLICATES, _scrambles
 
     for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**100 + 3):
         for stream, code in _METHOD_CODE.items():
@@ -854,14 +859,17 @@ def test_scramble_words_are_default_rngs_draws():
 
 
 def test_scrambled_sobol_points_are_nets_wherever_the_draws_are_cut():
-    from twistamp.integrate import _scrambles, _Sobol
+    from twistamp.rqmc import Plan
 
     k, count = 10, 3_000
     for dim in (4, 18):
-        scrambles = _scrambles(dim, "simplex", dim)
-        sobol = _Sobol(scrambles[0], dim, count)
+        plan = Plan(16 * count, dim, "simplex", dim)
+
+        def draw(r, lo, out):
+            plan.draw([(r, lo, lo + out.shape[1])], 0, out.shape[1], out)
+
         whole = np.empty((dim, count))
-        sobol.draw(0, whole)
+        draw(0, 0, whole)
         # the scramble keeps the net: each coordinate of the first 2^k points
         # falls once in each interval [i, i + 1) / 2^k
         for row in whole[:, : 1 << k]:
@@ -869,15 +877,51 @@ def test_scrambled_sobol_points_are_nets_wherever_the_draws_are_cut():
         cuts = (0, 1, 127, 128, 129, 1_000, count - 1, count)
         pieces = np.empty((dim, count))
         for lo, hi in zip(cuts, cuts[1:]):
-            sobol.draw(lo, pieces[:, lo:hi])
+            draw(0, lo, pieces[:, lo:hi])
         assert np.array_equal(pieces, whole)
         # the first coordinates alone, as the uniform part draws them
         first = np.empty((3, 300))
-        sobol.draw(1_000, first)
+        draw(0, 1_000, first)
         assert np.array_equal(first, whole[:3, 1_000:1_300])
         other = np.empty((dim, count))
-        _Sobol(scrambles[1], dim, count).draw(0, other)
+        draw(1, 0, other)
         assert not np.isin(other, whole).any()
+
+
+def test_a_plan_draws_any_cut_of_parts_across_replicates():
+    # lanes lo..hi of parts of several replicates, laid end to end, equal the
+    # parts drawn whole, and those the slices of their replicates drawn
+    # whole: cuts at part boundaries and inside parts, one-lane runs, and an
+    # out of fewer rows than the plan's dimension
+    from twistamp.rqmc import Plan
+
+    dim = 10
+    plan = Plan(16 * 3_000 + 5, 3, "simplex", dim)  # replicates 0..4 hold 3 001
+    assert plan.sizes == [3_001] * 5 + [3_000] * 11
+    replicates = {}
+    for r in (0, 3, 7, 15):
+        replicates[r] = np.empty((dim, plan.sizes[r]))
+        plan.draw([(r, 0, plan.sizes[r])], 0, plan.sizes[r], replicates[r])
+    parts = [(0, 0, 300), (3, 128, 1_000), (7, 2_999, 3_000), (15, 500, 2_500), (3, 0, 1)]
+    expect = np.concatenate([replicates[r][:, a:b] for r, a, b in parts], axis=1)
+    whole = []
+    for part in parts:
+        out = np.empty((dim, part[2] - part[1]))
+        plan.draw([part], 0, out.shape[1], out)
+        whole.append(out)
+    assert np.array_equal(np.concatenate(whole, axis=1), expect)
+    total = expect.shape[1]
+    starts = list(itertools.accumulate((b - a for _, a, b in parts), initial=0))
+    inside = [7, 129, 300 + 500, total - 1]
+    one_lane = [1_300, 1_301, 2_000, 2_001]
+    fine = sorted(set(starts + inside + one_lane))
+    across = [0, 150, 1_301, total]  # runs over several parts
+    for cuts in (fine, across, [0, total]):
+        for rows in (dim, 3):
+            out = np.full((rows, total), np.nan)
+            for lo, hi in zip(cuts, cuts[1:]):
+                plan.draw(parts, lo, hi, out[:, lo:hi])
+            assert np.array_equal(out, expect[:rows]), (cuts, rows)
 
 
 def test_radii_invert_the_student_t_radius_cdf():
@@ -901,11 +945,12 @@ def test_chord_draws_are_radii_times_unit_directions():
     # |y| is the radius of _radii, and over Sobol points the direction has
     # the moments of the uniform S^3: mean 0, second moments I / 4, and
     # fourth powers averaging 3 / (4 * 6) = 1/8
-    from twistamp.integrate import _radii, _scrambles, _Sobol, _student_t
+    from twistamp.integrate import _radii, _student_t
+    from twistamp.rqmc import Plan
 
     n, w = 3, 1 << 12
     u = np.empty((n, 4, w))
-    _Sobol(_scrambles(5, "direct", 4 * n)[0], 4 * n, w).draw(0, u.reshape(4 * n, w))
+    Plan(16 * w, 5, "direct", 4 * n).draw([(0, 0, w)], 0, w, u.reshape(4 * n, w))
     for nu in (1.0, 2.0 / 3.0):
         y = u.copy()
         radius = y[:, 0].copy()
@@ -926,13 +971,14 @@ def test_channels_fill_every_aligned_block_nearly_evenly():
     # points to within 2 (each channel gains or loses at most one point at
     # either end of its interval), and exactly 2^k / T where T divides 2^k.
     # The lanes come out grouped by channel in their own order.
-    from twistamp.integrate import _by_channel, _scrambles, _Sobol
+    from twistamp.integrate import _by_channel
+    from twistamp.rqmc import Plan
 
-    scrambles = _scrambles(0, "direct", 5)
+    plan = Plan(16 << 13, 0, "direct", 5)
     for n_trees in (4, 9, 117):
         for r in range(4):
             u = np.empty((1, 1 << 13))
-            _Sobol(scrambles[r], 5, u.shape[1]).draw(0, u)
+            plan.draw([(r, 0, 1 << 13)], 0, 1 << 13, u)
             for k in (7, 10, 13):
                 for start in range(0, u.shape[1], 1 << k):
                     block = u[0, start : start + (1 << k)]
@@ -1537,25 +1583,25 @@ def test_the_direct_workspace_does_not_follow_the_batch_size(monkeypatch):
 
 
 def test_an_estimate_builds_one_sobol_stream_per_replicate(monkeypatch):
-    # at 400 000 samples a replicate holds 25 000 points, four blocks, which
-    # the plan spreads over two simplex batches or four direct ones
+    # one plan per estimate holds every replicate's stream: at 400 000
+    # samples a replicate holds 25 000 points, four blocks, which the plan
+    # spreads over two simplex batches or four direct ones
     import twistamp.integrate as integrate
+    from twistamp.rqmc import _REPLICATES, Plan
 
     built, batches = [], []
-    plan = integrate._plan
 
-    class Counted(integrate._Sobol):
-        def __init__(self, words, dim, count):
-            built.append((dim, count))
-            super().__init__(words, dim, count)
+    class Counted(Plan):
+        def __init__(self, n_samples, seed, stream, dim):
+            super().__init__(n_samples, seed, stream, dim)
+            built.append((dim, self.sizes))
 
-    def recorded(*args):
-        for batch in plan(*args):
-            batches.append([r for r, *_ in batch])
-            yield batch
+        def batches(self, batch_size):
+            for batch in super().batches(batch_size):
+                batches.append([r for r, *_ in batch])
+                yield batch
 
-    monkeypatch.setattr(integrate, "_Sobol", Counted)
-    monkeypatch.setattr(integrate, "_plan", recorded)
+    monkeypatch.setattr(integrate, "Plan", Counted)
     g = with_random_kinematics(bowtie, random.Random(89))
     cfg = IntegrationConfig(n_samples=400_000, seed=0)
     runs = [
@@ -1569,8 +1615,8 @@ def test_an_estimate_builds_one_sobol_stream_per_replicate(monkeypatch):
         built.clear()
         batches.clear()
         run()
-        assert built == [(dim, 25_000)] * integrate._REPLICATES, dim
-        spans = [sum(r in batch for batch in batches) for r in range(integrate._REPLICATES)]
+        assert built == [(dim, [25_000] * _REPLICATES)], dim
+        spans = [sum(r in batch for batch in batches) for r in range(_REPLICATES)]
         assert all(count >= 2 for count in spans), spans
 
 

@@ -148,7 +148,7 @@ BOX_DOCUMENT = {
 
 # prints which of the float layer's modules the code before it has loaded
 _FLOAT_LAYER_LOADED = (
-    "\nprint([m for m in ('numpy', 'twistamp.integrate') if m in sys.modules])"
+    "\nprint([m for m in ('numpy', 'twistamp.integrate', 'twistamp.rqmc') if m in sys.modules])"
 )
 
 
