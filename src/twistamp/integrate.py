@@ -41,12 +41,12 @@ with a divergent subgraph are refused.
 
 Every estimate (and the Feynman check) is randomized quasi-Monte Carlo on
 one plan of scrambled Sobol replicates (see rqmc), which hands its blocks
-out in batches and draws their points. One loop, _mean, serves every
-estimate: it evaluates each batch's weights, one array per integrand,
-refuses an integrand with a non-finite one, and merges each block's mean
-into its replicate's accumulator in a fixed order, so a fixed config
-reproduces bit-identical estimates, and neither the batch size nor the lane
-chunks move a bit of one.
+out in batches and draws their points. Each estimate runs its own batch
+loop and hands every batch's weights to its integrand's _Replicates, which
+refuses a non-finite weight and merges each block's mean into its
+replicate's accumulator in a fixed order, so a fixed config reproduces
+bit-identical estimates, and neither the batch size nor the lane chunks
+move a bit of one.
 
 Every batch is drawn and evaluated in a workspace (see _workspace): each
 thread has one flat float64 arena, made by its first estimate, grown but
@@ -404,7 +404,7 @@ def _simplex_batches(cfg: IntegrationConfig, dim: int, stream: str, tropical, re
     q), runs): the points (B, N), the log of the mixture density, None
     without a tropical sampler, and the (replicate, lanes) of the uniform
     and the tropical part of each of the batch's blocks, block by block (see
-    rqmc.Plan and _mean).
+    rqmc.Plan and _Replicates.add).
 
     Replicate r's stream has dimension N, or 2N - 2 with a tropical sampler;
     its sample i is its point i. Its first `_UNIFORM_SHARE` of samples (all
@@ -464,66 +464,55 @@ def _simplex_batches(cfg: IntegrationConfig, dim: int, stream: str, tropical, re
         yield (columns.T, log_q), runs
 
 
-def _mean(methods, batches, weights, spent=None) -> list:
-    """The mean of each method's weights, with its standard error, or the
-    TwistampError that refused the method. batches yields (batch, runs):
-    weights(batch, running) gives the batch's weights for each method in
-    `running`, those not yet refused, in order: an array, or the refusal of
-    that method. runs lists the (replicate, lanes) whose weights go to that
-    replicate's accumulator, in the order listed. A weight that is not
-    finite refuses its method. A refused method is not asked again, and the
-    draw stops once every method is refused. The estimate is the mean of the
-    replicate means, taken in replicate order, and the error their standard
-    deviation over sqrt(R). Returns one (estimate, error) or refusal per
-    method, in order. With a dict `spent`, the seconds each method takes
-    here are added to its entry."""
-    running = list(methods)
-    replicates = {method: {} for method in methods}
-    outcomes = {}
-    for index, (batch, runs) in enumerate(batches):
-        asked = list(running)
-        for method, values in zip(asked, weights(batch, asked)):
-            begin = time.perf_counter()
-            if isinstance(values, TwistampError):
-                refusal = values
-            else:
-                refusal = _non_finite(method, index, values)
-            if refusal is not None:
-                outcomes[method] = refusal
-                running.remove(method)
-            else:
-                kept = replicates[method]
-                for replicate, lanes in runs:
-                    kept.setdefault(replicate, _Accumulator()).add(values[lanes])
-            if spent is not None:
-                spent[method] += time.perf_counter() - begin
-        if not running:
-            break
-    for method in running:
-        means = [replicates[method][r].mean for r in sorted(replicates[method])]
+class _Replicates:
+    """The accumulators of one integrand's weights, one per replicate.
+    add(values, runs) takes one batch's weights: runs lists the (replicate,
+    lanes) whose weights go to that replicate's accumulator, in the order
+    listed. A weight that is not finite raises InvariantViolation naming the
+    batch (the count of batches added before it) and the sample."""
+
+    def __init__(self, method: str):
+        self.method = method
+        self.batches = 0
+        self.replicates = {}
+
+    def add(self, values: np.ndarray, runs) -> None:
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise InvariantViolation(
+                f"non-finite {self.method}-method sample in batch {self.batches} "
+                f"(sample {int(np.argmin(finite))})"
+            )
+        for replicate, lanes in runs:
+            self.replicates.setdefault(replicate, _Accumulator()).add(values[lanes])
+        self.batches += 1
+
+    def estimate(self) -> tuple:
+        """The mean of the replicate means, taken in replicate order, and
+        its error, their standard deviation over sqrt(R)."""
+        means = [self.replicates[r].mean for r in sorted(self.replicates)]
         mean = math.fsum(means) / len(means)
         variance = math.fsum((m - mean) ** 2 for m in means) / (len(means) - 1)
-        outcomes[method] = (mean, math.sqrt(variance / len(means)))
-    return [outcomes[method] for method in methods]
-
-
-def _non_finite(method: str, index: int, values: np.ndarray):
-    """InvariantViolation naming the first weight of batch `index` that is
-    not finite, or None where every weight is."""
-    finite = np.isfinite(values)
-    if finite.all():
-        return None
-    return InvariantViolation(
-        f"non-finite {method}-method sample in batch {index} "
-        f"(sample {int(np.argmin(finite))})"
-    )
+        return mean, math.sqrt(variance / len(means))
 
 
 def _held(outcome):
-    """An outcome of _mean or _simplex_estimates, raised if it is a refusal."""
+    """An outcome of _simplex_estimates, raised if it is a refusal."""
     if isinstance(outcome, TwistampError):
         raise outcome
     return outcome
+
+
+def _to_weights(values: np.ndarray, log_q) -> None:
+    """Turns the denominators of one lane chunk in place into its weights:
+    1/d, or exp(-(log d + log q)) under the mixture density q."""
+    if log_q is None:
+        np.divide(1.0, values, out=values)
+    else:
+        np.log(values, out=values)
+        values += log_q
+        np.negative(values, out=values)
+        np.exp(values, out=values)
 
 
 def _simplex_estimates(g: Graph, cfg: IntegrationConfig, methods=("parametric", "pfaffian")):
@@ -543,13 +532,15 @@ def _simplex_estimates(g: Graph, cfg: IntegrationConfig, methods=("parametric", 
     per method and one scratch region, which the denominators share since
     they run one after the other.
 
-    A refusal ends only its own method: a TwistampError raised by the
-    method's set-up or its denominator, or a non-finite weight (see _mean);
-    one raised by the shared set-up refuses every method. The first method
-    not refused carries the shared work (set-up, draw, its own evaluation):
-    its wall time is the call's less the others'. Each other method's holds
-    only its own set-up, denominators, weights and accumulation, timed chunk
-    by chunk. So the wall times add up to the call's.
+    A refusal ends only its own method and is kept in one table of
+    outcomes: a TwistampError raised by the method's set-up or its
+    denominator, or a non-finite weight refused by its _Replicates at the
+    end of the batch; one raised by the shared set-up refuses every method.
+    The first method not refused carries the shared work (set-up, draw, its
+    own evaluation): its wall time is the call's less the others'. Each
+    other method's holds only its own set-up, denominators, weights and
+    accumulation, timed chunk by chunk. So the wall times add up to the
+    call's.
 
     Returns each method's IntegrationResult or refusal, in order, and the
     largest |d / d_first - 1| over the samples that the first method still
@@ -576,6 +567,7 @@ def _simplex_estimates(g: Graph, cfg: IntegrationConfig, methods=("parametric", 
     live = list(denominators)
     if not live:
         return [outcomes[method] for method in methods], 0.0
+    replicates = {method: _Replicates(method) for method in live}
     deviation = 0.0
     draws = _draw_shapes(batch, n_edges, tropical)
     shared = max(sum(map(math.prod, shapes)) for shapes in scratch.values())
@@ -584,35 +576,22 @@ def _simplex_estimates(g: Graph, cfg: IntegrationConfig, methods=("parametric", 
         *weights_at, shared_at = regions[len(draws) :]
         weights_at = dict(zip(live, weights_at))
         own = {method: _carve(shared_at, scratch[method]) for method in live}
-
-        def finish(values, log_q):
-            """Turns the denominators of one chunk in place into weights."""
-            if log_q is None:
-                np.divide(1.0, values, out=values)
-            else:
-                np.log(values, out=values)
-                values += log_q
-                np.negative(values, out=values)
-                np.exp(values, out=values)
-
-        def weights(draw, running):
-            nonlocal deviation
-            points, log_q = draw
+        for (points, log_q), runs in batches:
+            running = [method for method in live if method not in outcomes]
             values = {method: _view(weights_at[method], len(points)) for method in running}
-            refused = {}
             for lo, hi in _pieces(0, len(points), _SIMPLEX_LANES):
                 chunk = points[lo:hi]
                 q = None if log_q is None else log_q[lo:hi]
                 first = None  # the denominators of the first method still running
                 for method in running:
-                    if method in refused:
+                    if method in outcomes:
                         continue
                     begin = time.perf_counter()
                     out = values[method][lo:hi]
                     try:
                         denominators[method](chunk, out, own[method])
                     except TwistampError as exc:
-                        refused[method] = exc
+                        outcomes[method] = exc
                     else:
                         if first is None:
                             first = out
@@ -622,20 +601,27 @@ def _simplex_estimates(g: Graph, cfg: IntegrationConfig, methods=("parametric", 
                             ratio -= 1.0
                             np.abs(ratio, out=ratio)
                             deviation = max(deviation, float(ratio.max()))
-                            finish(out, q)
+                            _to_weights(out, q)
                     spent[method] += time.perf_counter() - begin
                 if first is not None:
-                    finish(first, q)
-            return [refused.get(method, values[method]) for method in running]
-
-        outcomes.update(zip(live, _mean(live, batches, weights, spent)))
+                    _to_weights(first, q)
+            for method in running:
+                if method in outcomes:
+                    continue
+                begin = time.perf_counter()
+                try:
+                    replicates[method].add(values[method], runs)
+                except InvariantViolation as exc:
+                    outcomes[method] = exc
+                spent[method] += time.perf_counter() - begin
+            if all(method in outcomes for method in live):
+                break
     wall = time.perf_counter() - start
-    kept = [method for method in methods if not isinstance(outcomes[method], TwistampError)]
+    kept = [method for method in methods if method not in outcomes]
     results = []
     for method in methods:
-        outcome = outcomes[method]
         if method in kept:
-            estimate, err = outcome
+            estimate, err = replicates[method].estimate()
             if tropical is None:
                 factor = 1.0 / math.factorial(n_edges - 1)
                 estimate, err = factor * estimate, factor * err
@@ -643,8 +629,11 @@ def _simplex_estimates(g: Graph, cfg: IntegrationConfig, methods=("parametric", 
                 seconds = wall - sum(spent[other] for other in kept[1:])
             else:
                 seconds = spent[method]
-            outcome = IntegrationResult(estimate, err, cfg.n_samples, cfg.seed, method, seconds)
-        results.append(outcome)
+            results.append(
+                IntegrationResult(estimate, err, cfg.n_samples, cfg.seed, method, seconds)
+            )
+        else:
+            results.append(outcomes[method])
     return results, deviation
 
 
@@ -1163,43 +1152,41 @@ def direct_amplitude(g: Graph, cfg: IntegrationConfig) -> IntegrationResult:
             log_g += log_g0
             log_w -= log_g
 
-        def log_weights():
-            plan = Plan(cfg.n_samples, cfg.seed, "direct", dim)
-            for blocks in plan.batches(_BLOCK):
-                count = sum(hi - lo for *_, lo, hi in blocks)
-                chords = _view(chords_at, 4, n, count)
-                runs, per_channel = [], []
-                stop = 0
-                for r, _, lo, hi in blocks:
-                    # the block's chord draws, of unit scale, sorted by channel
-                    points = _view(points_at, dim, hi - lo)
-                    plan.draw([(r, lo, hi)], 0, hi - lo, points)
-                    order, counts = _by_channel(points[0], n_trees)
-                    uniforms = points[1:].reshape(n, 4, hi - lo)
-                    _student_t(uniforms, nu, _view(draw_at, 2, n, hi - lo))
-                    out = chords[:, :, stop : stop + hi - lo].transpose(1, 0, 2)
-                    np.take(uniforms, order, axis=2, out=out, mode="clip")
-                    runs.append((r, slice(stop, stop + hi - lo)))
-                    per_channel += counts.tolist()
-                    stop += hi - lo
+        replicates = _Replicates("direct")
+        plan = Plan(cfg.n_samples, cfg.seed, "direct", dim)
+        for blocks in plan.batches(_BLOCK):
+            count = sum(hi - lo for *_, lo, hi in blocks)
+            chords = _view(chords_at, 4, n, count)
+            runs, per_channel = [], []
+            stop = 0
+            for r, _, lo, hi in blocks:
+                # the block's chord draws, of unit scale, sorted by channel
+                points = _view(points_at, dim, hi - lo)
+                plan.draw([(r, lo, hi)], 0, hi - lo, points)
+                order, counts = _by_channel(points[0], n_trees)
+                uniforms = points[1:].reshape(n, 4, hi - lo)
+                _student_t(uniforms, nu, _view(draw_at, 2, n, hi - lo))
+                out = chords[:, :, stop : stop + hi - lo].transpose(1, 0, 2)
+                np.take(uniforms, order, axis=2, out=out, mode="clip")
+                runs.append((r, slice(stop, stop + hi - lo)))
+                per_channel += counts.tolist()
+                stop += hi - lo
 
-                # each block's lanes of one channel are contiguous
-                p2 = _view(p2_at, n_edges, count)
-                stop = 0
-                for (a_t, b_t), k in zip(itertools.cycle(channels), per_channel):
-                    for lo, hi in _pieces(stop, stop + k, piece):
-                        q = _view(q_at, 4, n_edges, hi - lo)
-                        np.matmul(a_t, chords[:, :, lo:hi], out=q)
-                        q += b_t.T[:, :, None]
-                        np.square(q, out=q)
-                        q.sum(axis=0, out=p2[:, lo:hi])
-                    stop += k
-                log_w = _view(log_w_at, count)
-                finish(p2, log_w)
-                yield log_w, runs
-
-        (outcome,) = _mean(("direct",), log_weights(), lambda log_w, _: [np.exp(log_w, out=log_w)])
-    estimate, err = _held(outcome)
+            # each block's lanes of one channel are contiguous
+            p2 = _view(p2_at, n_edges, count)
+            stop = 0
+            for (a_t, b_t), k in zip(itertools.cycle(channels), per_channel):
+                for lo, hi in _pieces(stop, stop + k, piece):
+                    q = _view(q_at, 4, n_edges, hi - lo)
+                    np.matmul(a_t, chords[:, :, lo:hi], out=q)
+                    q += b_t.T[:, :, None]
+                    np.square(q, out=q)
+                    q.sum(axis=0, out=p2[:, lo:hi])
+                stop += k
+            log_w = _view(log_w_at, count)
+            finish(p2, log_w)
+            replicates.add(np.exp(log_w, out=log_w), runs)
+    estimate, err = replicates.estimate()
     return IntegrationResult(
         estimate, err, cfg.n_samples, cfg.seed, "direct", time.perf_counter() - start
     )
@@ -1420,22 +1407,19 @@ def feynman_trick_check(values, cfg: IntegrationConfig | None = None) -> Feynman
 
     cfg = cfg or IntegrationConfig(n_samples=200_000, seed=0)
 
-    def weights(draw, _running):
-        points, _ = draw
-        # sum_k a_k A_k coordinate by coordinate: a matrix-vector product
-        # rounds a lane by where it sits in the batch
-        total = np.zeros(len(points))
-        for k, value in enumerate(A):
-            total += points[:, k] * value
-        out = total ** (-n_vals)
-        if not np.all((out > 0.0) & (out < math.inf)):
-            raise PrecisionError("simplex integrand underflowed to 0 or is not finite")
-        return [out]
-
+    replicates = _Replicates("feynman")
     with _workspace(*_draw_shapes(_largest_batch(cfg), n_vals, None)) as regions:
-        batches = _simplex_batches(cfg, n_vals, "feynman", None, regions)
-        (outcome,) = _mean(("feynman",), batches, weights)
-    rhs, err = _held(outcome)
+        for (points, _), runs in _simplex_batches(cfg, n_vals, "feynman", None, regions):
+            # sum_k a_k A_k coordinate by coordinate: a matrix-vector product
+            # rounds a lane by where it sits in the batch
+            total = np.zeros(len(points))
+            for k, value in enumerate(A):
+                total += points[:, k] * value
+            out = total ** (-n_vals)
+            if not np.all((out > 0.0) & (out < math.inf)):
+                raise PrecisionError("simplex integrand underflowed to 0 or is not finite")
+            replicates.add(out, runs)
+    rhs, err = replicates.estimate()
     return FeynmanTrickResult(lhs, rhs, abs(rhs - lhs) / lhs, err, "mc", cfg.n_samples)
 
 

@@ -152,26 +152,41 @@ def simplex_batches(cfg, dim: int, stream: str, tropical=None):
     return _simplex_batches(cfg, dim, stream, tropical, regions)
 
 
-def box_simplex_integral(g: Graph, nodes: int) -> float:
-    """The box's parametric integral, over the simplex of da / S2(a)^2 with
-    a_4 = 1 - a_1 - a_2 - a_3, by a collapsed (Duffy) Gauss-Legendre rule of
-    `nodes` points per axis: a_1 = t_1, a_2 = (1 - t_1) t_2 and a_3 = (1 -
-    t_1)(1 - t_2) t_3, of Jacobian (1 - t_1)^2 (1 - t_2). With every mass
-    positive S2 has no zero on the closed simplex, so the rule converges
-    exponentially in `nodes`. S2 is summed term by term from its exact
-    coefficients."""
-    from twistamp import second_symanzik
+def parametric_integral(g: Graph, nodes: int) -> float:
+    """Eq. (1.1c) without its constant: the integral over the unit simplex
+    of S1(a)^(N-2n-2) / S2(a)^(N-2n) da_1 ... da_(N-1), by a collapsed
+    (Duffy) Gauss-Legendre rule of `nodes` points per axis: a_1 = t_1, a_k =
+    (1 - t_1) ... (1 - t_(k-1)) t_k for k < N and a_N the rest, of Jacobian
+    prod_k (1 - t_k)^(N-1-k). With every mass positive S2 has no zero on the
+    closed simplex, so the rule converges exponentially in `nodes`. S1 and
+    S2 are summed term by term from their exact coefficients, one slab of
+    t_1 at a time."""
+    from twistamp import loop_number, second_symanzik
 
-    terms = [(exps, float(c.re)) for exps, c in second_symanzik(g).s2.terms()]
+    sym = second_symanzik(g)
+    n_edges, n = g.n_edges, loop_number(g)
+
+    def at(poly, a):
+        return sum(
+            float(c.re) * math.prod(a[i] ** k for i, k in enumerate(exps) if k)
+            for exps, c in poly.terms()
+        )
+
     x, w = np.polynomial.legendre.leggauss(nodes)
     t, w = (x + 1.0) / 2.0, w / 2.0
-    t2, t3 = np.meshgrid(t, t, indexing="ij")
-    weights = np.outer(w, w) * (1.0 - t2)
+    inner = np.meshgrid(*[t] * (n_edges - 2), indexing="ij")  # t_2 .. t_(N-1)
+    weights = math.prod(np.meshgrid(*[w] * (n_edges - 2), indexing="ij"))
+    for k, t_k in enumerate(inner, start=2):
+        weights = weights * (1.0 - t_k) ** (n_edges - 1 - k)
     slabs = []
     for t1, w1 in zip(t.tolist(), w.tolist()):
-        rest = 1.0 - t1
-        tail = rest * (1.0 - t2)
-        a = [np.full_like(t2, t1), rest * t2, tail * t3, tail * (1.0 - t3)]
-        s2 = sum(c * math.prod(a[i] ** k for i, k in enumerate(exps) if k) for exps, c in terms)
-        slabs.append(w1 * rest**2 * math.fsum((weights / s2**2).ravel().tolist()))
+        rest = np.full_like(inner[0], 1.0 - t1)
+        a = [np.full_like(rest, t1)]
+        for t_k in inner:
+            a.append(rest * t_k)
+            rest = rest * (1.0 - t_k)
+        a.append(rest)
+        values = at(sym.s1, a) ** (n_edges - 2 * n - 2) / at(sym.s2, a) ** (n_edges - 2 * n)
+        slab = math.fsum((weights * values).ravel().tolist())
+        slabs.append(w1 * (1.0 - t1) ** (n_edges - 2) * slab)
     return math.fsum(slabs)

@@ -306,6 +306,26 @@ def test_feynman_check_command(capsys):
     assert "quadrature" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("values", [["0.7"] * 4, ["3", "3", "3", "--samples", "1000"]])
+def test_feynman_check_passes_a_gap_of_rounding_alone(capsys, values):
+    # equal A give equal weights: an error bar of 0 (or 1e-18) against a
+    # gap of a few ulp (2.1e-16 and 5.6e-16 relative)
+    assert main(["feynman-check", *values]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "relative gap = " in out and out.rstrip().endswith("PASS")
+
+
+@pytest.mark.parametrize("values", [["1", "1e3", "1e6"], ["1", "100", "1e4"], ["1", "1", "1e6"]])
+def test_feynman_check_calls_a_sample_that_misses_the_peak_unreliable(capsys, values):
+    # a single weight can reach min(A)^-N, beyond the sample's total weight
+    # (2.3e5, 9.1 and 5.1 times it here): the uniform sample missed the
+    # smallest A's vertex, where the integral lies, so neither its estimate
+    # nor its error bar can judge the identity
+    assert main(["feynman-check", *values]) == EXIT_NUMERIC
+    out = capsys.readouterr().out
+    assert out.rstrip().endswith("UNRELIABLE") and "FAIL" not in out
+
+
 def test_feynman_check_rejects_nonpositive(capsys):
     assert main(["feynman-check", "1", "-1", "2", "3"]) == EXIT_VALIDATION
     assert main(["feynman-check", "1", "inf"]) == EXIT_VALIDATION

@@ -44,9 +44,9 @@ from twistamp import (
 )
 from conftest import (
     SET_UP_ONCE,
-    box_simplex_integral,
     count_set_up_builds,
     multi_loop_graph,
+    parametric_integral,
     random_connected_graph,
     random_momenta,
     random_positive_fraction,
@@ -992,36 +992,71 @@ def test_channels_fill_every_aligned_block_nearly_evenly():
                     assert np.all(np.diff(order)[np.diff(channel) == 0] > 0)
 
 
+def _bowtie_halves(g):
+    """The triangles of edges 1-3 and 4-6 of a bowtie, which share its
+    vertex 3: the momentum entering at vertices 1 and 2 leaves the first
+    through it, and that leaving at 4 and 5 enters the second there."""
+    masses = [e.mass for e in g.edges]
+    p = g.external_momenta
+    return (
+        triangle(masses=masses[:3], momenta={1: p[1], 2: p[2], 3: -(p[1] + p[2])}),
+        triangle(masses=masses[3:], momenta={1: -(p[4] + p[5]), 2: p[4], 3: p[5]}),
+    )
+
+
 def test_box_simplex_estimates_against_the_gauss_legendre_reference():
     # deterministic references, converged to 1e-10 by doubling the rule,
-    # make the box's replicate error bars falsifiable: about 2e-5 relative
-    # at 65 536 samples on the first box, 7e-4 on the random one. The
-    # direct estimate is pi^2 times the simplex one (c(1) = pi^2); its bar
-    # is about 1e-4 and 4e-4 relative there
+    # make the replicate error bars falsifiable. The box's bar is about 2e-5
+    # relative at 65 536 samples on the first box, 7e-4 on the random one;
+    # the direct estimate is pi^2 times the simplex one (c(1) = pi^2), with
+    # a bar of about 1e-4 and 4e-4 relative there. The bowtie is two
+    # triangles joined at one vertex, so its amplitude is theirs multiplied:
+    # by eq. (1.1c) a triangle's is pi^2 J(T), J(T) = int da / (S1 S2), so
+    # the bowtie's simplex integral is J(T1) J(T2) and its direct one pi^4
+    # times that. Its bars reach 3.2e-2 relative; on the random bowtie the
+    # eight seeds read a mean z of -1.1 (max |z| 3.1), the low bias of
+    # heavy-tailed weights on spread kinematics
     q1 = [Fraction(1, 4), Fraction(-1, 2), 0, Fraction(1, 4)]
     q2 = [Fraction(-1, 4), Fraction(1, 4), Fraction(1, 2), 0]
     q3 = [0, Fraction(1, 4), Fraction(-1, 4), Fraction(-1, 2)]
     q4 = [-(a + b + c) for a, b, c in zip(q1, q2, q3)]
-    graphs = [
+    boxes = [
         box(
             masses=(Fraction(7, 8), Fraction(5, 4), 1, Fraction(3, 4)),
             momenta={1: q1, 2: q2, 3: q3, 4: q4},
         ),
         with_random_kinematics(box, random.Random(13)),
     ]
-    for g in graphs:
-        reference = box_simplex_integral(g, 96)
-        assert box_simplex_integral(g, 48) == pytest.approx(reference, rel=1e-10)
+    bowties = [
+        bowtie(
+            masses=(Fraction(7, 8), 1, Fraction(5, 4), Fraction(3, 4), Fraction(9, 8), 1),
+            momenta={1: q1, 2: q2, 4: q3, 5: q4},
+        ),
+        with_random_kinematics(bowtie, random.Random(13)),
+    ]
+    cases = []
+    for g in boxes:
+        reference = parametric_integral(g, 96)
+        assert parametric_integral(g, 48) == pytest.approx(reference, rel=1e-10)
+        cases.append((g, reference, math.pi**2, 1e-3))
+    for g in bowties:
+        reference = 1.0
+        for half in _bowtie_halves(g):
+            j = parametric_integral(half, 128)
+            assert parametric_integral(half, 64) == pytest.approx(j, rel=1e-12)
+            reference *= j
+        cases.append((g, reference, math.pi**4, 5e-2))
+    for g, reference, c_direct, rel_err in cases:
         for run, c in (
             (parametric_amplitude, 1.0),
             (pfaffian_amplitude, 1.0),
-            (direct_amplitude, math.pi**2),
+            (direct_amplitude, c_direct),
         ):
             for seed in range(8):
                 result = run(g, IntegrationConfig(n_samples=65_536, seed=seed))
                 z = (result.estimate - c * reference) / result.std_error
                 assert abs(z) < 4, (run.__name__, seed, z)
-                assert result.std_error < 1e-3 * c * reference
+                assert result.std_error < rel_err * c * reference
 
 
 def test_mixture_density_is_normalised():
@@ -1640,18 +1675,14 @@ def test_weights_do_not_depend_on_the_lane_chunk_width(monkeypatch):
     # another std error with 16 384-point batches.
     import twistamp.integrate as integrate
 
-    mean = integrate._mean
+    add = integrate._Replicates.add
     weights_seen = []
 
-    def recording(methods, batches, weights, *spent):
-        def kept(batch, running):
-            values = weights(batch, running)
-            weights_seen.extend(v.copy() for v in values if isinstance(v, np.ndarray))
-            return values
+    def recording(self, values, runs):
+        weights_seen.append(values.copy())
+        return add(self, values, runs)
 
-        return mean(methods, batches, kept, *spent)
-
-    monkeypatch.setattr(integrate, "_mean", recording)
+    monkeypatch.setattr(integrate._Replicates, "add", recording)
     rnd = random.Random(53)
     graphs = [with_random_kinematics(bowtie, rnd), multi_loop_graph("loop3", rnd)]
     cfg = IntegrationConfig(n_samples=3_001, seed=6)
@@ -1668,7 +1699,7 @@ def test_weights_do_not_depend_on_the_lane_chunk_width(monkeypatch):
     # no bit of an estimate: a block per batch (1 250 points over a batch
     # size of 1 000), several, all of them, and the default of two lane
     # chunks; at 131 088 samples every replicate ends in a one-lane block.
-    monkeypatch.setattr(integrate, "_mean", mean)
+    monkeypatch.setattr(integrate._Replicates, "add", add)
     for n_samples, layouts in (
         (20_000, [(65_536, 8_192), (16_384, 8_192), (1_000, 7), (2_600, 100)]),
         (131_088, [(65_536, 8_192), (16_384, 8_192), (10_000, 1_000)]),
